@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import decimal
 import hashlib
 import json
 import sys
@@ -408,7 +409,11 @@ def _single_scenario(sim, seed, epsilon=None) -> simulation.ScenarioConfig:
 
 
 def _parse_range(text, kind=float) -> list:
-    """Accept 'a,b,c' lists and 'start:stop[:step]' inclusive ranges."""
+    """Accept 'a,b,c' lists and 'start:stop[:step]' inclusive ranges.
+
+    Ranges step in decimal over the tokens as written, so '0.1:0.7:0.1'
+    gives 0.3 rather than the binary sum 0.30000000000000004.
+    """
     out = []
     for part in str(text).split(","):
         part = part.strip()
@@ -416,12 +421,16 @@ def _parse_range(text, kind=float) -> list:
             bits = part.split(":")
             if len(bits) not in (2, 3):
                 raise CliError(f"bad range {part!r}; expected start:stop[:step]")
-            start, stop = kind(bits[0]), kind(bits[1])
-            step = kind(bits[2]) if len(bits) == 3 else kind(1)
+            for bit in bits:
+                kind(bit)
+            start, stop = decimal.Decimal(bits[0]), decimal.Decimal(bits[1])
+            step = decimal.Decimal(bits[2]) if len(bits) == 3 else decimal.Decimal(1)
+            if not all(d.is_finite() for d in (start, stop, step)):
+                raise CliError(f"bad range {part!r}; bounds and step must be finite")
             if step <= 0:
                 raise CliError(f"bad range {part!r}; step must be positive")
             v = start
-            while v <= stop + 1e-12:
+            while v <= stop:
                 out.append(kind(v))
                 v += step
         elif part:
@@ -467,6 +476,24 @@ def _cmd_sensitivity(config, out_dir: Path) -> list:
     return ["sensitivity.csv", "sensitivity.json"]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _load_truth(path) -> tuple:
+    """Targets and optional match radius from a truth JSON file."""
+    doc = json.loads(Path(path).read_text())
+    targets = doc.get("targets") if isinstance(doc, dict) else None
+    if not isinstance(targets, list) or not all(
+        isinstance(t, list) and len(t) == 2 and all(_is_number(v) for v in t) for t in targets
+    ):
+        raise CliError(f"{path}: truth must be a JSON object whose 'targets' lists [row, col] pairs")
+    radius = doc.get("radius_m")
+    if radius is not None and not _is_number(radius):
+        raise CliError(f"{path}: 'radius_m' must be a number")
+    return targets, radius
+
+
 def _cmd_detect(config, out_dir: Path) -> list:
     interest = image_io.read_image(config["interest"])
     covariates = [image_io.read_image(p) for p in config["covariates"]]
@@ -481,10 +508,9 @@ def _cmd_detect(config, out_dir: Path) -> list:
     truth = None
     radius = config.get("truth_radius_m")
     if config.get("truth"):
-        truth_doc = json.loads(Path(config["truth"]).read_text())
-        truth = truth_doc["targets"]
+        truth, truth_radius = _load_truth(config["truth"])
         if radius is None:
-            radius = truth_doc.get("radius_m")
+            radius = truth_radius
     try:
         result = detection.detect(
             interest,
@@ -780,10 +806,15 @@ def main(argv=None) -> int:
             if not manifest_path.exists():
                 raise CliError(f"manifest not found: {manifest_path}")
             manifest = json.loads(manifest_path.read_text())
+            if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
+                raise CliError(f"{manifest_path}: manifest has no 'config' object")
             command = manifest.get("command")
             if command not in _HANDLERS:
                 raise CliError(f"manifest names unknown command {command!r}")
-            return _execute(command, manifest["config"], Path(args.out_dir))
+            try:
+                return _execute(command, manifest["config"], Path(args.out_dir))
+            except KeyError as exc:
+                raise CliError(f"{manifest_path}: manifest config has no key {exc}") from None
         config = _config_from_args(args)
         return _execute(args.command, config, Path(args.out_dir))
     except CliError as exc:

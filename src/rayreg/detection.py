@@ -1,19 +1,22 @@
 """Residual control-chart anomaly detection for amplitude images.
 
 Pipeline: fit the regression on a training window, push the whole image
-through the fitted model, convert pixels to normal-quantile residuals,
-flag everything outside the control limits, then clean the binary mask
-with an opening (speckle removal) followed by a dilation (object
-consolidation).  Detections whose centroids sit closer than the merge
-distance count as one object.
+through the fitted model, flag every pixel whose normal-quantile residual
+lies outside the control limits, then clean the binary mask with an
+opening (speckle removal) followed by a dilation (object consolidation).
+Detections whose centroids sit closer than the merge distance count as
+one object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from .estimation import FitResult, RobustConfig, fit_both
 from .inference import quantile_residuals_from_mean
@@ -24,6 +27,7 @@ __all__ = [
     "Cluster",
     "DetectionResult",
     "threshold_residuals",
+    "flag_out_of_control",
     "erode",
     "dilate",
     "opening",
@@ -35,6 +39,18 @@ __all__ = [
 ]
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
+
+# Pixels per block when the fitted mean is evaluated over the image: the
+# design of one block stays in cache, and every block of BLAS's product
+# matches the full product bit for bit.
+_BLOCK = 1 << 16
+
+# Ratios this close (relative) to a cut are decided by the residual itself.
+_GUARD = 1e-9
+
+# The residual is constant in the ratio beyond this point: F(z) rounds to 1
+# for z above about 7, and z * z stays finite here.
+_Z_MAX = 1e150
 
 
 @dataclass(frozen=True)
@@ -73,10 +89,10 @@ def _as_mask(mask) -> np.ndarray:
     return mask.astype(bool)
 
 
-def _square(size: int) -> np.ndarray:
+def _check_size(size: int) -> int:
     if size < 1 or size % 2 == 0:
         raise ValueError(f"structuring element size must be odd and >= 1, got {size}")
-    return np.ones((size, size), dtype=bool)
+    return size
 
 
 def threshold_residuals(residuals, limit: float, two_sided: bool = True) -> np.ndarray:
@@ -93,14 +109,97 @@ def threshold_residuals(residuals, limit: float, two_sided: bool = True) -> np.n
     return residuals > limit
 
 
+def _first_ratio(pred) -> float:
+    """Smallest float64 ratio ``z >= 0`` at which ``pred`` turns true.
+
+    ``pred`` must be false-then-true in ``z``; NaN when it never turns
+    true, so that every comparison against the result is false.
+    Bisection over the bit patterns, which order nonnegative floats.
+    """
+    if not pred(_Z_MAX):
+        return float("nan")
+    lo, hi = -1, int(np.float64(_Z_MAX).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(float(np.int64(mid).view(np.float64))):
+            hi = mid
+        else:
+            lo = mid
+    return float(np.int64(hi).view(np.float64))
+
+
+def _ratio_cuts(limit: float, two_sided: bool) -> tuple:
+    """Cuts on ``z = y / mu`` equivalent to thresholding the residual.
+
+    The residual ``ndtri(clip(F(z)))`` is nondecreasing in ``z``, so a pixel
+    is flagged high iff ``z >= upper`` and low iff ``z < lower``.  The cuts
+    are the reference expression's own flip points, so they carry its
+    rounding (which near ``F = 1`` moves the cut by up to 1e-4 relative
+    against the closed form) and the clamp at ``RESIDUAL_CLAMP_EPS``
+    (beyond a limit of about 7.94 a side flags nothing, and its cut is NaN).
+    """
+    one = np.ones(1)
+
+    def residual(z):
+        return quantile_residuals_from_mean(np.array([z]), one)[0]
+
+    upper = _first_ratio(lambda z: residual(z) > limit)
+    lower = _first_ratio(lambda z: residual(z) >= -limit) if two_sided else float("nan")
+    return upper, lower
+
+
+def flag_out_of_control(
+    interest, covariates, beta, limit: float, two_sided: bool = True, link: str = "log"
+) -> np.ndarray:
+    """Mask of pixels whose quantile residual lies outside the control band.
+
+    Equal to ``threshold_residuals(quantile_residuals_from_mean(y, mu),
+    limit, two_sided)`` with ``mu`` the inverse link of ``X @ beta`` and
+    ``X`` the intercept plus the covariate images, but built block by block
+    without the full-image design or the residual field: the residual
+    depends on a pixel only through ``y / mu``, and each side of the band
+    is one cut on that ratio.  Ratios within a relative 1e-9 of a cut are
+    decided by the residual itself.
+
+    Raises ``ValueError`` unless the fitted mean is strictly positive and
+    finite over the whole image.
+    """
+    if limit <= 0:
+        raise ValueError("control limit must be positive")
+    upper, lower = _ratio_cuts(limit, two_sided)
+    inverse = get_link(link).inverse
+    beta = np.asarray(beta, dtype=np.float64)
+    y = np.asarray(interest, dtype=np.float64)
+    columns = [np.asarray(c, dtype=np.float64).ravel() for c in covariates]
+    flat = y.ravel()
+    flags = np.empty(flat.size, dtype=bool)
+    for start in range(0, flat.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        yb = flat[block]
+        X = np.column_stack([np.ones(yb.size)] + [c[block] for c in columns])
+        mu = inverse(X @ beta)
+        if np.any(mu <= 0.0) or not np.all(np.isfinite(mu)):
+            raise ValueError("fitted mean field is not strictly positive over the image")
+        z = yb / mu
+        out = (z >= upper) | (z < lower)
+        near = (np.abs(z - upper) <= _GUARD * upper) | (np.abs(z - lower) <= _GUARD * lower)
+        if near.any():
+            res = quantile_residuals_from_mean(yb[near], mu[near])
+            out[near] = threshold_residuals(res, limit, two_sided=two_sided)
+        flags[block] = out
+    return flags.reshape(y.shape)
+
+
 def erode(mask, size: int) -> np.ndarray:
     """Binary erosion with a filled square; outside the image counts as 0."""
-    return ndimage.binary_erosion(_as_mask(mask), structure=_square(size), border_value=0)
+    m = _as_mask(mask).view(np.uint8)
+    return ndimage.minimum_filter(m, size=_check_size(size), mode="constant", cval=0).view(bool)
 
 
 def dilate(mask, size: int) -> np.ndarray:
     """Binary dilation with a filled square; outside the image counts as 0."""
-    return ndimage.binary_dilation(_as_mask(mask), structure=_square(size), border_value=0)
+    m = _as_mask(mask).view(np.uint8)
+    return ndimage.maximum_filter(m, size=_check_size(size), mode="constant", cval=0).view(bool)
 
 
 def opening(mask, size: int) -> np.ndarray:
@@ -145,33 +244,34 @@ def extract_clusters(mask, merge_distance: float = 0.0, pixel_size_m: float = 1.
     labels, n_comp = ndimage.label(mask, structure=_EIGHT_CONNECTED)
     if n_comp == 0:
         return ()
-    idx = np.arange(1, n_comp + 1)
-    sizes = ndimage.sum_labels(mask, labels, idx)
-    centroids = np.asarray(ndimage.center_of_mass(mask, labels, idx), dtype=np.float64)
+    # Per-label sums in flat-index order, as ndimage.sum_labels and
+    # center_of_mass accumulate them, so the centroids match theirs exactly.
+    flat = np.flatnonzero(labels)
+    lab = labels.ravel()[flat]
+    rows, cols = np.divmod(flat, mask.shape[1])
+    sizes = np.bincount(lab, minlength=n_comp + 1)[1:].astype(np.float64)
+    centroids = np.column_stack(
+        [np.bincount(lab, weights=v, minlength=n_comp + 1)[1:] / sizes for v in (rows, cols)]
+    )
 
-    # Single-linkage merge on centroid distance via union-find.
-    parent = list(range(n_comp))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    # Single-linkage merge on centroid distance: the k-d tree proposes pairs
+    # within a slightly larger radius, the exact predicate decides.
     limit_m = merge_distance * pixel_size_m
-    for i in range(n_comp):
-        for j in range(i + 1, n_comp):
-            d = np.hypot(*(centroids[i] - centroids[j])) * pixel_size_m
-            if d <= limit_m:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+    pairs = cKDTree(centroids).query_pairs(merge_distance * (1.0 + 1e-9), output_type="ndarray")
+    diff = centroids[pairs[:, 0]] - centroids[pairs[:, 1]]
+    pairs = pairs[np.hypot(diff[:, 0], diff[:, 1]) * pixel_size_m <= limit_m]
+    graph = coo_matrix(
+        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n_comp, n_comp)
+    )
+    _, group = connected_components(graph, directed=False)
+    # Groups in order of their lowest component, members ascending.
+    order = np.argsort(group, kind="stable")
+    starts = np.flatnonzero(np.diff(group[order], prepend=-1))
+    groups = np.split(order, starts[1:])
+    groups.sort(key=lambda members: members[0])
 
-    groups: dict = {}
-    for i in range(n_comp):
-        groups.setdefault(find(i), []).append(i)
     clusters = []
-    for members in groups.values():
+    for members in groups:
         w = sizes[members]
         c = centroids[members]
         total = float(np.sum(w))
@@ -227,7 +327,6 @@ class DetectionResult:
     hits: int | None = None
     false_alarms: int | None = None
     missed: int | None = None
-    residuals: np.ndarray = field(repr=False, default=None)
 
     def clusters_as_dicts(self) -> list:
         return [c.as_dict() for c in self.clusters]
@@ -316,16 +415,9 @@ def detect(
     mle, wmle = fit_both(spec, robust)
     fit = wmle if method == "wmle" else mle
 
-    X_full = np.column_stack(
-        [np.ones(interest.size)] + [c.ravel() for c in covariates]
+    raw = flag_out_of_control(
+        interest, covariates, fit.beta_hat, cfg.control_limit, cfg.two_sided, link
     )
-    eta = X_full @ fit.beta_hat
-    mu_full = get_link(link).inverse(eta)
-    if np.any(mu_full <= 0.0) or not np.all(np.isfinite(mu_full)):
-        raise ValueError("fitted mean field is not strictly positive over the image")
-    residuals = quantile_residuals_from_mean(interest.ravel(), mu_full).reshape(interest.shape)
-
-    raw = threshold_residuals(residuals, cfg.control_limit, two_sided=cfg.two_sided)
     mask = postprocess(raw, cfg)
     clusters = extract_clusters(mask, cfg.merge_distance, cfg.pixel_size_m)
 
@@ -343,5 +435,4 @@ def detect(
         hits=hits,
         false_alarms=false_alarms,
         missed=missed,
-        residuals=residuals,
     )

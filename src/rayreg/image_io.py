@@ -7,10 +7,12 @@ Formats are chosen for zero-dependency, bit-exact round trips:
 * RRM1: 4-byte magic ``RRM1``, two little-endian uint32 (rows, cols),
   then rows*cols little-endian float64, row-major.
 * PGM: binary P5, maxval 255, anomaly pixels written as 255.
+* Mask CSV: one mask row per line, ``0``/``1`` separated by commas.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 from pathlib import Path
 
@@ -28,6 +30,11 @@ __all__ = [
 ]
 
 _MAGIC = b"RRM1"
+
+# Netpbm P5 header: magic, width, height and maxval, separated by whitespace
+# and ``#`` comments (which run to the end of the line), then exactly one
+# whitespace byte before the raster.
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\r\n]*[\r\n])+(\d+)" * 3 + rb"\s")
 
 
 def _check_2d(arr) -> np.ndarray:
@@ -108,19 +115,28 @@ def write_mask_pgm(mask, path) -> None:
 
 def read_mask_pgm(path) -> np.ndarray:
     data = Path(path).read_bytes()
-    parts = data.split(b"\n", 3)
-    if len(parts) < 4 or parts[0] != b"P5":
+    header = _PGM_HEADER.match(data)
+    if header is None:
         raise ValueError(f"{path}: not a binary P5 PGM")
-    cols, rows = (int(tok) for tok in parts[1].split())
-    if parts[2] != b"255":
+    cols, rows, maxval = (int(tok) for tok in header.groups())
+    if maxval != 255:
         raise ValueError(f"{path}: expected maxval 255")
-    pixels = np.frombuffer(parts[3][: rows * cols], dtype=np.uint8).reshape(rows, cols)
-    return pixels > 0
+    size = rows * cols
+    have = len(data) - header.end()
+    if have < size:
+        raise ValueError(f"{path}: truncated PGM ({have} pixel bytes, expected {size})")
+    pixels = np.frombuffer(data, dtype=np.uint8, count=size, offset=header.end())
+    return pixels.reshape(rows, cols) > 0
 
 
 def write_mask_csv(mask, path) -> None:
-    mask = np.asarray(mask).astype(int)
-    with open(path, "w", encoding="ascii") as fh:
-        for row in mask:
-            fh.write(",".join(str(int(v)) for v in row))
-            fh.write("\n")
+    """Nonzero pixels as ``1``, the rest as ``0``, built as one byte buffer."""
+    mask = np.asarray(mask)
+    if mask.ndim != 2:
+        raise ValueError("mask must be 2-D")
+    rows, cols = mask.shape
+    buf = np.full((rows, 2 * cols), ord(","), dtype=np.uint8)
+    buf[:, 0::2] = mask.astype(bool)
+    buf[:, 0::2] += ord("0")
+    buf[:, -1] = ord("\n")
+    Path(path).write_bytes(buf.tobytes())

@@ -56,6 +56,11 @@ class LogLink:
         mu = np.asarray(mu, dtype=np.float64)
         return np.full(mu.shape, 4.0)
 
+    def observed_weight(self, mu, y):
+        """-d^2 log f(y; mu) / d eta^2 = pi y^2 / mu^2, positive wherever y > 0."""
+        mu = np.asarray(mu, dtype=np.float64)
+        return np.pi * (np.asarray(y, dtype=np.float64) / mu) ** 2
+
 
 class IdentityLink:
     """g(mu) = mu; valid only while the linear predictor stays positive."""
@@ -79,6 +84,13 @@ class IdentityLink:
     def fisher_weight(self, mu):
         mu = np.asarray(mu, dtype=np.float64)
         return 4.0 / (mu * mu)
+
+    def observed_weight(self, mu, y):
+        """-d^2 log f(y; mu) / d eta^2 = (1.5 pi y^2 / mu^2 - 2) / mu^2; negative
+        for ``y`` below about 0.65 mu, so the information it builds can be
+        indefinite."""
+        mu = np.asarray(mu, dtype=np.float64)
+        return (1.5 * np.pi * (np.asarray(y, dtype=np.float64) / mu) ** 2 - 2.0) / (mu * mu)
 
 
 _LINKS = {"log": LogLink(), "identity": IdentityLink()}

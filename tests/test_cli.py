@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rayreg import distribution
-from rayreg.cli import main
+from rayreg.cli import _parse_range, main
 
 
 @pytest.fixture
@@ -210,6 +210,27 @@ class TestSimulateCommands:
         assert len(lines) == 3
 
 
+class TestParseRange:
+    def test_decimal_steps_are_exact(self):
+        assert _parse_range("0.1:0.7:0.1") == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
+
+    def test_integer_ranges_unchanged(self):
+        assert _parse_range("1:20") == [float(v) for v in range(1, 21)]
+        assert _parse_range("5:40:5", int) == [5, 10, 15, 20, 25, 30, 35, 40]
+        assert _parse_range("1:100", int) == list(range(1, 101))
+        assert _parse_range("0,3", int) == [0, 3]
+
+    def test_non_integer_count_rejected(self):
+        with pytest.raises(ValueError):
+            _parse_range("1:5:0.5", int)
+
+    def test_non_finite_range_rejected(self, sim_config, tmp_path, capsys):
+        rc = main(["sensitivity", "--config", str(sim_config), "--values", "1:inf",
+                   "--out-dir", str(tmp_path / "x")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: bad range")
+
+
 class TestDetectCommands:
     @pytest.fixture
     def scene_dir(self, tmp_path):
@@ -263,6 +284,20 @@ class TestDetectCommands:
         assert rc == 1
         assert "at least" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [{"radius_m": 10.0}, [[1, 2]], {"targets": [[1]]}])
+    def test_truth_without_targets_list_refused(self, scene_dir, tmp_path, capsys, doc):
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps(doc))
+        rc = main(
+            ["detect", "--interest", str(scene_dir / "interest.rrm"),
+             "--covariates", str(scene_dir / "covariate.rrm"),
+             "--training", "75,0,100,100", "--truth", str(truth),
+             "--out-dir", str(tmp_path / "x")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "targets" in err[0]
+
 
 class TestRerun:
     def _strip_timestamp(self, path):
@@ -291,6 +326,17 @@ class TestRerun:
                      "--out-dir", str(second)]) == 0
         for name in ("table.json", "table.txt"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "doc", [{"command": "fit"}, ["fit"], {"command": "detect", "config": {}}]
+    )
+    def test_rerun_manifest_without_config(self, tmp_path, capsys, doc):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        rc = main(["rerun", "--manifest", str(manifest), "--out-dir", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "config" in err[0]
 
     def test_rerun_missing_manifest(self, tmp_path, capsys):
         rc = main(["rerun", "--manifest", str(tmp_path / "nope.json")])

@@ -2,15 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
+import detect_reference
+from rayreg import inference
 from rayreg.detection import (
     Cluster,
     DetectorConfig,
+    _ratio_cuts,
     closing,
     detect,
     dilate,
     erode,
     extract_clusters,
+    flag_out_of_control,
     opening,
     postprocess,
     score_detections,
@@ -102,6 +109,15 @@ class TestMorphology:
         with pytest.raises(ValueError):
             erode(np.zeros((4, 4), bool), 2)
 
+    @given(
+        mask=arrays(bool, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12)),
+        size=st.sampled_from([1, 3, 5, 7]),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_any_shape_matches_brute_force(self, mask, size):
+        assert np.array_equal(erode(mask, size), brute_erode(mask, size))
+        assert np.array_equal(dilate(mask, size), brute_dilate(mask, size))
+
 
 class TestPostprocess:
     def test_solid_blob_survives_and_grows(self):
@@ -166,6 +182,143 @@ class TestClusters:
         _, n = ndimage.label(mask, structure=np.ones((3, 3)))
         assert sum(c.n_components for c in clusters) == n
         assert sum(c.n_pixels for c in clusters) == int(mask.sum())
+
+
+def _as_tuples(clusters):
+    return tuple((c.centroid_row, c.centroid_col, c.n_pixels, c.n_components) for c in clusters)
+
+
+class TestClustersMatchReference:
+    """The k-d tree merge equals the all-pairs union-find, float for float."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 60), st.integers(1, 60)),
+        density=st.sampled_from([0.005, 0.02, 0.1, 0.4]),
+        merge_distance=st.one_of(
+            st.sampled_from([0.0, 1.0, 2.0, 5.0, 10.0, 13.0, 2.0**0.5]),
+            st.floats(0.0, 20.0),
+        ),
+        pixel_size_m=st.sampled_from([1.0, 0.1, 0.3, 2.5]),
+    )
+    @settings(deadline=None, max_examples=120)
+    def test_random_masks(self, seed, shape, density, merge_distance, pixel_size_m):
+        mask = np.random.default_rng(seed).random(shape) < density
+        assert _as_tuples(extract_clusters(mask, merge_distance, pixel_size_m)) == (
+            detect_reference.extract_clusters(mask, merge_distance, pixel_size_m)
+        )
+
+    @pytest.mark.parametrize("pixel_size_m", [1.0, 0.1, 0.3, 2.5])
+    @pytest.mark.parametrize("scale", [1, 2, 3])
+    def test_centroids_exactly_at_merge_distance(self, pixel_size_m, scale):
+        # Single pixels on 3-4-5 and 5-12-13 triangles: distances are exact.
+        mask = np.zeros((80, 80), bool)
+        for r, c in [(1, 1), (1 + 3 * scale, 1 + 4 * scale), (1, 1 + 13 * scale),
+                     (1 + 5 * scale, 1 + 12 * scale + 13 * scale)]:
+            mask[r, c] = True
+        for md in (5.0 * scale, 13.0 * scale, 4.0 * scale):
+            assert _as_tuples(extract_clusters(mask, md, pixel_size_m)) == (
+                detect_reference.extract_clusters(mask, md, pixel_size_m)
+            )
+        assert len(extract_clusters(mask, 5.0 * scale, 1.0)) == 3
+
+    def test_coincident_centroids_merge_at_zero_distance(self):
+        # A hollow 5x5 ring and its center pixel: two components, one centroid.
+        mask = np.zeros((9, 9), bool)
+        mask[2:7, 2:7] = True
+        mask[3:6, 3:6] = False
+        mask[4, 4] = True
+        clusters = extract_clusters(mask, merge_distance=0.0)
+        assert _as_tuples(clusters) == detect_reference.extract_clusters(mask, 0.0)
+        assert len(clusters) == 1 and clusters[0].n_components == 2
+
+    def test_equal_centroids_kept_apart_keep_reference_order(self):
+        # A ring of eight pixels 8 apart merges into one cluster centred on
+        # a pixel 10 away from it: two clusters with the same centroid.
+        mask = np.zeros((41, 41), bool)
+        for dr, dc in [(10, 0), (-10, 0), (0, 10), (0, -10), (7, 7), (7, -7), (-7, 7), (-7, -7)]:
+            mask[20 + dr, 20 + dc] = True
+        mask[20, 20] = True
+        clusters = _as_tuples(extract_clusters(mask, merge_distance=8.0))
+        assert clusters == detect_reference.extract_clusters(mask, 8.0)
+        assert [c[3] for c in clusters] == [8, 1] and clusters[0][:2] == clusters[1][:2]
+
+
+class TestThresholdMatchesReference:
+    """Ratio-space flagging equals thresholding the residual field."""
+
+    @given(limit=st.floats(0.5, 9.0), two_sided=st.booleans())
+    @settings(deadline=None, max_examples=60)
+    def test_cuts_are_the_reference_flip_points(self, limit, two_sided):
+        def flagged(z):
+            res = detect_reference.residuals_from_mean(np.array([z]), 1.0)
+            return bool(threshold_residuals(res, limit, two_sided)[0])
+
+        upper, lower = _ratio_cuts(limit, two_sided)
+        for cut in (upper, lower):
+            if np.isnan(cut):
+                continue
+            assert flagged(cut) != flagged(np.nextafter(cut, -1.0)) or cut == 0.0
+        if np.isnan(upper):
+            assert not flagged(1e150)
+        if two_sided and np.isnan(lower):
+            assert not flagged(0.0)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        link=st.sampled_from(["log", "identity"]),
+        two_sided=st.booleans(),
+        limit=st.one_of(st.floats(0.5, 9.0), st.sampled_from([3.0, 7.0, 7.9, 7.94, 8.0])),
+        n_covariates=st.sampled_from([1, 2]),
+        unit_intercept=st.booleans(),
+    )
+    @settings(deadline=None, max_examples=40)
+    def test_flagged_set(self, seed, link, two_sided, limit, n_covariates, unit_intercept):
+        rng = np.random.default_rng(seed)
+        shape = (260, 260)  # more than one block of the blocked evaluation
+        covariates = [rng.random(shape) for _ in range(n_covariates)]
+        for cov in covariates:
+            cov[rng.random(shape) < 0.3] = 0.0
+        if link == "log":
+            beta = rng.normal(0.0, 1.0, 1 + n_covariates)
+            if unit_intercept:
+                beta[0] = 0.0
+        else:
+            beta = np.concatenate([[rng.uniform(0.05, 5.0)], rng.uniform(0.0, 3.0, n_covariates)])
+            if unit_intercept:
+                beta[0] = 1.0
+        eta = beta[0] + sum(b * c for b, c in zip(beta[1:], covariates))
+        mu = np.exp(eta) if link == "log" else eta
+
+        # Ratios on and one ulp around each cut (exactly so where mu == 1),
+        # within 1e-3 of it, zeros, and the bulk of the distribution.
+        cuts = [c for c in _ratio_cuts(limit, two_sided) if np.isfinite(c) and c > 0]
+        targets = [0.0] + [
+            v for c in cuts for v in (c, np.nextafter(c, 0.0), np.nextafter(c, np.inf))
+        ]
+        z = rng.rayleigh(np.sqrt(2.0 / np.pi), shape)
+        pick = rng.random(shape)
+        z[pick < 0.4] = rng.choice(targets, size=int((pick < 0.4).sum()))
+        if cuts:
+            near = (pick >= 0.4) & (pick < 0.6)
+            z[near] = rng.choice(cuts, size=int(near.sum())) * (
+                1.0 + rng.uniform(-1e-3, 1e-3, int(near.sum()))
+            )
+        interest = z * mu
+
+        got = flag_out_of_control(interest, covariates, beta, limit, two_sided, link)
+        want = detect_reference.flag_out_of_control(
+            interest, covariates, beta, limit, two_sided, link
+        )
+        assert np.array_equal(got, want)
+
+    def test_clamp_matches_inference(self):
+        assert detect_reference.CLAMP_EPS == inference.RESIDUAL_CLAMP_EPS
+
+    def test_nonpositive_mean_rejected(self):
+        with pytest.raises(ValueError, match="strictly positive"):
+            flag_out_of_control(np.ones((4, 4)), [np.ones((4, 4))], [1.0, -2.0], 3.0,
+                                link="identity")
 
 
 class TestScoring:

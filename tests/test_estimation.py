@@ -18,7 +18,8 @@ from rayreg import (
     score,
     weighted_loglik,
 )
-from rayreg.estimation import _make_objective
+from rayreg.estimation import _make_objective, _newton_polish
+from rayreg.scenes import make_scene
 from rayreg.optim import maximize_bfgs
 
 LOGPDF_AT_1_1 = -0.333815458107993444889465615925
@@ -229,6 +230,20 @@ class TestFitWmle:
             wmle = fit_wmle(spec)
             assert np.all((wmle.weights >= 0.0) & (wmle.weights <= 1.0))
 
+    def test_scene_training_strip_takes_alike_steps(self):
+        # The weighted fit on a scene's 100 000-pixel training strip, where
+        # polishing with the expected information converges only linearly.
+        counts = []
+        for seed in range(4):
+            scene = make_scene(200, 2000, seed=seed)
+            r0, c0, r1, c1 = scene.training_region
+            X = np.column_stack([np.ones(50 * 2000), scene.covariate[r0:r1, c0:c1].ravel()])
+            spec = ModelSpec.build(X, scene.interest[r0:r1, c0:c1].ravel())
+            wmle = fit_wmle(spec)
+            assert wmle.converged
+            counts.append(wmle.iterations)
+        assert max(counts) - min(counts) <= 2, counts
+
     def test_iterated_reweighting_runs(self):
         spec = _simulated_spec(49, eps=0.05)
         w1 = fit_wmle(spec, RobustConfig(reweight_iterations=1))
@@ -265,6 +280,35 @@ class TestOptimizerBehavior:
             res = maximize_bfgs(fun, start)
             assert res.converged
             assert np.allclose(res.x, fit.beta_hat, atol=1e-6)
+
+    @pytest.mark.parametrize("link, beta", [("log", (0.5, 0.15)), ("identity", (2.0, 0.5))])
+    def test_iterations_do_not_hinge_on_rounding(self, link, beta):
+        # At N = 100 000 the log-likelihood no longer resolves the last steps
+        # to the optimum, so BFGS meets the gradient tolerance only by chance.
+        # The Newton polish takes over after two stalled steps, so alike
+        # signals take alike iteration counts.
+        counts = []
+        for seed in range(4):
+            spec = _simulated_spec(seed, n=100_000, beta=beta, link=link, eps=0.05)
+            mle, wmle = fit_both(spec)
+            assert mle.converged and wmle.converged
+            counts.append((mle.iterations, wmle.iterations))
+        assert np.all(np.ptp(np.array(counts), axis=0) <= 2), counts
+
+    def test_polish_falls_back_to_fisher_scoring(self):
+        # Well above the data the identity link's observed information is
+        # negative; the polish then steps with the expected information.
+        rng = np.random.default_rng(55)
+        y = distribution.quantile(rng.random(50), 1.0)
+        spec = ModelSpec.build(np.ones((50, 1)), y, link="identity")
+        w = np.ones(50)
+        assert spec.link.observed_weight(np.full(50, 2.0), y).sum() < 0.0
+        fun = _make_objective(spec, w)
+        f0, g0 = fun(np.array([2.0]))
+        x, _, g, extra = _newton_polish(spec, w, fun, np.array([2.0]), f0, g0, RobustConfig())
+        assert extra >= 1
+        assert np.max(np.abs(g)) < np.max(np.abs(g0))
+        assert x[0] < 2.0
 
     def test_infeasible_identity_start_recovers(self):
         # Least-squares init can be infeasible under the identity link when

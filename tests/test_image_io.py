@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis.extra.numpy import array_shapes, arrays
 
+import detect_reference
 from rayreg import image_io
 
 
@@ -88,8 +91,51 @@ class TestPgm:
         image_io.write_mask_pgm(mask, p)
         assert np.array_equal(image_io.read_mask_pgm(p), mask)
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"P5\n# written by hand\n4 3\n# maxval next\n255\n",
+            b"P5 4 3 255\n",
+            b"P5\t4\r\n3#comment\n 255 ",
+            b"P5#c1\n#c2\n4\n3\n255\n",
+        ],
+    )
+    def test_header_tokens_and_comments(self, header, tmp_path):
+        mask = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 1, 1, 1]], dtype=bool)
+        p = tmp_path / "m.pgm"
+        image_io.write_mask_pgm(mask, p)
+        payload = p.read_bytes()[len(b"P5\n4 3\n255\n"):]
+        p.write_bytes(header + payload)
+        assert np.array_equal(image_io.read_mask_pgm(p), mask)
+
+    def test_truncated_payload_names_file(self, tmp_path):
+        p = tmp_path / "short.pgm"
+        image_io.write_mask_pgm(np.ones((3, 3), bool), p)
+        p.write_bytes(p.read_bytes()[:-1])
+        with pytest.raises(ValueError, match="short.pgm.*truncated"):
+            image_io.read_mask_pgm(p)
+
+    @pytest.mark.parametrize("blob", [b"P6\n2 2\n255\n" + bytes(12), b"P5\n2 2\n", b"P5 2 x 255\n"])
+    def test_malformed_header_rejected(self, blob, tmp_path):
+        p = tmp_path / "bad.pgm"
+        p.write_bytes(blob)
+        with pytest.raises(ValueError, match="bad.pgm"):
+            image_io.read_mask_pgm(p)
+
     def test_mask_csv(self, tmp_path):
         mask = np.array([[True, False]])
         p = tmp_path / "m.csv"
         image_io.write_mask_csv(mask, p)
         assert p.read_text() == "1,0\n"
+
+    @given(mask=arrays(bool, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40)))
+    @example(mask=np.ones((1, 1), bool))
+    @example(mask=np.zeros((1, 1), bool))
+    @example(mask=np.array([[True, False, True, True, False]]))
+    @settings(deadline=None, max_examples=80,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mask_csv_matches_reference_writer(self, mask, tmp_path):
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        image_io.write_mask_csv(mask, fast)
+        detect_reference.write_mask_csv(mask, slow)
+        assert fast.read_bytes() == slow.read_bytes()

@@ -11,6 +11,7 @@ from rayreg import (
     DesignMatrix,
     ModelSpec,
     NonpositiveMeanError,
+    distribution,
     dummy_design,
     get_link,
     predict_mean,
@@ -40,6 +41,22 @@ class TestLinks:
         assert np.array_equal(link.deriv(mu), np.ones(2))
         assert np.array_equal(link.mean_deriv(mu), np.ones(2))
         assert np.allclose(link.fisher_weight(mu), 4.0 / mu**2)
+
+    @pytest.mark.parametrize("name", ["log", "identity"])
+    def test_observed_weight_is_minus_second_derivative(self, name):
+        # -d^2 log f(y; g^{-1}(eta)) / d eta^2 by central differences; the
+        # first row is negative under the identity link.
+        link = get_link(name)
+        mu = np.array([0.3, 1.0, 2.5, 2.5])
+        y = np.array([0.1, 1.0, 0.4, 6.0])
+        eta = link.link(mu)
+        h = 1e-4
+
+        def ll(e):
+            return distribution.logpdf(y, link.inverse(e))
+
+        numeric = -(ll(eta + h) - 2.0 * ll(eta) + ll(eta - h)) / h**2
+        assert np.allclose(link.observed_weight(mu, y), numeric, rtol=1e-5)
 
     def test_unknown_link(self):
         with pytest.raises(ValueError, match="unknown link"):
