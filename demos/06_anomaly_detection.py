@@ -4,8 +4,11 @@ The generated scene has a smooth background tied to one covariate image,
 25 bright 3x3 targets, and a training strip whose left half is salted
 with isolated bright pixels (5% of the strip).  The robust pipeline
 shrugs the salt off; the plain pipeline tilts its covariate coefficient
-and floods the far side of the scene with false detections.
+and floods the far side of the scene with false detections.  The masks
+are written into ``demos/out/``.
 """
+
+from pathlib import Path
 
 import numpy as np
 
@@ -13,6 +16,9 @@ from rayreg import RobustConfig
 from rayreg.detection import DetectorConfig, detect
 from rayreg.image_io import write_mask_pgm
 from rayreg.scenes import make_scene
+
+OUT = Path(__file__).resolve().parent / "out"
+OUT.mkdir(exist_ok=True)
 
 scene = make_scene(rows=200, cols=200, seed=20250808)
 print(f"scene: {scene.interest.shape}, {len(scene.truth)} targets, "
@@ -39,8 +45,8 @@ for method in ("wmle", "mle"):
     print(f"  clusters           : {len(result.clusters)}")
     print(f"  hits / false alarms / missed: "
           f"{result.hits} / {result.false_alarms} / {result.missed}")
-    write_mask_pgm(result.mask, f"detections_{method}.pgm")
-    print(f"  -> detections_{method}.pgm written")
+    write_mask_pgm(result.mask, OUT / f"detections_{method}.pgm")
+    print(f"  -> demos/out/detections_{method}.pgm written")
 
 print("\nThe same pipeline is available from the command line:")
 print("  rayreg synth-scene --seed 20250808 --out-dir scene")

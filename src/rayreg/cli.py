@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import decimal
 import hashlib
+import inspect
 import json
 import sys
 import warnings
@@ -27,20 +29,37 @@ from . import __version__, detection, image_io, inference, scenes, simulation
 from .estimation import RobustConfig, fit_both
 from .regression import DesignMatrix, ModelSpec, dummy_design
 
-_SIM_DEFAULTS = {
-    "link": "log",
-    "delta": 0.001,
-    "reweight_iterations": 1,
-    "max_iter": 500,
-    "grad_tol": 1e-6,
-    "epsilon": 0.0,
-    "outlier_value": 10.0,
-    "replications": 1000,
-    "control_limit": 3.0,
-    "opening_se": 3,
-    "dilation_se": 7,
-    "merge_distance_m": 10.0,
-    "pixel_size_m": 1.0,
+
+def _field_defaults(cls) -> dict:
+    fields = dataclasses.fields(cls)
+    return {f.name: f.default for f in fields if f.default is not dataclasses.MISSING}
+
+
+def _param_defaults(fn) -> dict:
+    params = inspect.signature(fn).parameters.values()
+    return {p.name: p.default for p in params if p.default is not p.empty}
+
+
+# Every default the CLI applies comes from the library object it configures.
+_ROBUST = _field_defaults(RobustConfig)
+_SCENARIO = _field_defaults(simulation.ScenarioConfig)
+_DETECTOR = _field_defaults(detection.DetectorConfig)
+_SCENE = _param_defaults(scenes.make_scene)
+_PFA = _param_defaults(inference.wald_test)["pfa"]
+
+# detect's config keys -> DetectorConfig fields
+_DETECTOR_KEYS = {
+    "control_limit": "control_limit",
+    "opening_se": "opening_size",
+    "dilation_se": "dilation_size",
+    "merge_distance_m": "merge_distance",
+    "pixel_size_m": "pixel_size_m",
+}
+
+# Defaults of a simulation config file: the ScenarioConfig fields, whose seed
+# it reads from "seed", and the detector keys, which it accepts and ignores.
+_SIM_DEFAULTS = {k: v for k, v in _SCENARIO.items() if k != "master_seed"} | {
+    key: _DETECTOR[name] for key, name in _DETECTOR_KEYS.items()
 }
 
 
@@ -58,7 +77,9 @@ def _write_text(path: Path, text: str) -> None:
 
 def _sha256(path) -> str:
     h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            h.update(chunk)
     return "sha256:" + h.hexdigest()
 
 
@@ -120,37 +141,32 @@ def _build_spec_from_config(config) -> ModelSpec:
             f"{path}: response column {config['response']!r} has {nonpos.size} nonpositive "
             f"value(s); first data lines: {lines}"
         )
-    if config.get("dummy"):
+    if config["dummy"]:
         col = config["dummy"]
         if col not in header:
             raise CliError(f"{path}: column {col!r} not found; available: {header}")
         j = header.index(col)
         labels = [row[j] for _, row in rows]
-        if config.get("reference") is None:
+        if config["reference"] is None:
             raise CliError("--dummy requires --reference LEVEL")
         try:
             design = dummy_design(labels, config["reference"])
         except ValueError as exc:
             raise CliError(str(exc)) from None
     else:
-        names = list(config.get("covariates") or [])
+        names = list(config["covariates"] or [])
         cols = [_numeric_column(path, header, rows, nm) for nm in names]
-        if config.get("intercept", True):
+        if config["intercept"]:
             cols.insert(0, np.ones(len(rows)))
             names.insert(0, "intercept")
         if not cols:
             raise CliError("no covariates requested; pass --covariates or --dummy (or keep the intercept)")
         design = DesignMatrix(np.column_stack(cols), tuple(names))
-    return ModelSpec(design=design, link=config.get("link", "log"), response=y)
+    return ModelSpec(design=design, link=config["link"], response=y)
 
 
 def _robust_from_config(config) -> RobustConfig:
-    return RobustConfig(
-        delta=config.get("delta", 0.001),
-        reweight_iterations=config.get("reweight_iterations", 1),
-        max_iter=config.get("max_iter", 500),
-        grad_tol=config.get("grad_tol", 1e-6),
-    )
+    return RobustConfig(delta=config["delta"], reweight_iterations=config["reweight_iterations"])
 
 
 def _fit_payload(fit, pfa) -> dict:
@@ -205,15 +221,15 @@ def _fit_csv(payloads) -> str:
 
 def _cmd_fit(config, out_dir: Path) -> list:
     spec = _build_spec_from_config(config)
-    method = config.get("method", "wmle")
+    method = config["method"]
     if method not in ("mle", "wmle", "both"):
         raise CliError("--method must be mle, wmle, or both")
-    if method == "mle" and config.get("delta_explicit"):
+    if method == "mle" and config["delta_explicit"]:
         warnings.warn("--delta is ignored for --method mle", stacklevel=2)
     mle, wmle = fit_both(spec, _robust_from_config(config))
     fits = {"mle": [mle], "wmle": [wmle], "both": [mle, wmle]}[method]
-    payloads = [_fit_payload(f, config.get("pfa", 0.05)) for f in fits]
-    fmt = config.get("format", "json")
+    payloads = [_fit_payload(f, config["pfa"]) for f in fits]
+    fmt = config["format"]
     outputs = []
     if fmt == "json":
         _write_text(out_dir / "fit.json", _json_dumps({"fits": payloads}))
@@ -229,7 +245,7 @@ def _cmd_fit(config, out_dir: Path) -> list:
 
 def _cmd_wald(config, out_dir: Path) -> list:
     spec = _build_spec_from_config(config)
-    method = config.get("method", "wmle")
+    method = config["method"]
     mle, wmle = fit_both(spec, _robust_from_config(config))
     fit = wmle if method == "wmle" else mle
     names = list(fit.column_names)
@@ -242,18 +258,18 @@ def _cmd_wald(config, out_dir: Path) -> list:
                 interest.append(int(tok))
             except ValueError:
                 raise CliError(f"unknown coefficient {tok!r}; available: {names}") from None
-    null = config.get("null") or [0.0] * len(interest)
+    null = config["null"] or [0.0] * len(interest)
     if len(null) != len(interest):
         raise CliError("--null must list one value per tested coefficient")
-    report = inference.wald_test(fit, interest, np.asarray(null, dtype=float), pfa=config.get("pfa", 0.05))
-    payload = {"fit": _fit_payload(fit, config.get("pfa", 0.05)), "wald": report.as_dict()}
+    report = inference.wald_test(fit, interest, np.asarray(null, dtype=float), pfa=config["pfa"])
+    payload = {"fit": _fit_payload(fit, config["pfa"]), "wald": report.as_dict()}
     _write_text(out_dir / "wald.json", _json_dumps(payload))
     return ["wald.json"]
 
 
 def _cmd_residuals(config, out_dir: Path) -> list:
     spec = _build_spec_from_config(config)
-    method = config.get("method", "wmle")
+    method = config["method"]
     mle, wmle = fit_both(spec, _robust_from_config(config))
     fit = wmle if method == "wmle" else mle
     res, clamped = inference.quantile_residuals(spec, fit, return_clamped=True)
@@ -298,7 +314,7 @@ def _check_int(value, path, lo=None):
 
 
 def _load_sim_config(config) -> dict:
-    raw_path = config.get("config_file")
+    raw_path = config["config_file"]
     raw = {}
     if raw_path:
         path = Path(raw_path)
@@ -358,20 +374,19 @@ def _load_sim_config(config) -> dict:
     return merged
 
 
-def _scenarios_from_config(sim, seed) -> list:
+def _scenarios_from_config(config, single_n=False) -> list:
+    """The (N, epsilon) grid of a simulation config, in file order.
+
+    The config file's ``seed`` takes precedence over ``--seed``.
+    """
+    sim = _load_sim_config(config)
+    if single_n and len(sim["N"]) != 1:
+        raise CliError("breakdown/sensitivity need a single N in the config")
+    seed = sim["seed"] if sim.get("seed") is not None else config["seed"]
+    shared = {k: sim[k] for k in _SCENARIO.keys() - {"epsilon", "master_seed"}}
     return [
         simulation.ScenarioConfig(
-            beta_true=tuple(sim["beta_true"]),
-            n_obs=n,
-            epsilon=eps,
-            outlier_value=sim["outlier_value"],
-            replications=sim["replications"],
-            delta=sim["delta"],
-            master_seed=seed,
-            link=sim["link"],
-            reweight_iterations=sim["reweight_iterations"],
-            max_iter=sim["max_iter"],
-            grad_tol=sim["grad_tol"],
+            beta_true=tuple(sim["beta_true"]), n_obs=n, epsilon=eps, master_seed=seed, **shared
         )
         for n in sim["N"]
         for eps in sim["epsilon"]
@@ -379,33 +394,10 @@ def _scenarios_from_config(sim, seed) -> list:
 
 
 def _cmd_simulate(config, out_dir: Path) -> list:
-    sim = _load_sim_config(config)
-    seed = sim.get("seed") if sim.get("seed") is not None else config.get("seed", 0)
-    reports = simulation.run_table(
-        _scenarios_from_config(sim, seed), workers=config.get("threads", 1)
-    )
+    reports = simulation.run_table(_scenarios_from_config(config), workers=config["threads"])
     _write_text(out_dir / "table.json", _json_dumps({"cells": [r.as_dict() for r in reports]}))
     _write_text(out_dir / "table.txt", simulation.format_table(reports))
     return ["table.json", "table.txt"]
-
-
-def _single_scenario(sim, seed, epsilon=None) -> simulation.ScenarioConfig:
-    if len(sim["N"]) != 1:
-        raise CliError("breakdown/sensitivity need a single N in the config")
-    eps = epsilon if epsilon is not None else sim["epsilon"][0]
-    return simulation.ScenarioConfig(
-        beta_true=tuple(sim["beta_true"]),
-        n_obs=sim["N"][0],
-        epsilon=eps,
-        outlier_value=sim["outlier_value"],
-        replications=sim["replications"],
-        delta=sim["delta"],
-        master_seed=seed,
-        link=sim["link"],
-        reweight_iterations=sim["reweight_iterations"],
-        max_iter=sim["max_iter"],
-        grad_tol=sim["grad_tol"],
-    )
 
 
 def _parse_range(text, kind=float) -> list:
@@ -441,12 +433,9 @@ def _parse_range(text, kind=float) -> list:
 
 
 def _cmd_breakdown(config, out_dir: Path) -> list:
-    sim = _load_sim_config(config)
-    seed = sim.get("seed") if sim.get("seed") is not None else config.get("seed", 0)
-    counts = _parse_range(config.get("counts", "1:100"), int)
-    curve = simulation.breakdown_curve(
-        _single_scenario(sim, seed, epsilon=0.0), counts, workers=config.get("threads", 1)
-    )
+    scenario = _scenarios_from_config(config, single_n=True)[0]
+    counts = _parse_range(config["counts"], int)
+    curve = simulation.breakdown_curve(scenario, counts, workers=config["threads"])
     _write_text(out_dir / "breakdown.csv", curve.to_csv())
     payload = {
         "counts": list(curve.counts),
@@ -459,12 +448,9 @@ def _cmd_breakdown(config, out_dir: Path) -> list:
 
 
 def _cmd_sensitivity(config, out_dir: Path) -> list:
-    sim = _load_sim_config(config)
-    seed = sim.get("seed") if sim.get("seed") is not None else config.get("seed", 0)
-    values = _parse_range(config.get("values", "1:20"), float)
-    curve = simulation.sensitivity_curve(
-        _single_scenario(sim, seed), values, workers=config.get("threads", 1)
-    )
+    scenario = _scenarios_from_config(config, single_n=True)[0]
+    values = _parse_range(config["values"], float)
+    curve = simulation.sensitivity_curve(scenario, values, workers=config["threads"])
     _write_text(out_dir / "sensitivity.csv", curve.to_csv())
     payload = {
         "values": list(curve.values),
@@ -498,16 +484,12 @@ def _cmd_detect(config, out_dir: Path) -> list:
     interest = image_io.read_image(config["interest"])
     covariates = [image_io.read_image(p) for p in config["covariates"]]
     cfg = detection.DetectorConfig(
-        control_limit=config.get("control_limit", 3.0),
-        opening_size=config.get("opening_se", 3),
-        dilation_size=config.get("dilation_se", 7),
-        merge_distance=config.get("merge_distance_m", 10.0),
-        pixel_size_m=config.get("pixel_size_m", 1.0),
-        two_sided=not config.get("upper_tail_only", False),
+        **{name: config[key] for key, name in _DETECTOR_KEYS.items()},
+        two_sided=not config["upper_tail_only"],
     )
     truth = None
-    radius = config.get("truth_radius_m")
-    if config.get("truth"):
+    radius = config["truth_radius_m"]
+    if config["truth"]:
         truth, truth_radius = _load_truth(config["truth"])
         if radius is None:
             radius = truth_radius
@@ -518,10 +500,10 @@ def _cmd_detect(config, out_dir: Path) -> list:
             tuple(config["training"]),
             cfg=cfg,
             robust=_robust_from_config(config),
-            method=config.get("method", "wmle"),
+            method=config["method"],
             truth=truth,
             truth_radius_m=radius,
-            link=config.get("link", "log"),
+            link=config["link"],
         )
     except ValueError as exc:
         raise CliError(str(exc)) from None
@@ -532,7 +514,7 @@ def _cmd_detect(config, out_dir: Path) -> list:
         "clusters": result.clusters_as_dicts(),
         "n_clusters": len(result.clusters),
         "n_flagged_pixels": result.n_flagged,
-        "fit": _fit_payload(result.fit, config.get("pfa", 0.05)),
+        "fit": _fit_payload(result.fit, _PFA),
     }
     _write_text(out_dir / "clusters.json", _json_dumps(payload))
     outputs = ["mask.pgm", "mask.csv", "clusters.json"]
@@ -550,17 +532,7 @@ def _cmd_detect(config, out_dir: Path) -> list:
 
 
 def _cmd_synth_scene(config, out_dir: Path) -> list:
-    scene = scenes.make_scene(
-        rows=config.get("rows", 200),
-        cols=config.get("cols", 200),
-        seed=config.get("seed", 0),
-        mu_low=config.get("mu_low", 0.2),
-        mu_high=config.get("mu_high", 0.4),
-        blob_amplitude=config.get("blob_amplitude", 10.0),
-        blob_grid=config.get("blob_grid", 5),
-        training_rows=config.get("training_rows", 50),
-        training_contamination=config.get("training_contamination", 0.05),
-    )
+    scene = scenes.make_scene(**{name: config[name] for name in _SCENE})
     image_io.write_image_rrm(scene.interest, out_dir / "interest.rrm")
     image_io.write_image_rrm(scene.covariate, out_dir / "covariate.rrm")
     _write_text(
@@ -612,7 +584,7 @@ def _execute(command, config, out_dir: Path) -> int:
     manifest = {
         "command": command,
         "config": config,
-        "master_seed": config.get("seed", 0),
+        "master_seed": config["seed"],
         "library_version": __version__,
         "inputs": _input_digests(config),
         "outputs": outputs,
@@ -627,7 +599,9 @@ def _execute(command, config, out_dir: Path) -> int:
 
 
 def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0, help="master seed recorded in the manifest")
+    parser.add_argument(
+        "--seed", type=int, default=_SCENARIO["master_seed"], help="master seed recorded in the manifest"
+    )
     parser.add_argument("--threads", type=int, default=1, help="worker process cap for replications")
     parser.add_argument("--out-dir", default=".", help="directory for artifacts and the manifest")
     parser.add_argument(
@@ -645,11 +619,13 @@ def _add_tabular(parser):
     parser.add_argument("--no-intercept", action="store_true")
     parser.add_argument("--dummy", default=None, help="label column for treatment coding")
     parser.add_argument("--reference", default=None, help="reference level for --dummy")
-    parser.add_argument("--link", choices=("log", "identity"), default="log")
+    parser.add_argument("--link", choices=("log", "identity"), default=_SCENARIO["link"])
     parser.add_argument("--method", choices=("mle", "wmle", "both"), default="wmle")
-    parser.add_argument("--delta", type=float, default=None, help="tail weight parameter (default 0.001)")
-    parser.add_argument("--reweight-iterations", type=int, default=1)
-    parser.add_argument("--pfa", type=float, default=0.05, help="false-alarm probability for tests")
+    parser.add_argument(
+        "--delta", type=float, default=None, help=f"tail weight parameter (default {_ROBUST['delta']})"
+    )
+    parser.add_argument("--reweight-iterations", type=int, default=_ROBUST["reweight_iterations"])
+    parser.add_argument("--pfa", type=float, default=_PFA, help="false-alarm probability for tests")
 
 
 def _tabular_config(args) -> dict:
@@ -662,7 +638,7 @@ def _tabular_config(args) -> dict:
         "reference": args.reference,
         "link": args.link,
         "method": args.method,
-        "delta": args.delta if args.delta is not None else 0.001,
+        "delta": args.delta if args.delta is not None else _ROBUST["delta"],
         "delta_explicit": args.delta is not None,
         "reweight_iterations": args.reweight_iterations,
         "pfa": args.pfa,
@@ -711,14 +687,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--covariates", required=True, help="comma-separated covariate image paths")
     p.add_argument("--training", required=True, help="training window r0,c0,r1,c1 (half-open)")
     p.add_argument("--method", choices=("mle", "wmle"), default="wmle")
-    p.add_argument("--link", choices=("log", "identity"), default="log")
-    p.add_argument("--delta", type=float, default=0.001)
-    p.add_argument("--reweight-iterations", type=int, default=1)
-    p.add_argument("--control-limit", type=float, default=3.0)
-    p.add_argument("--opening-se", type=int, default=3)
-    p.add_argument("--dilation-se", type=int, default=7)
-    p.add_argument("--merge-distance", type=float, default=10.0)
-    p.add_argument("--pixel-size", type=float, default=1.0)
+    p.add_argument("--link", choices=("log", "identity"), default=_SCENARIO["link"])
+    p.add_argument("--delta", type=float, default=_ROBUST["delta"])
+    p.add_argument("--reweight-iterations", type=int, default=_ROBUST["reweight_iterations"])
+    p.add_argument("--control-limit", type=float, default=_DETECTOR["control_limit"])
+    p.add_argument("--opening-se", type=int, default=_DETECTOR["opening_size"])
+    p.add_argument("--dilation-se", type=int, default=_DETECTOR["dilation_size"])
+    p.add_argument("--merge-distance", type=float, default=_DETECTOR["merge_distance"])
+    p.add_argument("--pixel-size", type=float, default=_DETECTOR["pixel_size_m"])
     p.add_argument("--upper-tail-only", action="store_true",
                    help="flag only residuals above +L (default is two-sided)")
     p.add_argument("--truth", default=None, help="ground-truth JSON for scoring")
@@ -726,14 +702,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth-scene", help="generate the seeded synthetic scene")
     _add_common(p)
-    p.add_argument("--rows", type=int, default=200)
-    p.add_argument("--cols", type=int, default=200)
-    p.add_argument("--mu-low", type=float, default=0.2)
-    p.add_argument("--mu-high", type=float, default=0.4)
-    p.add_argument("--blob-amplitude", type=float, default=10.0)
-    p.add_argument("--blob-grid", type=int, default=5)
-    p.add_argument("--training-rows", type=int, default=50)
-    p.add_argument("--training-contamination", type=float, default=0.05)
+    for name, default in _SCENE.items():
+        if name != "seed":
+            p.add_argument(f"--{name.replace('_', '-')}", type=type(default), default=default)
 
     p = sub.add_parser("rerun", help="replay a previous run from its manifest")
     p.add_argument("--manifest", required=True)
@@ -783,18 +754,7 @@ def _config_from_args(args) -> dict:
             "threads": args.threads,
         }
     if cmd == "synth-scene":
-        return {
-            "rows": args.rows,
-            "cols": args.cols,
-            "mu_low": args.mu_low,
-            "mu_high": args.mu_high,
-            "blob_amplitude": args.blob_amplitude,
-            "blob_grid": args.blob_grid,
-            "training_rows": args.training_rows,
-            "training_contamination": args.training_contamination,
-            "seed": args.seed,
-            "threads": args.threads,
-        }
+        return {name: getattr(args, name) for name in _SCENE} | {"threads": args.threads}
     raise CliError(f"unknown command {cmd!r}")
 
 

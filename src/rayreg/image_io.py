@@ -12,6 +12,7 @@ Formats are chosen for zero-dependency, bit-exact round trips:
 
 from __future__ import annotations
 
+import os
 import re
 import struct
 from pathlib import Path
@@ -82,14 +83,20 @@ def write_image_rrm(arr, path) -> None:
 
 
 def read_image_rrm(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if len(data) < 12 or data[:4] != _MAGIC:
-        raise ValueError(f"{path}: not an RRM1 image (bad magic)")
-    rows, cols = struct.unpack("<II", data[4:12])
-    expected = 12 + rows * cols * 8
-    if len(data) != expected:
-        raise ValueError(f"{path}: truncated RRM1 image ({len(data)} bytes, expected {expected})")
-    return np.frombuffer(data, dtype="<f8", offset=12).reshape(rows, cols).copy()
+    """Read the pixels straight into the returned array, with no copy of the file."""
+    with open(path, "rb") as fh:
+        header = fh.read(12)
+        if len(header) < 12 or header[:4] != _MAGIC:
+            raise ValueError(f"{path}: not an RRM1 image (bad magic)")
+        rows, cols = struct.unpack("<II", header[4:12])
+        size = os.fstat(fh.fileno()).st_size
+        expected = 12 + rows * cols * 8
+        if size == expected:
+            pixels = np.empty((rows, cols), dtype="<f8")
+            size = 12 + fh.readinto(pixels)
+    if size != expected:
+        raise ValueError(f"{path}: truncated RRM1 image ({size} bytes, expected {expected})")
+    return pixels
 
 
 def read_image(path) -> np.ndarray:
@@ -107,7 +114,7 @@ def write_mask_pgm(mask, path) -> None:
     if mask.ndim != 2:
         raise ValueError("mask must be 2-D")
     rows, cols = mask.shape
-    payload = np.where(mask.astype(bool), 255, 0).astype(np.uint8)
+    payload = np.where(mask.astype(bool, copy=False), np.uint8(255), np.uint8(0))
     with open(path, "wb") as fh:
         fh.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
         fh.write(payload.tobytes())

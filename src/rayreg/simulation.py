@@ -7,6 +7,14 @@ in every replication):
 * `breakdown_curve` total relative bias as the outlier count grows
 * `sensitivity_curve` mean absolute sensitivity (MASC) vs outlier value
 
+All three run on one replication engine, `_run`: it splits the
+replications into contiguous chunks, runs them serially or one chunk per
+worker process, and stacks the per-replication results in replication
+order.  Two per-replication functions feed it: `_contaminated_fits` fits
+both estimators at each outlier count (a table cell is the single count
+``floor(epsilon * N)``), and `_sensitivities` fits the N-1 baseline and
+then one contaminated signal per outlier value.
+
 Covariates are drawn once per scenario and held fixed across
 replications; each replication derives its own generator from the master
 seed through a splitmix64 mixing function, so replications can run in any
@@ -231,46 +239,81 @@ def _summarize(estimator, beta_true, estimates) -> MonteCarloReport:
     )
 
 
-def _table_chunk(cfg: ScenarioConfig, rep_range: tuple) -> tuple:
+def _fits(spec: ModelSpec, rcfg: RobustConfig) -> np.ndarray:
+    """``fit_both`` as a ``(2, k)`` array, MLE then WMLE; NaN rows mark diverged fits."""
+    out = np.full((2, spec.design.X.shape[1]), np.nan)
+    for row, fit in zip(out, fit_both(spec, rcfg)):
+        if fit.converged:
+            row[:] = fit.beta_hat
+    return out
+
+
+def _contaminated_fits(cfg, counts, design, mu, rcfg, rep) -> np.ndarray:
+    """Both fits at every outlier count, nested positions: ``(len(counts), 2, k)``."""
+    y_clean, perm = _clean_signal_and_perm(cfg, rep, mu)
+    out = []
+    for count in counts:
+        y = y_clean.copy()
+        y[perm[:count]] = cfg.outlier_value
+        out.append(_fits(ModelSpec(design=design, link=cfg.link, response=y), rcfg))
+    return np.stack(out)
+
+
+def _sensitivities(cfg, values, design, mu, rcfg, rep) -> np.ndarray:
+    """Mean |SC| of both fits at every outlier value: ``(len(values), 2)``.
+
+    The baseline deletes row ``j``; a NaN marks a diverged fit, and a
+    diverged baseline makes the whole replication NaN.
+    """
+    rng = rng_for(cfg.master_seed, _REPLICATION_STREAM, rep)
+    y = distribution.quantile(rng.random(cfg.n_obs), mu)
+    j = int(rng.integers(cfg.n_obs))
+    keep = np.ones(cfg.n_obs, dtype=bool)
+    keep[j] = False
+    base_design = DesignMatrix(design.X[keep], design.column_names)
+    base = _fits(ModelSpec(design=base_design, link=cfg.link, response=y[keep]), rcfg)
+    out = np.full((len(values), 2), np.nan)
+    if np.isnan(base[:, 0]).any():
+        return out
+    for vi, value in enumerate(values):
+        y_cont = y.copy()
+        y_cont[j] = value
+        fits = _fits(ModelSpec(design=design, link=cfg.link, response=y_cont), rcfg)
+        out[vi] = np.mean(np.abs(cfg.n_obs * (fits - base)), axis=1)
+    return out
+
+
+def _chunk(per_rep, cfg: ScenarioConfig, sweep: tuple, lo: int, hi: int) -> np.ndarray:
     design = scenario_design(cfg)
     mu = _true_mean(cfg, design)
     rcfg = cfg.robust_config()
-    n = rep_range[1] - rep_range[0]
-    k = cfg.n_params
-    out = {"mle": np.full((n, k), np.nan), "wmle": np.full((n, k), np.nan)}
-    for i, rep in enumerate(range(*rep_range)):
-        y, perm = _clean_signal_and_perm(cfg, rep, mu)
-        y[perm[: cfg.n_outliers]] = cfg.outlier_value
-        spec = ModelSpec(design=design, link=cfg.link, response=y)
-        mle, wmle = fit_both(spec, rcfg)
-        if mle.converged:
-            out["mle"][i] = mle.beta_hat
-        if wmle.converged:
-            out["wmle"][i] = wmle.beta_hat
-    return out["mle"], out["wmle"]
+    return np.stack([per_rep(cfg, sweep, design, mu, rcfg, rep) for rep in range(lo, hi)])
 
 
-def _chunks(total: int, workers: int):
+def _run(per_rep, cfg: ScenarioConfig, sweep: tuple, workers: int) -> np.ndarray:
+    """``per_rep`` over every replication, stacked in replication order.
+
+    Replications are split into at most ``workers`` contiguous chunks, run
+    serially or one chunk per worker process.  Each replication draws from
+    its own generator, so the chunking never moves a bit of the result.
+    """
+    total = cfg.replications
     per = max(1, math.ceil(total / max(1, workers)))
-    return [(lo, min(lo + per, total)) for lo in range(0, total, per)]
-
-
-def _map_chunks(fn, jobs, workers):
+    jobs = [(per_rep, cfg, sweep, lo, min(lo + per, total)) for lo in range(0, total, per)]
     if workers <= 1 or len(jobs) <= 1:
-        return [fn(*job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *zip(*jobs)))
+        parts = [_chunk(*job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_chunk, *zip(*jobs)))
+    return np.concatenate(parts)
 
 
 def _run_cell(cfg: ScenarioConfig, workers: int) -> ScenarioReport:
-    jobs = [(cfg, rng) for rng in _chunks(cfg.replications, workers)]
-    parts = _map_chunks(_table_chunk, jobs, workers)
-    mle_est = np.vstack([p[0] for p in parts])
-    wmle_est = np.vstack([p[1] for p in parts])
+    est = _run(_contaminated_fits, cfg, (cfg.n_outliers,), workers)[:, 0]
     return ScenarioReport(
         config=cfg,
-        mle=_summarize("MLE", cfg.beta_true, mle_est),
-        wmle=_summarize("WMLE", cfg.beta_true, wmle_est),
+        mle=_summarize("MLE", cfg.beta_true, est[:, 0]),
+        wmle=_summarize("WMLE", cfg.beta_true, est[:, 1]),
     )
 
 
@@ -303,28 +346,6 @@ class BreakdownCurve:
         return "\n".join(lines) + "\n"
 
 
-def _breakdown_chunk(cfg: ScenarioConfig, counts: tuple, rep_range: tuple):
-    design = scenario_design(cfg)
-    mu = _true_mean(cfg, design)
-    rcfg = cfg.robust_config()
-    n = rep_range[1] - rep_range[0]
-    k = cfg.n_params
-    mle_est = np.full((len(counts), n, k), np.nan)
-    wmle_est = np.full((len(counts), n, k), np.nan)
-    for i, rep in enumerate(range(*rep_range)):
-        y_clean, perm = _clean_signal_and_perm(cfg, rep, mu)
-        for ci, count in enumerate(counts):
-            y = y_clean.copy()
-            y[perm[:count]] = cfg.outlier_value
-            spec = ModelSpec(design=design, link=cfg.link, response=y)
-            mle, wmle = fit_both(spec, rcfg)
-            if mle.converged:
-                mle_est[ci, i] = mle.beta_hat
-            if wmle.converged:
-                wmle_est[ci, i] = wmle.beta_hat
-    return mle_est, wmle_est
-
-
 def breakdown_curve(cfg: ScenarioConfig, outlier_counts, workers: int = 1) -> BreakdownCurve:
     """Sweep the number of injected outliers at fixed outlier value.
 
@@ -337,24 +358,16 @@ def breakdown_curve(cfg: ScenarioConfig, outlier_counts, workers: int = 1) -> Br
         raise ValueError("outlier counts must be nonnegative")
     if max(counts) >= cfg.n_obs:
         raise ValueError("outlier count must stay below the signal length")
-    jobs = [(cfg, counts, rng) for rng in _chunks(cfg.replications, workers)]
-    parts = _map_chunks(_breakdown_chunk, jobs, workers)
-    mle_est = np.concatenate([p[0] for p in parts], axis=1)
-    wmle_est = np.concatenate([p[1] for p in parts], axis=1)
-    beta = np.asarray(cfg.beta_true)
-    totals = {"mle": [], "wmle": []}
-    failures = 0
-    for key, est in (("mle", mle_est), ("wmle", wmle_est)):
-        for ci in range(len(counts)):
-            ok = ~np.isnan(est[ci, :, 0])
-            failures += int(np.sum(~ok))
-            rb = 100.0 * (est[ci][ok].mean(axis=0) - beta) / beta
-            totals[key].append(float(np.sum(np.abs(rb))))
+    est = _run(_contaminated_fits, cfg, counts, workers)
+    reports = [
+        [_summarize(name, cfg.beta_true, est[:, ci, e]) for ci in range(len(counts))]
+        for e, name in enumerate(("MLE", "WMLE"))
+    ]
     return BreakdownCurve(
         counts=counts,
-        mle_total_rb=tuple(totals["mle"]),
-        wmle_total_rb=tuple(totals["wmle"]),
-        convergence_failures=failures,
+        mle_total_rb=tuple(r.absolute_total_rb for r in reports[0]),
+        wmle_total_rb=tuple(r.absolute_total_rb for r in reports[1]),
+        convergence_failures=sum(r.convergence_failures for row in reports for r in row),
         config=cfg,
     )
 
@@ -376,40 +389,6 @@ class SensitivityCurve:
         return "\n".join(lines) + "\n"
 
 
-def _sensitivity_chunk(cfg: ScenarioConfig, values: tuple, rep_range: tuple):
-    design = scenario_design(cfg)
-    mu = _true_mean(cfg, design)
-    rcfg = cfg.robust_config()
-    X = design.X
-    names = design.column_names
-    n_vals = len(values)
-    n = rep_range[1] - rep_range[0]
-    # Per-replication mean |SC|, NaN when a fit diverged; aggregated once by
-    # the caller in replication order so worker count cannot move a bit.
-    out = {"mle": np.full((n_vals, n), np.nan), "wmle": np.full((n_vals, n), np.nan)}
-    for i, rep in enumerate(range(*rep_range)):
-        rng = rng_for(cfg.master_seed, _REPLICATION_STREAM, rep)
-        y = distribution.quantile(rng.random(cfg.n_obs), mu)
-        j = int(rng.integers(cfg.n_obs))
-        keep = np.ones(cfg.n_obs, dtype=bool)
-        keep[j] = False
-        base_design = DesignMatrix(X[keep], names)
-        base_spec = ModelSpec(design=base_design, link=cfg.link, response=y[keep])
-        base_mle, base_wmle = fit_both(base_spec, rcfg)
-        if not (base_mle.converged and base_wmle.converged):
-            continue
-        for vi, value in enumerate(values):
-            y_cont = y.copy()
-            y_cont[j] = value
-            spec = ModelSpec(design=design, link=cfg.link, response=y_cont)
-            mle, wmle = fit_both(spec, rcfg)
-            for key, fit, base in (("mle", mle, base_mle), ("wmle", wmle, base_wmle)):
-                if fit.converged:
-                    sc = cfg.n_obs * (fit.beta_hat - base.beta_hat)
-                    out[key][vi, i] = float(np.mean(np.abs(sc)))
-    return out["mle"], out["wmle"]
-
-
 def sensitivity_curve(cfg: ScenarioConfig, outlier_values, workers: int = 1) -> SensitivityCurve:
     """Estimate shift caused by a single outlier, swept over its value.
 
@@ -423,14 +402,14 @@ def sensitivity_curve(cfg: ScenarioConfig, outlier_values, workers: int = 1) -> 
     values = tuple(float(v) for v in outlier_values)
     if any(v <= 0 for v in values):
         raise ValueError("outlier values must be positive")
-    jobs = [(cfg, values, rng) for rng in _chunks(cfg.replications, workers)]
-    parts = _map_chunks(_sensitivity_chunk, jobs, workers)
-    mle_sc = np.concatenate([p[0] for p in parts], axis=1)
-    wmle_sc = np.concatenate([p[1] for p in parts], axis=1)
-    failures = int(np.sum(np.isnan(mle_sc)) + np.sum(np.isnan(wmle_sc)))
+    sc = _run(_sensitivities, cfg, values, workers)
+    failures = int(np.sum(np.isnan(sc)))
+    # numpy adds a contiguous axis pairwise and a strided one in sequence,
+    # so the mean over replications runs along a contiguous axis.
     with np.errstate(invalid="ignore"):
-        mle_masc = np.nanmean(mle_sc, axis=1)
-        wmle_masc = np.nanmean(wmle_sc, axis=1)
+        mle_masc, wmle_masc = (
+            np.nanmean(np.ascontiguousarray(sc[:, :, e].T), axis=1) for e in (0, 1)
+        )
     return SensitivityCurve(
         values=values,
         mle_masc=tuple(float(v) for v in mle_masc),

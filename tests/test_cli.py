@@ -1,6 +1,7 @@
 """End-to-end command-line checks: artifacts, warnings, manifests, reruns."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -191,6 +192,16 @@ class TestSimulateCommands:
         with pytest.warns(UserWarning, match="small"):
             rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "s1")])
         assert rc == 0
+
+    def test_manifest_input_digest(self, sim_config, tmp_path):
+        # Padded past the 1 MiB read size, so the digest spans several reads.
+        padded = tmp_path / "padded.json"
+        padded.write_bytes(sim_config.read_bytes() + b" " * (5 << 19))
+        out = tmp_path / "bk"
+        assert main(["breakdown", "--config", str(padded), "--counts", "0",
+                     "--out-dir", str(out)]) == 0
+        digest = hashlib.sha256(padded.read_bytes()).hexdigest()
+        assert _read_json(out / "manifest.json")["inputs"] == {str(padded): "sha256:" + digest}
 
     def test_breakdown_and_sensitivity_csv(self, sim_config, tmp_path):
         out = tmp_path / "bk"

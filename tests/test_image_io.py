@@ -63,6 +63,9 @@ class TestRrm:
         p.write_bytes(p.read_bytes()[:-4])
         with pytest.raises(ValueError, match="truncated"):
             image_io.read_image_rrm(p)
+        p.write_bytes(p.read_bytes() + bytes(12))
+        with pytest.raises(ValueError, match=r"truncated RRM1 image \(92 bytes, expected 84\)"):
+            image_io.read_image_rrm(p)
 
 
 class TestDispatch:

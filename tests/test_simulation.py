@@ -189,6 +189,28 @@ class TestSensitivityCurve:
             sensitivity_curve(_cfg(replications=5), [0.0, 1.0])
 
 
+_EXPERIMENTS = {
+    "table": lambda cfg, workers: run_table([cfg], workers=workers)[0].as_dict(),
+    "breakdown": lambda cfg, workers: breakdown_curve(cfg, [0, 3, 9], workers=workers),
+    "sensitivity": lambda cfg, workers: sensitivity_curve(cfg, [1.0, 10.0], workers=workers),
+}
+
+
+class TestWorkerInvariance:
+    """Seven replications run as one chunk, as 4 + 3 and as 3 + 3 + 1."""
+
+    CFG = _cfg(n_obs=60, replications=7, epsilon=0.05)
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        return {name: run(self.CFG, 1) for name, run in _EXPERIMENTS.items()}
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("experiment", sorted(_EXPERIMENTS))
+    def test_uneven_chunks_do_not_change_results(self, serial, experiment, workers):
+        assert _EXPERIMENTS[experiment](self.CFG, workers) == serial[experiment]
+
+
 class TestFormatting:
     def test_text_table_mentions_estimators_and_cells(self):
         text = format_table(run_table([_cfg(replications=10)]))
