@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rayreg import (
     ModelSpec,
@@ -21,6 +23,8 @@ from rayreg import (
 from rayreg.estimation import _make_objective, _newton_polish
 from rayreg.scenes import make_scene
 from rayreg.optim import maximize_bfgs
+
+from closed_form_oracle import closed_form_fits, coefficients
 
 LOGPDF_AT_1_1 = -0.333815458107993444889465615925
 
@@ -250,6 +254,63 @@ class TestFitWmle:
         w3 = fit_wmle(spec, RobustConfig(reweight_iterations=3))
         assert w3.converged
         assert not np.array_equal(w1.weights, w3.weights)
+
+
+def _group_spec(seed, means, sizes, outliers, outlier_value, link):
+    """Treatment-coded groups (rows shuffled) and their labels; the first
+    ``outliers[g]`` rows of group ``g`` are set to ``outlier_value``."""
+    rng = np.random.default_rng(seed)
+    groups = np.repeat(np.arange(len(sizes)), sizes)
+    y = rng.rayleigh(np.asarray(means)[groups] * math.sqrt(2.0 / math.pi))
+    starts = np.cumsum([0] + list(sizes[:-1]))
+    for start, count in zip(starts, outliers):
+        y[start : start + count] = outlier_value
+    order = rng.permutation(groups.size)
+    groups, y = groups[order], y[order]
+    X = (groups[:, None] == np.arange(len(sizes))).astype(np.float64)
+    X[:, 0] = 1.0
+    return ModelSpec.build(X, y, link=link), groups
+
+
+# Largest misses of the closed form allowed: relative on the means, on the
+# coefficients relative to the largest of them (at least 1), and absolute
+# on the weights.
+_CLOSED_FORM_TOL = 5e-6
+
+
+@st.composite
+def _group_cases(draw):
+    n_groups = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(10, 90), min_size=n_groups, max_size=n_groups))
+    return dict(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        means=draw(st.lists(st.floats(0.5, 5.0), min_size=n_groups, max_size=n_groups)),
+        sizes=sizes,
+        outliers=[draw(st.integers(0, size // 8)) for size in sizes],
+        outlier_value=draw(st.floats(10.0, 30.0)),
+        link=draw(st.sampled_from(["log", "identity"])),
+    )
+
+
+class TestClosedFormOracle:
+    @settings(deadline=None, max_examples=80)
+    @given(case=_group_cases())
+    def test_fits_match_closed_form(self, case):
+        spec, groups = _group_spec(**case)
+        cfg = RobustConfig()
+        mle, wmle = fit_both(spec, cfg)
+        mu_mle, mu_wmle, weights = closed_form_fits(
+            spec.response, groups, len(case["sizes"]), cfg.delta
+        )
+        for fit, mu in ((mle, mu_mle), (wmle, mu_wmle)):
+            assert fit.converged
+            mu_gap = np.max(np.abs(fit.mu_hat - mu[groups]) / mu[groups])
+            beta = coefficients(mu, case["link"])
+            scale = max(1.0, float(np.max(np.abs(beta))))
+            beta_gap = np.max(np.abs(fit.beta_hat - beta)) / scale
+            assert mu_gap <= _CLOSED_FORM_TOL, (fit.method, mu_gap)
+            assert beta_gap <= _CLOSED_FORM_TOL, (fit.method, beta_gap)
+        assert np.max(np.abs(wmle.weights - weights)) <= _CLOSED_FORM_TOL
 
 
 class TestOptimizerBehavior:
