@@ -57,10 +57,8 @@ _DETECTOR_KEYS = {
 }
 
 # Defaults of a simulation config file: the ScenarioConfig fields, whose seed
-# it reads from "seed", and the detector keys, which it accepts and ignores.
-_SIM_DEFAULTS = {k: v for k, v in _SCENARIO.items() if k != "master_seed"} | {
-    key: _DETECTOR[name] for key, name in _DETECTOR_KEYS.items()
-}
+# it reads from "seed".
+_SIM_DEFAULTS = {k: v for k, v in _SCENARIO.items() if k != "master_seed"}
 
 
 class CliError(Exception):
@@ -598,6 +596,14 @@ def _execute(command, config, out_dir: Path) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error ends, like any malformed input, in one ``error:`` line
+    and exit status 1; sub-command parsers inherit this class."""
+
+    def error(self, message):
+        self.exit(1, f"error: {self.prog}: {message} (see {self.prog} --help)\n")
+
+
 def _add_common(parser):
     parser.add_argument(
         "--seed", type=int, default=_SCENARIO["master_seed"], help="master seed recorded in the manifest"
@@ -649,7 +655,7 @@ def _tabular_config(args) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rayreg",
         description="Robust Rayleigh regression: fitting, testing, simulation, detection.",
     )

@@ -7,9 +7,14 @@ The weighted log-likelihood is
 
 with ``mu = g^{-1}(X beta)``.  Its gradient has the closed matrix form
 ``X.T @ (w * t * v)`` where ``v[n] = pi y[n]^2 / (2 mu[n]^3) - 2 / mu[n]``
-and ``t[n] = d mu / d eta``; both estimators solve the score equation with
-BFGS using this analytic gradient, finished by Newton steps on the score
-once the log-likelihood stops resolving the progress.
+and ``t[n] = d mu / d eta``.  Both estimators maximize it by damped Newton
+steps (:func:`rayreg.optim.maximize_bfgs`) with the observed information
+``X.T @ diag(w * h) @ X``, ``h = link.observed_weight``.  That is positive
+definite under the log link, where the log-likelihood is strictly concave
+in ``beta``; where it is not, as can happen under the identity link, the
+step is Fisher scoring with the expected information
+``h = link.fisher_weight`` (McCullagh & Nelder, *Generalized Linear
+Models*, ch. 2).
 
 The robust estimator downweights observations whose fitted probability
 falls in the extreme ``delta`` tails: weights are computed from a plain
@@ -28,7 +33,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from . import distribution
 from .inference import fisher_information
-from .optim import OptimResult, maximize_bfgs
+from .optim import maximize_bfgs
 from .regression import ModelSpec, NonpositiveMeanError, predict_mean
 
 __all__ = [
@@ -45,14 +50,6 @@ __all__ = [
 _LOG_HALF_PI = math.log(math.pi / 2.0)
 _QUARTER_PI = math.pi / 4.0
 
-# BFGS steps in a row that leave the log-likelihood unimproved before the
-# Newton polish takes over.  Past that point BFGS only wanders within the
-# rounding of the objective until the gradient happens to fall below
-# tolerance: between otherwise alike fits on 100 000 pixels that took
-# anywhere from 10 to 28 iterations.
-_STALL_LIMIT = 2
-
-
 @dataclass(frozen=True)
 class RobustConfig:
     """Tuning knobs for the fitting pipeline.
@@ -66,7 +63,6 @@ class RobustConfig:
     reweight_iterations: int = 1
     max_iter: int = 500
     grad_tol: float = 1e-6
-    ll_rel_tol: float = 1e-9
 
     def __post_init__(self):
         if not 0.0 < self.delta < 0.5:
@@ -75,8 +71,8 @@ class RobustConfig:
             raise ValueError("reweight_iterations must be nonnegative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
-        if self.grad_tol <= 0 or self.ll_rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.grad_tol <= 0:
+            raise ValueError("grad_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -177,27 +173,42 @@ def _make_objective(spec: ModelSpec, weights: np.ndarray):
     link = spec.link
     w = weights
     const = float(np.sum(w)) * _LOG_HALF_PI + float(w @ np.log(y))
-    zero_grad = np.zeros(spec.n_params)
+    zero = np.zeros(spec.n_params)
 
-    def fun_and_grad(beta):
+    def fun(beta):
         eta = X @ beta
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             mu = link.inverse(eta)
             if not np.all(np.isfinite(mu)) or np.any(mu <= 0.0):
-                return -np.inf, zero_grad
+                return -np.inf, zero, zero
             z = y / mu
             quad = _QUARTER_PI * z * z
             fval = const - 2.0 * float(w @ np.log(mu)) - float(w @ quad)
             if not np.isfinite(fval):
-                return -np.inf, zero_grad
+                return -np.inf, zero, zero
             v = (2.0 * quad - 2.0) / mu
             t = link.mean_deriv(mu)
             grad = X.T @ (w * t * v)
             if not np.all(np.isfinite(grad)):
-                return -np.inf, zero_grad
-            return fval, grad
+                return -np.inf, zero, zero
+            return fval, grad, _direction(X, w, link, mu, y, grad)
 
-    return fun_and_grad
+    return fun
+
+
+def _direction(X, w, link, mu, y, grad) -> np.ndarray:
+    """Newton step with the observed information.  Where that is not
+    positive definite, as can happen under the identity link, the Fisher
+    scoring step with the expected information; where zero weights leave
+    even that singular, the gradient."""
+    try:
+        return _info_solve(X, link.observed_weight(mu, y) * w, grad)
+    except ValueError:
+        pass
+    try:
+        return _info_solve(X, link.fisher_weight(mu) * w, grad)
+    except ValueError:
+        return grad
 
 
 def _initial_beta(spec: ModelSpec) -> np.ndarray:
@@ -226,54 +237,14 @@ def _initial_beta(spec: ModelSpec) -> np.ndarray:
 
 
 def _info_solve(X, weights, grad) -> np.ndarray:
-    """``(X.T diag(weights) X)^{-1} grad``; LinAlgError unless positive definite."""
+    """``(X.T diag(weights) X)^{-1} grad``; ValueError unless finite and positive definite."""
     return cho_solve(cho_factor(X.T @ (weights[:, None] * X)), grad)
 
 
-def _newton_polish(spec, weights, fun_and_grad, x, fval, grad, cfg, max_steps: int = 15):
-    """Drive the score below tolerance with Newton steps.
-
-    Close to the optimum the objective improvement per step drops below
-    the float64 resolution of the log-likelihood (magnitude ~N), so an
-    objective-gated line search cannot make progress even though the
-    analytic gradient is still well resolved.  Steps here are therefore
-    accepted on gradient-norm decrease instead.  They use the observed
-    information, with which the score falls quadratically (the expected
-    information converges only linearly on a weighted fit); where the
-    observed information is not positive definite, as can happen under
-    the identity link, the step falls back to Fisher scoring.
-    """
-    X = spec.design.X
-    extra = 0
-    for _ in range(max_steps):
-        gnorm = float(np.max(np.abs(grad)))
-        if gnorm <= cfg.grad_tol:
-            break
-        mu = spec.link.inverse(X @ x)
-        try:
-            step = _info_solve(X, spec.link.observed_weight(mu, spec.response) * weights, grad)
-        except np.linalg.LinAlgError:
-            try:
-                step = _info_solve(X, spec.link.fisher_weight(mu) * weights, grad)
-            except np.linalg.LinAlgError:
-                break
-        scale = 1.0
-        accepted = False
-        for _ in range(30):
-            x_try = x + scale * step
-            f_try, g_try = fun_and_grad(x_try)
-            if np.isfinite(f_try) and float(np.max(np.abs(g_try))) < gnorm:
-                accepted = True
-                break
-            scale *= 0.5
-        if not accepted:
-            break
-        x, fval, grad = x_try, f_try, g_try
-        extra += 1
-    return x, fval, grad, extra
-
-
-def _finish_fit(spec, optres, weights, method, column_names) -> FitResult:
+def _maximize(spec, weights, start, cfg, method) -> FitResult:
+    optres = maximize_bfgs(
+        _make_objective(spec, weights), start, max_iter=cfg.max_iter, grad_tol=cfg.grad_tol
+    )
     mu_hat = predict_mean(spec, optres.x)
     info = fisher_information(spec, mu_hat)
     try:
@@ -292,35 +263,8 @@ def _finish_fit(spec, optres, weights, method, column_names) -> FitResult:
         converged=optres.converged,
         iterations=optres.iterations,
         grad_norm=optres.grad_norm,
-        column_names=column_names,
+        column_names=spec.design.column_names,
     )
-
-
-def _maximize(spec, weights, start, cfg, method) -> FitResult:
-    fun_and_grad = _make_objective(spec, weights)
-    optres = maximize_bfgs(
-        fun_and_grad,
-        start,
-        max_iter=cfg.max_iter,
-        grad_tol=cfg.grad_tol,
-        rel_tol=cfg.ll_rel_tol,
-        stall_limit=_STALL_LIMIT,
-    )
-    if not optres.converged:
-        x, fval, grad, extra = _newton_polish(
-            spec, weights, fun_and_grad, optres.x, optres.fval, optres.grad, cfg
-        )
-        if extra:
-            grad_norm = float(np.max(np.abs(grad)))
-            optres = OptimResult(
-                x=x,
-                fval=float(fval),
-                grad=grad,
-                grad_norm=grad_norm,
-                iterations=optres.iterations + extra,
-                converged=bool(grad_norm <= cfg.grad_tol),
-            )
-    return _finish_fit(spec, optres, weights, method, spec.design.column_names)
 
 
 def fit_mle(spec: ModelSpec, cfg: RobustConfig | None = None) -> FitResult:

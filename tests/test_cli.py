@@ -178,6 +178,15 @@ class TestSimulateCommands:
         assert rc == 1
         assert "$.beta_true[1]" in capsys.readouterr().err
 
+    def test_detector_keys_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "det.json"
+        cfg.write_text(json.dumps({"beta_true": [0.5, 0.15], "N": 60,
+                                   "control_limit": -5, "opening_se": 4}))
+        rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "s")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "$.control_limit" in err[0]
+
     def test_epsilon_beyond_grid_warns(self, tmp_path):
         cfg = tmp_path / "wide.json"
         cfg.write_text(json.dumps({"beta_true": [0.5, 0.15], "N": 60, "epsilon": 0.5,
@@ -219,6 +228,27 @@ class TestSimulateCommands:
         lines = (out2 / "sensitivity.csv").read_text().splitlines()
         assert lines[0] == "outlier_value,mle_masc,wmle_masc"
         assert len(lines) == 3
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, command",
+        [
+            (["simulate", "--config", "sim.json", "--threads", "abc"], "rayreg simulate"),
+            (["detect", "--interest", "x.rrm"], "rayreg detect"),
+            (["frobnicate"], "rayreg"),
+        ],
+        ids=["bad-type", "missing-required", "unknown-command"],
+    )
+    def test_one_error_line_and_exit_1(self, argv, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith(f"error: {command}: ")
+        assert err[0].endswith(f"(see {command} --help)")
 
 
 class TestParseRange:
