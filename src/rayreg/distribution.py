@@ -40,7 +40,7 @@ VARIANCE_RATIO = 4.0 / math.pi - 1.0
 
 def _check_mu(mu):
     mu = np.asarray(mu, dtype=np.float64)
-    if not np.all(np.isfinite(mu)) or np.any(mu <= 0.0):
+    if not np.isfinite(mu).all() or (mu <= 0.0).any():
         raise ValueError("mu must be positive and finite")
     return mu
 
@@ -77,7 +77,7 @@ def cdf(y, mu):
     """Distribution function ``F(y; mu) = 1 - exp(-pi y^2 / (4 mu^2))``."""
     mu = _check_mu(mu)
     y = np.asarray(y, dtype=np.float64)
-    if np.any(y < 0.0):
+    if (y < 0.0).any():
         raise ValueError("y must be nonnegative")
     z = y / mu
     out = -np.expm1(-_QUARTER_PI * z * z)

@@ -29,10 +29,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import distribution
-from .inference import fisher_information
+from .inference import fisher_information, spd_solve
 from .optim import maximize_bfgs
 from .regression import ModelSpec, NonpositiveMeanError, predict_mean
 
@@ -179,17 +178,17 @@ def _make_objective(spec: ModelSpec, weights: np.ndarray):
         eta = X @ beta
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             mu = link.inverse(eta)
-            if not np.all(np.isfinite(mu)) or np.any(mu <= 0.0):
+            if not np.isfinite(mu).all() or (mu <= 0.0).any():
                 return -np.inf, zero, zero
             z = y / mu
             quad = _QUARTER_PI * z * z
             fval = const - 2.0 * float(w @ np.log(mu)) - float(w @ quad)
-            if not np.isfinite(fval):
+            if not math.isfinite(fval):
                 return -np.inf, zero, zero
             v = (2.0 * quad - 2.0) / mu
             t = link.mean_deriv(mu)
             grad = X.T @ (w * t * v)
-            if not np.all(np.isfinite(grad)):
+            if not np.isfinite(grad).all():
                 return -np.inf, zero, zero
             return fval, grad, _direction(X, w, link, mu, y, grad)
 
@@ -238,7 +237,7 @@ def _initial_beta(spec: ModelSpec) -> np.ndarray:
 
 def _info_solve(X, weights, grad) -> np.ndarray:
     """``(X.T diag(weights) X)^{-1} grad``; ValueError unless finite and positive definite."""
-    return cho_solve(cho_factor(X.T @ (weights[:, None] * X)), grad)
+    return spd_solve(X.T @ (weights[:, None] * X), grad)
 
 
 def _maximize(spec, weights, start, cfg, method) -> FitResult:
@@ -248,7 +247,7 @@ def _maximize(spec, weights, start, cfg, method) -> FitResult:
     mu_hat = predict_mean(spec, optres.x)
     info = fisher_information(spec, mu_hat)
     try:
-        cov = cho_solve(cho_factor(info), np.eye(spec.n_params))
+        cov = spd_solve(info, np.eye(spec.n_params))
     except np.linalg.LinAlgError as exc:
         raise ValueError("Fisher information is not positive definite at the optimum") from exc
     std_errors = np.sqrt(np.diag(cov))

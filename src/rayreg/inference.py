@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import ndtri
 from scipy.stats import chi2
 
@@ -27,6 +27,7 @@ __all__ = [
     "quantile_residuals",
     "quantile_residuals_from_mean",
     "RESIDUAL_CLAMP_EPS",
+    "spd_solve",
 ]
 
 #: Probability clamp for residuals at numerically extreme pixels.  Keeps the
@@ -66,19 +67,43 @@ def fisher_information(spec: ModelSpec, mu) -> np.ndarray:
     mu = np.asarray(mu, dtype=np.float64)
     if mu.shape != (spec.n_obs,):
         raise ValueError(f"mu must have shape ({spec.n_obs},), got {mu.shape}")
-    if np.any(mu <= 0.0):
+    if (mu <= 0.0).any():
         raise ValueError("mu must be strictly positive")
     X = spec.design.X
     w = spec.link.fisher_weight(mu)
     return X.T @ (w[:, None] * X)
 
 
+def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a^{-1} b`` for a symmetric positive-definite float64 ``a``, by Cholesky.
+
+    Makes the two LAPACK calls of ``cho_solve(cho_factor(a), b)`` without
+    that wrapper's batching and array conversions, so the result is the
+    same to the bit; like it, reads only the upper triangle of ``a``.
+    ``b`` is a vector or a matrix of right-hand sides.
+
+    Raises
+    ------
+    ValueError
+        If ``a`` or ``b`` holds a non-finite value.
+    numpy.linalg.LinAlgError
+        If ``a`` is not positive definite (a subclass of ValueError).
+    """
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    c, info = dpotrf(a, lower=0, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    return dpotrs(c, b, lower=0)[0]
+
+
 def _inverse_information(fisher_info: np.ndarray) -> np.ndarray:
     try:
-        cho = cho_factor(fisher_info)
+        return spd_solve(fisher_info, np.eye(fisher_info.shape[0]))
     except np.linalg.LinAlgError as exc:
         raise ValueError("Fisher information is not positive definite") from exc
-    return cho_solve(cho, np.eye(fisher_info.shape[0]))
 
 
 def wald_test(fit, interest, beta_null, pfa: float = 0.05) -> WaldReport:
@@ -119,7 +144,7 @@ def wald_test(fit, interest, beta_null, pfa: float = 0.05) -> WaldReport:
     block = cov[np.ix_(idx, idx)]
     diff = fit.beta_hat[idx] - beta_null
     try:
-        t_w = float(diff @ cho_solve(cho_factor(block), diff))
+        t_w = float(diff @ spd_solve(block, diff))
     except np.linalg.LinAlgError as exc:
         raise ValueError("interest block of the covariance is singular") from exc
 

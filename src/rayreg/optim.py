@@ -9,6 +9,7 @@ the identity link.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +60,9 @@ def maximize_bfgs(
     """
     x = np.array(x0, dtype=np.float64)
     f, g, p = fun(x)
-    if not np.isfinite(f):
+    if not math.isfinite(f):
         raise ValueError("objective is not finite at the starting point")
-    grad_norm = float(np.max(np.abs(g)))
+    grad_norm = float(np.abs(g).max())
     iterations = 0
 
     while grad_norm > grad_tol and iterations < max_iter:
@@ -70,8 +71,8 @@ def maximize_bfgs(
         for _ in range(_MAX_HALVINGS):
             x_new = x + step * p
             f_new, g_new, p_new = fun(x_new)
-            if np.isfinite(f_new):
-                norm_new = float(np.max(np.abs(g_new)))
+            if math.isfinite(f_new):
+                norm_new = float(np.abs(g_new).max())
                 if f_new >= f + _ARMIJO * step * slope or (
                     norm_new < grad_norm and f_new >= f - _ROUNDING * abs(f)
                 ):

@@ -118,7 +118,8 @@ class DesignMatrix:
 
     The full-rank requirement is checked at fit time via
     :meth:`assert_full_rank`, not at construction, so partially built
-    designs can still be inspected.
+    designs can still be inspected.  ``X`` is read-only, so the singular
+    values of a design that passed are kept for later checks.
     """
 
     X: np.ndarray
@@ -140,6 +141,12 @@ class DesignMatrix:
             raise ValueError(f"expected {k} column names, got {len(names)}")
         object.__setattr__(self, "X", _readonly(X))
         object.__setattr__(self, "column_names", names)
+        object.__setattr__(self, "_singular_values", None)
+
+    def __setstate__(self, state):
+        # Unpickling rebuilds X writeable; the kept singular values need it read-only.
+        self.__dict__.update(state)
+        self.X.setflags(write=False)
 
     @property
     def n_obs(self) -> int:
@@ -151,12 +158,15 @@ class DesignMatrix:
 
     def assert_full_rank(self, tol_factor: float = 1e-10) -> None:
         """Raise if any singular value falls below tol_factor * largest."""
-        s = np.linalg.svd(self.X, compute_uv=False)
+        s = self._singular_values
+        if s is None:
+            s = np.linalg.svd(self.X, compute_uv=False)
         if s[-1] <= tol_factor * s[0]:
             raise ValueError(
                 "design matrix is rank deficient "
                 f"(singular values range {s[-1]:.3e} .. {s[0]:.3e})"
             )
+        object.__setattr__(self, "_singular_values", s)
 
 
 @dataclass(frozen=True)
@@ -209,11 +219,11 @@ def predict_mean(spec: ModelSpec, beta) -> np.ndarray:
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (spec.n_params,):
         raise ValueError(f"beta must have shape ({spec.n_params},), got {beta.shape}")
-    if not np.all(np.isfinite(beta)):
+    if not np.isfinite(beta).all():
         raise ValueError("beta contains non-finite values")
     eta = spec.design.X @ beta
     mu = spec.link.inverse(eta)
-    if np.any(mu <= 0.0):
+    if (mu <= 0.0).any():
         idx = int(np.flatnonzero(mu <= 0.0)[0])
         raise NonpositiveMeanError(
             f"{spec.link.name} link produced nonpositive mean at index {idx} "

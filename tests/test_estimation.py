@@ -16,11 +16,12 @@ from rayreg import (
     fit_both,
     fit_mle,
     fit_wmle,
+    get_link,
     predict_mean,
     score,
     weighted_loglik,
 )
-from rayreg.estimation import _make_objective
+from rayreg.estimation import _direction, _make_objective
 from rayreg.scenes import make_scene
 from rayreg.optim import maximize_bfgs
 
@@ -33,8 +34,6 @@ def _simulated_spec(seed, n=200, beta=(0.5, 0.15), link="log", eps=0.0, outlier=
     rng = np.random.default_rng(seed)
     k = len(beta)
     X = np.column_stack([np.ones(n)] + [rng.random(n) for _ in range(k - 1)])
-    from rayreg import get_link
-
     mu = get_link(link).inverse(X @ np.asarray(beta))
     y = distribution.quantile(rng.random(n), mu)
     m = int(eps * n)
@@ -181,8 +180,9 @@ class TestFitMle:
         X = np.column_stack([np.ones(30), x, x])
         y = distribution.quantile(np.random.default_rng(2).random(30), 1.0)
         spec = ModelSpec.build(X, y)
-        with pytest.raises(ValueError, match="rank deficient"):
-            fit_mle(spec)
+        for _ in range(3):  # a failed rank check is never kept
+            with pytest.raises(ValueError, match="rank deficient"):
+                fit_mle(spec)
 
     def test_nonconvergence_reported_not_raised(self):
         spec = _simulated_spec(33, eps=0.05)
@@ -381,6 +381,28 @@ class TestOptimizerBehavior:
         assert res.converged and res.iterations >= 1
         assert res.x[0] < 2.0
         assert res.x[0] == pytest.approx(math.sqrt(math.pi / 4 * np.mean(y**2)), rel=1e-8)
+
+    @pytest.mark.parametrize("link, fallback", [("log", "fisher"), ("identity", "gradient")])
+    def test_non_finite_information_falls_back(self, link, fallback):
+        # The information solve refuses a non-finite matrix with ValueError,
+        # as it does an indefinite one.  At mu = 1e-160 the observed weight
+        # overflows under both links; the expected weight stays 4 under the
+        # log link (Fisher scoring) and overflows under the identity link
+        # (the gradient).
+        n = 4
+        X, w, y = np.ones((n, 1)), np.ones(n), np.ones(n)
+        mu = np.full(n, 1e-160)
+        grad = np.array([3.0])
+        link = get_link(link)
+        with np.errstate(over="ignore"):  # as inside the objective
+            assert not np.isfinite(link.observed_weight(mu, y)).all()
+            step = _direction(X, w, link, mu, y, grad)
+            fisher_finite = np.isfinite(link.fisher_weight(mu)).all()
+        if fallback == "fisher":
+            assert step[0] == pytest.approx(grad[0] / (4.0 * n), rel=1e-15)
+        else:
+            assert not fisher_finite
+            assert step is grad
 
     def test_infeasible_identity_start_recovers(self):
         # Least-squares init can be infeasible under the identity link when

@@ -5,6 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.linalg import cho_factor, cho_solve
 from scipy.special import ndtr
 from scipy.stats import chi2
 
@@ -22,7 +26,12 @@ from rayreg import (
     quantile_residuals,
     wald_test,
 )
-from rayreg.inference import RESIDUAL_CLAMP_EPS, quantile_residuals_from_mean
+from rayreg.inference import (
+    RESIDUAL_CLAMP_EPS,
+    _inverse_information,
+    quantile_residuals_from_mean,
+    spd_solve,
+)
 
 CHI2_1_95 = 3.841458820694124
 P_REFERENCE_CASE = 0.024971546225560044  # sf of (0.1168/0.0521)^2 on one dof
@@ -38,6 +47,49 @@ def _fitted(seed=1, n=240, beta=(0.5, 0.15), eps=0.0):
         y[rng.permutation(n)[:m]] = 10.0
     spec = ModelSpec.build(X, y)
     return spec, fit_mle(spec)
+
+
+_ENTRIES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _spd_systems(draw):
+    """A random SPD ``a`` (k = 1..5) and a 1-D or k x k right-hand side."""
+    k = draw(st.integers(1, 5))
+    m = draw(arrays(np.float64, (k, k), elements=_ENTRIES))
+    ridge = draw(st.floats(1e-3, 10.0))
+    a = m @ m.T + ridge * np.eye(k)
+    b = draw(arrays(np.float64, draw(st.sampled_from([(k,), (k, k)])), elements=_ENTRIES))
+    return a, b
+
+
+class TestSpdSolve:
+    @settings(max_examples=200, deadline=None)
+    @given(_spd_systems())
+    def test_bitwise_equal_to_cho_solve(self, system):
+        a, b = system
+        got = spd_solve(a, b)
+        want = cho_solve(cho_factor(a), b)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(_spd_systems())
+    def test_not_positive_definite_raises_linalg_error(self, system):
+        a, b = system
+        with pytest.raises(np.linalg.LinAlgError):
+            spd_solve(-a, b)
+
+    @settings(max_examples=50, deadline=None)
+    @given(_spd_systems(), st.sampled_from([np.nan, np.inf, -np.inf]), st.booleans(),
+           st.integers(0, 24))
+    def test_non_finite_raises_plain_value_error(self, system, bad, in_a, pos):
+        a, b = system
+        target = a if in_a else b
+        target.flat[pos % target.size] = bad
+        with pytest.raises(ValueError) as exc:
+            spd_solve(a, b)
+        assert not isinstance(exc.value, np.linalg.LinAlgError)
 
 
 class TestFisherInformation:
@@ -127,6 +179,23 @@ class TestWaldTest:
             wald_test(fit, (1, 1), np.zeros(2))
         with pytest.raises(ValueError, match="match"):
             wald_test(fit, (1,), np.zeros(2))
+
+    def test_singular_interest_block_refused(self):
+        # This information is positive definite, but its inverse rounds to
+        # [[1 + 2^52, -2^52], [-2^52, 2^52]], whose second Cholesky pivot
+        # is exactly zero.
+        _, fit = _fitted(10)
+        near = np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-52]])
+        with pytest.raises(ValueError, match=r"^interest block of the covariance is singular$"):
+            wald_test(replace(fit, fisher_info=near), (0, 1), np.zeros(2))
+
+    def test_indefinite_information_refused(self):
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(ValueError, match=r"^Fisher information is not positive definite$"):
+            _inverse_information(indefinite)
+        _, fit = _fitted(10)
+        with pytest.raises(ValueError, match=r"^Fisher information is not positive definite$"):
+            wald_test(replace(fit, fisher_info=indefinite), (1,), np.zeros(1))
 
     def test_invariance_under_covariate_scaling(self):
         # Rescaling a covariate by c and its coefficient by 1/c is the same

@@ -1,6 +1,7 @@
 """Links, design matrices, model specification, dummy coding."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from rayreg import (
     NonpositiveMeanError,
     distribution,
     dummy_design,
+    fit_mle,
     get_link,
     predict_mean,
 )
@@ -77,6 +79,39 @@ class TestDesignMatrix:
         d = DesignMatrix(np.column_stack([np.ones(20), x, x]))
         with pytest.raises(ValueError, match="rank deficient"):
             d.assert_full_rank()
+
+    def test_passed_check_runs_one_svd(self, monkeypatch):
+        d = DesignMatrix(np.column_stack([np.ones(20), np.arange(20.0)]))
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        for _ in range(3):
+            d.assert_full_rank()
+        assert len(calls) == 1
+        # The kept singular values still answer a stricter tolerance.
+        with pytest.raises(ValueError, match="rank deficient"):
+            d.assert_full_rank(tol_factor=1.0)
+        assert len(calls) == 1
+
+    def test_checked_design_pickles(self):
+        rng = np.random.default_rng(4)
+        X = np.column_stack([np.ones(40), rng.random(40)])
+        y = distribution.quantile(rng.random(40), 1.0)
+        d = DesignMatrix(X, ("intercept", "x"))
+        d.assert_full_rank()
+        clone = pickle.loads(pickle.dumps(d))
+        assert np.array_equal(clone.X, d.X) and not clone.X.flags.writeable
+        assert clone.column_names == d.column_names
+        clone.assert_full_rank()
+        with pytest.raises(ValueError, match="rank deficient"):
+            clone.assert_full_rank(tol_factor=1.0)
+        fits = [fit_mle(ModelSpec(design=dm, link="log", response=y)) for dm in (d, clone)]
+        assert fits[0].beta_hat.tobytes() == fits[1].beta_hat.tobytes()
 
     def test_readonly(self):
         d = DesignMatrix(np.ones((5, 1)))

@@ -1,26 +1,35 @@
-"""Every function the benchmark traces (``perfbench/spans.py``) exists.
+"""What the benchmark's tracer (``perfbench/spans.py``) relies on.
 
-A traced run that cannot find a target still exits 0 but misses that
-target's per-layer metrics, so a rename fails here instead.
+Every traced function exists: a traced run that cannot find a target
+still exits 0 but misses that target's per-layer metrics, so a rename
+fails here instead.  The Monte Carlo curves make one traced ``fit_both``
+call per fit and two solver calls per ``fit_both``, the count that
+``perfbench/run.py`` checks against each workload's design.
 """
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import rayreg.estimation
 import rayreg.optim
+from rayreg.simulation import ScenarioConfig, breakdown_curve, sensitivity_curve
 
 _SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def _targets():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", _SPANS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
+
+
+def _targets():
+    return _spans().TARGETS
 
 
 @pytest.mark.parametrize(
@@ -38,3 +47,30 @@ def test_estimation_calls_the_traced_solver():
     # The tracer replaces the solver in every module that holds it, so
     # estimation must call it through this very object.
     assert rayreg.estimation.maximize_bfgs is rayreg.optim.maximize_bfgs
+
+
+_REPS = 3
+_SENSITIVITY_VALUES = (1.0, 5.0, 20.0)
+_BREAKDOWN_COUNTS = (0, 3, 10)
+
+
+@pytest.mark.parametrize(
+    "run, expected_fit_both",
+    [
+        (lambda cfg: sensitivity_curve(cfg, _SENSITIVITY_VALUES),
+         (len(_SENSITIVITY_VALUES) + 1) * _REPS),
+        (lambda cfg: breakdown_curve(cfg, _BREAKDOWN_COUNTS), len(_BREAKDOWN_COUNTS) * _REPS),
+    ],
+    ids=["sensitivity", "breakdown"],
+)
+def test_traced_fit_counts_match_the_design(run, expected_fit_both):
+    cfg = ScenarioConfig(beta_true=(0.5, 0.15), n_obs=60, replications=_REPS, master_seed=5)
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        run(cfg)
+    finally:
+        tracer.uninstall()
+    calls = Counter(name for name, *_ in tracer.spans)
+    assert calls["estimation.fit_both"] == expected_fit_both
+    assert calls["optim.maximize_bfgs"] == 2 * expected_fit_both
