@@ -28,12 +28,8 @@ def _spans():
     return module
 
 
-def _targets():
-    return _spans().TARGETS
-
-
 @pytest.mark.parametrize(
-    "module_name, attr_path, span_name", _targets(), ids=lambda v: str(v)
+    "module_name, attr_path, span_name", _spans().TARGETS, ids=lambda v: str(v)
 )
 def test_target_resolves(module_name, attr_path, span_name):
     owner = importlib.import_module(module_name)
