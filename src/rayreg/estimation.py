@@ -5,16 +5,18 @@ The weighted log-likelihood is
     ll_w(beta) = sum_n w[n] * (log(pi/2) + log y[n] - 2 log mu[n]
                                - pi y[n]^2 / (4 mu[n]^2)),
 
-with ``mu = g^{-1}(X beta)``.  Its gradient has the closed matrix form
-``X.T @ (w * t * v)`` where ``v[n] = pi y[n]^2 / (2 mu[n]^3) - 2 / mu[n]``
-and ``t[n] = d mu / d eta``.  Both estimators maximize it by damped Newton
-steps (:func:`rayreg.optim.maximize_bfgs`) with the observed information
-``X.T @ diag(w * h) @ X``, ``h = link.observed_weight``.  That is positive
-definite under the log link, where the log-likelihood is strictly concave
-in ``beta``; where it is not, as can happen under the identity link, the
-step is Fisher scoring with the expected information
-``h = link.fisher_weight`` (McCullagh & Nelder, *Generalized Linear
-Models*, ch. 2).
+with ``mu = g^{-1}(X beta)``.  In terms of ``quad[n] = pi y[n]^2 / (4 mu[n]^2)``
+its gradient is ``X.T @ (w * s)`` and its observed information
+``X.T @ diag(w * h) @ X``, with the per-observation score factor ``s`` and
+observed weight ``h`` from ``link.newton_terms(mu, quad)``.  Both
+estimators maximize it by damped Newton steps
+(:func:`rayreg.optim.maximize_bfgs`), building the information as one
+product with the design's kept row outer products (``DesignMatrix.gram``).
+That information is positive definite under the log link, where the
+log-likelihood is strictly concave in ``beta``; where it is not, as can
+happen under the identity link, the step is Fisher scoring with the
+expected information, ``h = link.fisher_weight`` (McCullagh & Nelder,
+*Generalized Linear Models*, ch. 2).
 
 The robust estimator downweights observations whose fitted probability
 falls in the extreme ``delta`` tails: weights are computed from a plain
@@ -48,6 +50,7 @@ __all__ = [
 
 _LOG_HALF_PI = math.log(math.pi / 2.0)
 _QUARTER_PI = math.pi / 4.0
+_SQRT_QUARTER_PI = math.sqrt(_QUARTER_PI)
 
 @dataclass(frozen=True)
 class RobustConfig:
@@ -90,11 +93,19 @@ class FitResult:
     grad_norm: float
     column_names: tuple
 
+    _ARRAYS = ("beta_hat", "std_errors", "fisher_info", "weights", "mu_hat")
+
     def __post_init__(self):
-        for name in ("beta_hat", "std_errors", "fisher_info", "weights", "mu_hat"):
+        for name in self._ARRAYS:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    def __setstate__(self, state):
+        # Unpickling rebuilds the arrays writeable.
+        self.__dict__.update(state)
+        for name in self._ARRAYS:
+            getattr(self, name).setflags(write=False)
 
     @property
     def n_downweighted(self) -> int:
@@ -136,13 +147,11 @@ def weighted_loglik(spec: ModelSpec, beta, weights=None) -> float:
 def score(spec: ModelSpec, beta, weights=None) -> np.ndarray:
     """Gradient of :func:`weighted_loglik` with respect to ``beta``."""
     mu = predict_mean(spec, beta)
-    y = spec.response
-    v = math.pi * y * y / (2.0 * mu**3) - 2.0 / mu
-    t = spec.link.mean_deriv(mu)
+    s, _ = spec.link.newton_terms(mu, _QUARTER_PI * (spec.response / mu) ** 2)
     if weights is None:
-        return spec.design.X.T @ (t * v)
+        return spec.design.X.T @ s
     w = _check_weights(spec, weights)
-    return spec.design.X.T @ (w * t * v)
+    return spec.design.X.T @ (w * s)
 
 
 def compute_weights(spec: ModelSpec, mu_ref, delta: float) -> np.ndarray:
@@ -167,53 +176,56 @@ def compute_weights(spec: ModelSpec, mu_ref, delta: float) -> np.ndarray:
 
 
 def _make_objective(spec: ModelSpec, weights: np.ndarray):
-    X = spec.design.X
-    y = spec.response
+    """``beta -> (value, gradient, direction)`` for :func:`maximize_bfgs`,
+    with ``value = -inf`` at infeasible points.  Expects the caller to
+    silence numpy's floating-point warnings, which infeasible trial points
+    raise."""
+    design = spec.design
+    X = design.X
     link = spec.link
     w = weights
-    const = float(np.sum(w)) * _LOG_HALF_PI + float(w @ np.log(y))
+    scaled_y = _SQRT_QUARTER_PI * spec.response
+    const = float(np.sum(w)) * _LOG_HALF_PI + float(w @ np.log(spec.response))
     zero = np.zeros(spec.n_params)
 
     def fun(beta):
-        eta = X @ beta
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            mu = link.inverse(eta)
-            if not np.isfinite(mu).all() or (mu <= 0.0).any():
-                return -np.inf, zero, zero
-            z = y / mu
-            quad = _QUARTER_PI * z * z
-            fval = const - 2.0 * float(w @ np.log(mu)) - float(w @ quad)
-            if not math.isfinite(fval):
-                return -np.inf, zero, zero
-            v = (2.0 * quad - 2.0) / mu
-            t = link.mean_deriv(mu)
-            grad = X.T @ (w * t * v)
-            if not np.isfinite(grad).all():
-                return -np.inf, zero, zero
-            return fval, grad, _direction(X, w, link, mu, y, grad)
+        mu = link.inverse(X @ beta)
+        z = scaled_y / mu
+        quad = z * z
+        # A non-finite or nonpositive mean makes w @ log(mu) non-finite
+        # whatever its weight, since 0 * inf and 0 * nan are nan: this one
+        # test rejects every infeasible point.
+        fval = const - 2.0 * float(w @ np.log(mu)) - float(w @ quad)
+        if not math.isfinite(fval):
+            return -np.inf, zero, zero
+        s, h = link.newton_terms(mu, quad)
+        grad = X.T @ (w * s)
+        if not np.isfinite(grad).all():
+            return -np.inf, zero, zero
+        return fval, grad, _direction(design.gram(w * h), grad, design, w, link, mu)
 
     return fun
 
 
-def _direction(X, w, link, mu, y, grad) -> np.ndarray:
-    """Newton step with the observed information.  Where that is not
-    positive definite, as can happen under the identity link, the Fisher
-    scoring step with the expected information; where zero weights leave
-    even that singular, the gradient."""
+def _direction(info, grad, design, w, link, mu) -> np.ndarray:
+    """Newton step with the observed information ``info``.  Where that is
+    not positive definite, as can happen under the identity link, the
+    Fisher scoring step with the expected information; where zero weights
+    leave even that singular, the gradient."""
     try:
-        return _info_solve(X, link.observed_weight(mu, y) * w, grad)
+        return spd_solve(info, grad)
     except ValueError:
         pass
     try:
-        return _info_solve(X, link.fisher_weight(mu) * w, grad)
+        return spd_solve(design.gram(w * link.fisher_weight(mu)), grad)
     except ValueError:
         return grad
 
 
 def _initial_beta(spec: ModelSpec) -> np.ndarray:
     """Least squares of the link-transformed response on the design."""
-    target = spec.link.link(spec.response)
-    beta0, *_ = np.linalg.lstsq(spec.design.X, target, rcond=None)
+    pinv = spec.design.pinv
+    beta0 = pinv @ spec.link.link(spec.response)
     try:
         predict_mean(spec, beta0)
         return beta0
@@ -221,8 +233,7 @@ def _initial_beta(spec: ModelSpec) -> np.ndarray:
         pass
     # Identity link can start infeasible; blend towards the flat fit at the
     # response mean, which is feasible whenever any fit is.
-    flat = np.full(spec.n_obs, spec.link.link(float(np.mean(spec.response))))
-    beta_flat, *_ = np.linalg.lstsq(spec.design.X, flat, rcond=None)
+    beta_flat = pinv @ np.full(spec.n_obs, spec.link.link(float(np.mean(spec.response))))
     predict_mean(spec, beta_flat)  # raises if even the flat fit is infeasible
     frac = 0.5
     for _ in range(60):
@@ -235,15 +246,11 @@ def _initial_beta(spec: ModelSpec) -> np.ndarray:
     return beta_flat
 
 
-def _info_solve(X, weights, grad) -> np.ndarray:
-    """``(X.T diag(weights) X)^{-1} grad``; ValueError unless finite and positive definite."""
-    return spd_solve(X.T @ (weights[:, None] * X), grad)
-
-
 def _maximize(spec, weights, start, cfg, method) -> FitResult:
-    optres = maximize_bfgs(
-        _make_objective(spec, weights), start, max_iter=cfg.max_iter, grad_tol=cfg.grad_tol
-    )
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        optres = maximize_bfgs(
+            _make_objective(spec, weights), start, max_iter=cfg.max_iter, grad_tol=cfg.grad_tol
+        )
     mu_hat = predict_mean(spec, optres.x)
     info = fisher_information(spec, mu_hat)
     try:

@@ -43,23 +43,17 @@ class LogLink:
     def inverse(self, eta):
         return np.exp(eta)
 
-    def deriv(self, mu):
-        """g'(mu)."""
-        return 1.0 / np.asarray(mu, dtype=np.float64)
-
-    def mean_deriv(self, mu):
-        """d mu / d eta = 1 / g'(mu)."""
-        return np.asarray(mu, dtype=np.float64)
-
     def fisher_weight(self, mu):
         """(4 / mu^2) * (d mu / d eta)^2; collapses to the constant 4."""
         mu = np.asarray(mu, dtype=np.float64)
         return np.full(mu.shape, 4.0)
 
-    def observed_weight(self, mu, y):
-        """-d^2 log f(y; mu) / d eta^2 = pi y^2 / mu^2, positive wherever y > 0."""
-        mu = np.asarray(mu, dtype=np.float64)
-        return np.pi * (np.asarray(y, dtype=np.float64) / mu) ** 2
+    def newton_terms(self, mu, quad):
+        """Score factor ``2 quad - 2`` and observed weight ``4 quad`` per
+        observation, from ``quad = pi/4 * (y/mu)^2``: the first and minus the
+        second derivative of ``log f(y; mu)`` in ``eta``.  The weight is
+        positive wherever y > 0."""
+        return 2.0 * quad - 2.0, 4.0 * quad
 
 
 class IdentityLink:
@@ -73,24 +67,16 @@ class IdentityLink:
     def inverse(self, eta):
         return np.asarray(eta, dtype=np.float64)
 
-    def deriv(self, mu):
-        mu = np.asarray(mu, dtype=np.float64)
-        return np.ones(mu.shape)
-
-    def mean_deriv(self, mu):
-        mu = np.asarray(mu, dtype=np.float64)
-        return np.ones(mu.shape)
-
     def fisher_weight(self, mu):
         mu = np.asarray(mu, dtype=np.float64)
         return 4.0 / (mu * mu)
 
-    def observed_weight(self, mu, y):
-        """-d^2 log f(y; mu) / d eta^2 = (1.5 pi y^2 / mu^2 - 2) / mu^2; negative
+    def newton_terms(self, mu, quad):
+        """Score factor ``(2 quad - 2) / mu`` and observed weight
+        ``(6 quad - 2) / mu^2``, as for the log link.  The weight is negative
         for ``y`` below about 0.65 mu, so the information it builds can be
         indefinite."""
-        mu = np.asarray(mu, dtype=np.float64)
-        return (1.5 * np.pi * (np.asarray(y, dtype=np.float64) / mu) ** 2 - 2.0) / (mu * mu)
+        return (2.0 * quad - 2.0) / mu, (6.0 * quad - 2.0) / (mu * mu)
 
 
 _LINKS = {"log": LogLink(), "identity": IdentityLink()}
@@ -118,8 +104,9 @@ class DesignMatrix:
 
     The full-rank requirement is checked at fit time via
     :meth:`assert_full_rank`, not at construction, so partially built
-    designs can still be inspected.  ``X`` is read-only, so the singular
-    values of a design that passed are kept for later checks.
+    designs can still be inspected.  ``X`` is read-only, so what the fits
+    derive from it is kept: the singular values and the pseudo-inverse of
+    a design that passed, and the row outer products.
     """
 
     X: np.ndarray
@@ -142,11 +129,16 @@ class DesignMatrix:
         object.__setattr__(self, "X", _readonly(X))
         object.__setattr__(self, "column_names", names)
         object.__setattr__(self, "_singular_values", None)
+        object.__setattr__(self, "_pinv", None)
+        object.__setattr__(self, "_row_products", None)
 
     def __setstate__(self, state):
-        # Unpickling rebuilds X writeable; the kept singular values need it read-only.
+        # Unpickling rebuilds arrays writeable; what is kept needs them read-only.
         self.__dict__.update(state)
-        self.X.setflags(write=False)
+        for name in ("X", "_singular_values", "_pinv", "_row_products"):
+            arr = getattr(self, name)
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def n_obs(self) -> int:
@@ -158,15 +150,41 @@ class DesignMatrix:
 
     def assert_full_rank(self, tol_factor: float = 1e-10) -> None:
         """Raise if any singular value falls below tol_factor * largest."""
-        s = self._singular_values
-        if s is None:
-            s = np.linalg.svd(self.X, compute_uv=False)
+        kept = self._singular_values is not None
+        if kept:
+            s = self._singular_values
+        else:
+            u, s, vt = np.linalg.svd(self.X, full_matrices=False)
         if s[-1] <= tol_factor * s[0]:
             raise ValueError(
                 "design matrix is rank deficient "
                 f"(singular values range {s[-1]:.3e} .. {s[0]:.3e})"
             )
-        object.__setattr__(self, "_singular_values", s)
+        if not kept:
+            pinv = (vt.T / s) @ u.T
+            for arr in (s, pinv):
+                arr.setflags(write=False)
+            object.__setattr__(self, "_singular_values", s)
+            object.__setattr__(self, "_pinv", pinv)
+
+    @property
+    def pinv(self) -> np.ndarray:
+        """Pseudo-inverse ``(X.T X)^{-1} X.T``, so ``pinv @ t`` is the least
+        squares fit of ``t``; from the SVD of the rank check, which it runs."""
+        if self._pinv is None:
+            self.assert_full_rank()
+        return self._pinv
+
+    def gram(self, weights) -> np.ndarray:
+        """``X.T @ diag(weights) @ X`` as one product with the kept row outer
+        products ``x_n x_n^T``, exactly symmetric."""
+        n, k = self.X.shape
+        basis = self._row_products
+        if basis is None:
+            basis = np.einsum("ni,nj->nij", self.X, self.X).reshape(n, k * k)
+            basis.setflags(write=False)
+            object.__setattr__(self, "_row_products", basis)
+        return (weights @ basis).reshape(k, k)
 
 
 @dataclass(frozen=True)
@@ -194,6 +212,11 @@ class ModelSpec:
             )
         object.__setattr__(self, "link", get_link(self.link))
         object.__setattr__(self, "response", _readonly(y))
+
+    def __setstate__(self, state):
+        # Unpickling rebuilds the response writeable.
+        self.__dict__.update(state)
+        self.response.setflags(write=False)
 
     @classmethod
     def build(cls, X, y, link="log", column_names=()) -> "ModelSpec":

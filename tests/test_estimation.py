@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rayreg import (
+    DesignMatrix,
     ModelSpec,
     RobustConfig,
     compute_weights,
@@ -21,6 +22,7 @@ from rayreg import (
     score,
     weighted_loglik,
 )
+import rayreg.estimation
 from rayreg.estimation import _direction, _make_objective
 from rayreg.scenes import make_scene
 from rayreg.optim import maximize_bfgs
@@ -109,6 +111,75 @@ class TestScore:
         fit = fit_mle(spec)
         assert fit.converged
         assert np.max(np.abs(score(spec, fit.beta_hat))) <= 1e-6
+
+
+class TestObjective:
+    """The solver's fused evaluation against the public definitions."""
+
+    @pytest.mark.parametrize("link", ["log", "identity"])
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_matches_loglik_score_and_hessian(self, link, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        if link == "log":
+            spec = _simulated_spec(seed, link="log", eps=0.05)
+            beta = np.array([rng.uniform(-0.5, 1.0), rng.uniform(-0.5, 0.5)])
+        else:
+            spec = _simulated_spec(seed, beta=(2.0, 0.5), link="identity", eps=0.05)
+            beta = np.array([rng.uniform(1.5, 2.5), rng.uniform(-0.3, 0.3)])
+        # Zero, fractional and unit weights.
+        w = rng.uniform(0.0, 1.0, size=spec.n_obs)
+        w[:50], w[50:100] = 0.0, 1.0
+        infos = []
+
+        def recording_direction(info, *args):
+            infos.append(info)
+            return _direction(info, *args)
+
+        monkeypatch.setattr(rayreg.estimation, "_direction", recording_direction)
+        fval, grad, _ = _make_objective(spec, w)(beta)
+        assert fval == pytest.approx(weighted_loglik(spec, beta, w), rel=1e-12)
+        reference = score(spec, beta, w)
+        assert np.max(np.abs(grad - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+        # -Hessian of the weighted log-likelihood by central differences.
+        h = 1e-4
+        numeric = np.empty((2, 2))
+        for i in range(2):
+            for j in range(2):
+                def ll(di, dj):
+                    b = beta.copy()
+                    b[i] += di * h
+                    b[j] += dj * h
+                    return weighted_loglik(spec, b, w)
+
+                numeric[i, j] = -(ll(1, 1) - ll(1, -1) - ll(-1, 1) + ll(-1, -1)) / (4 * h * h)
+        assert len(infos) == 1
+        assert np.allclose(infos[0], numeric, rtol=1e-5, atol=0)
+
+    # One observation is infeasible, the others have mean 1.
+    @pytest.mark.parametrize("weight", [0.0, 1.0])
+    @pytest.mark.parametrize(
+        "link, beta",
+        [
+            ("identity", (1.0, -1.0)),  # mean exactly 0
+            ("identity", (1.0, -1.5)),  # negative mean
+            ("log", (0.0, 1000.0)),  # exp overflows to inf
+            ("log", (0.0, -1000.0)),  # exp underflows to 0
+        ],
+        ids=["identity-zero", "identity-negative", "log-overflow", "log-underflow"],
+    )
+    def test_rejects_every_infeasible_point(self, link, beta, weight):
+        n = 20
+        X = np.column_stack([np.ones(n), np.eye(n)[0]])
+        y = distribution.quantile(np.random.default_rng(8).random(n), 1.0)
+        spec = ModelSpec.build(X, y, link=link)
+        w = np.ones(n)
+        w[0] = weight
+        fun = _make_objective(spec, w)
+        feasible = np.array([1.0 if link == "identity" else 0.0, 0.0])
+        with np.errstate(all="ignore"):  # as inside the solver
+            assert math.isfinite(fun(feasible)[0])
+            assert fun(np.array(beta))[0] == -np.inf
 
 
 class TestComputeWeights:
@@ -372,7 +443,8 @@ class TestOptimizerBehavior:
         y = distribution.quantile(rng.random(50), 1.0)
         spec = ModelSpec.build(np.ones((50, 1)), y, link="identity")
         w = np.ones(50)
-        assert spec.link.observed_weight(np.full(50, 2.0), y).sum() < 0.0
+        mu = np.full(50, 2.0)
+        assert spec.link.newton_terms(mu, math.pi / 4 * (y / mu) ** 2)[1].sum() < 0.0
         fun = _make_objective(spec, w)
         _, g0, _ = fun(np.array([2.0]))
         first = maximize_bfgs(fun, np.array([2.0]), max_iter=1)
@@ -390,13 +462,14 @@ class TestOptimizerBehavior:
         # log link (Fisher scoring) and overflows under the identity link
         # (the gradient).
         n = 4
-        X, w, y = np.ones((n, 1)), np.ones(n), np.ones(n)
+        design, w, y = DesignMatrix(np.ones((n, 1))), np.ones(n), np.ones(n)
         mu = np.full(n, 1e-160)
         grad = np.array([3.0])
         link = get_link(link)
-        with np.errstate(over="ignore"):  # as inside the objective
-            assert not np.isfinite(link.observed_weight(mu, y)).all()
-            step = _direction(X, w, link, mu, y, grad)
+        with np.errstate(over="ignore"):  # as inside the solver
+            _, observed = link.newton_terms(mu, math.pi / 4 * (y / mu) ** 2)
+            assert not np.isfinite(observed).all()
+            step = _direction(design.gram(w * observed), grad, design, w, link, mu)
             fisher_finite = np.isfinite(link.fisher_weight(mu)).all()
         if fallback == "fisher":
             assert step[0] == pytest.approx(grad[0] / (4.0 * n), rel=1e-15)

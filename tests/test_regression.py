@@ -33,15 +33,23 @@ class TestLinks:
     def test_log_derivatives(self):
         link = get_link("log")
         mu = np.array([0.5, 1.0, 4.0])
-        assert np.allclose(link.deriv(mu), 1.0 / mu)
-        assert np.allclose(link.mean_deriv(mu), mu)
+        y = np.array([0.3, 1.0, 7.0])
+        quad = math.pi / 4 * (y / mu) ** 2
+        # d mu / d eta = mu times d log f / d mu.
+        v = math.pi * y * y / (2.0 * mu**3) - 2.0 / mu
+        assert np.allclose(link.newton_terms(mu, quad)[0], mu * v)
         assert np.array_equal(link.fisher_weight(mu), np.full(3, 4.0))
 
     def test_identity_derivatives(self):
         link = get_link("identity")
         mu = np.array([0.5, 2.0])
-        assert np.array_equal(link.deriv(mu), np.ones(2))
-        assert np.array_equal(link.mean_deriv(mu), np.ones(2))
+        y = np.array([0.3, 7.0])
+        quad = math.pi / 4 * (y / mu) ** 2
+        v = math.pi * y * y / (2.0 * mu**3) - 2.0 / mu
+        score_factor = link.newton_terms(mu, quad)[0]
+        assert np.allclose(score_factor, v)
+        # d mu / d eta is 1 here and mu under the log link.
+        assert np.array_equal(score_factor, get_link("log").newton_terms(mu, quad)[0] / mu)
         assert np.allclose(link.fisher_weight(mu), 4.0 / mu**2)
 
     @pytest.mark.parametrize("name", ["log", "identity"])
@@ -58,7 +66,8 @@ class TestLinks:
             return distribution.logpdf(y, link.inverse(e))
 
         numeric = -(ll(eta + h) - 2.0 * ll(eta) + ll(eta - h)) / h**2
-        assert np.allclose(link.observed_weight(mu, y), numeric, rtol=1e-5)
+        _, observed = link.newton_terms(mu, math.pi / 4 * (y / mu) ** 2)
+        assert np.allclose(observed, numeric, rtol=1e-5)
 
     def test_unknown_link(self):
         with pytest.raises(ValueError, match="unknown link"):
@@ -96,7 +105,24 @@ class TestDesignMatrix:
         # The kept singular values still answer a stricter tolerance.
         with pytest.raises(ValueError, match="rank deficient"):
             d.assert_full_rank(tol_factor=1.0)
+        # The least-squares start comes from the same decomposition.
+        d.pinv
         assert len(calls) == 1
+
+    def test_kept_products_match_their_definitions(self):
+        rng = np.random.default_rng(7)
+        X = np.column_stack([np.ones(30), rng.random(30), rng.normal(size=30)])
+        d = DesignMatrix(X)
+        w = rng.random(30)
+        w[:5] = 0.0
+        gram = d.gram(w)
+        assert np.array_equal(gram, gram.T)
+        assert np.allclose(gram, X.T @ (w[:, None] * X), rtol=1e-13, atol=0)
+        t = rng.normal(size=30)
+        lstsq = np.linalg.lstsq(X, t, rcond=None)[0]
+        assert np.allclose(d.pinv @ t, lstsq, rtol=1e-12, atol=1e-14)
+        with pytest.raises(ValueError, match="rank deficient"):
+            DesignMatrix(np.column_stack([X, X[:, 1]])).pinv
 
     def test_checked_design_pickles(self):
         rng = np.random.default_rng(4)
@@ -112,6 +138,21 @@ class TestDesignMatrix:
             clone.assert_full_rank(tol_factor=1.0)
         fits = [fit_mle(ModelSpec(design=dm, link="log", response=y)) for dm in (d, clone)]
         assert fits[0].beta_hat.tobytes() == fits[1].beta_hat.tobytes()
+
+    def test_pickled_arrays_stay_read_only(self):
+        # A fit fills the design's kept arrays: singular values,
+        # pseudo-inverse and row outer products.
+        rng = np.random.default_rng(4)
+        X = np.column_stack([np.ones(40), rng.random(40)])
+        spec = ModelSpec.build(X, distribution.quantile(rng.random(40), 1.0))
+        fit = fit_mle(spec)
+        for obj, n_arrays in ((spec.design, 4), (spec, 1), (fit, 5)):
+            clone = pickle.loads(pickle.dumps(obj))
+            arrays = {k: v for k, v in vars(clone).items() if isinstance(v, np.ndarray)}
+            assert len(arrays) == n_arrays, sorted(arrays)
+            for name, arr in arrays.items():
+                assert np.array_equal(arr, getattr(obj, name))
+                assert not arr.flags.writeable, (type(obj).__name__, name)
 
     def test_readonly(self):
         d = DesignMatrix(np.ones((5, 1)))

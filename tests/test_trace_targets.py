@@ -4,7 +4,9 @@ Every traced function exists: a traced run that cannot find a target
 still exits 0 but misses that target's per-layer metrics, so a rename
 fails here instead.  The Monte Carlo curves make one traced ``fit_both``
 call per fit and two solver calls per ``fit_both``, the count that
-``perfbench/run.py`` checks against each workload's design.
+``perfbench/run.py`` checks against each workload's design; the weights
+and the Fisher information of every fit pass through their traced
+functions, so their per-layer times cannot silently read zero.
 """
 
 import importlib
@@ -60,7 +62,11 @@ _BREAKDOWN_COUNTS = (0, 3, 10)
     ids=["sensitivity", "breakdown"],
 )
 def test_traced_fit_counts_match_the_design(run, expected_fit_both):
-    cfg = ScenarioConfig(beta_true=(0.5, 0.15), n_obs=60, replications=_REPS, master_seed=5)
+    # One reweighting round: one set of weights and two maximizations per
+    # fit_both, each maximization ending in one Fisher information.
+    cfg = ScenarioConfig(
+        beta_true=(0.5, 0.15), n_obs=60, replications=_REPS, master_seed=5, reweight_iterations=1
+    )
     tracer = _spans().Tracer()
     tracer.install()
     try:
@@ -70,3 +76,5 @@ def test_traced_fit_counts_match_the_design(run, expected_fit_both):
     calls = Counter(name for name, *_ in tracer.spans)
     assert calls["estimation.fit_both"] == expected_fit_both
     assert calls["optim.maximize_bfgs"] == 2 * expected_fit_both
+    assert calls["inference.fisher_information"] == 2 * expected_fit_both
+    assert calls["estimation.compute_weights"] == expected_fit_both
