@@ -6,6 +6,13 @@ lies outside the control limits, then clean the binary mask with an
 opening (speckle removal) followed by a dilation (object consolidation).
 Detections whose centroids sit closer than the merge distance count as
 one object.
+
+Morphology uses filled squares and counts pixels outside the image as
+background.  Erosion and dilation are separable running ANDs and ORs,
+computed in place on one zero-framed bool buffer by passes over shifted
+slices, each pass at most doubling the window: a side of ``s`` takes
+about ``log2(s)`` passes per axis.  The opening's dilation and the final
+one are done as a single dilation.
 """
 
 from __future__ import annotations
@@ -86,7 +93,7 @@ def _as_mask(mask) -> np.ndarray:
     mask = np.asarray(mask)
     if mask.ndim != 2:
         raise ValueError("mask must be 2-D")
-    return mask.astype(bool)
+    return mask.astype(bool, copy=False)
 
 
 def _check_size(size: int) -> int:
@@ -173,10 +180,14 @@ def flag_out_of_control(
     columns = [np.asarray(c, dtype=np.float64).ravel() for c in covariates]
     flat = y.ravel()
     flags = np.empty(flat.size, dtype=bool)
+    design = np.empty((min(_BLOCK, flat.size), 1 + len(columns)))
+    design[:, 0] = 1.0
     for start in range(0, flat.size, _BLOCK):
         block = slice(start, start + _BLOCK)
         yb = flat[block]
-        X = np.column_stack([np.ones(yb.size)] + [c[block] for c in columns])
+        X = design[: yb.size]
+        for j, c in enumerate(columns, 1):
+            X[:, j] = c[block]
         mu = inverse(X @ beta)
         if np.any(mu <= 0.0) or not np.all(np.isfinite(mu)):
             raise ValueError("fitted mean field is not strictly positive over the image")
@@ -190,16 +201,46 @@ def flag_out_of_control(
     return flags.reshape(y.shape)
 
 
+def _square_filter(mask, size: int, op) -> np.ndarray:
+    """``op`` (``np.logical_and`` or ``np.logical_or``) over the ``size`` x
+    ``size`` square centred on each pixel; outside the image counts as 0.
+
+    The mask sits in a zero frame ``r = size // 2`` wide, so the square
+    centred on pixel (i, j) is the buffer's window of ``size`` rows and
+    columns starting at (i, j).  The windows grow in place over the flat
+    buffer, along a row by shifts of one element and down a column by
+    shifts of one buffer row: the window of length ``n`` combined with the
+    one ``k <= n`` further on is the window of length ``n + k``.  Each
+    shift is at most ``r`` elements or rows, so the entries it leaves
+    alone lie in the frame's last row or rows and stay 0, as windows
+    reaching past the buffer should.  Only windows starting in the
+    frame's right-hand columns run on into the next buffer row, and no
+    pixel of the result reads them.
+    """
+    mask = _as_mask(mask)
+    r = _check_size(size) // 2
+    rows, cols = mask.shape
+    buf = np.zeros((rows + 2 * r, cols + 2 * r), dtype=bool)
+    buf[r : r + rows, r : r + cols] = mask
+    flat = buf.ravel()
+    for stride in (1, buf.shape[1]):
+        length = 1
+        while length < size:
+            step = min(length, size - length)
+            shift = step * stride
+            op(flat[:-shift], flat[shift:], out=flat[:-shift])
+            length += step
+    return buf[:rows, :cols].copy()
+
+
 def erode(mask, size: int) -> np.ndarray:
     """Binary erosion with a filled square; outside the image counts as 0."""
-    m = _as_mask(mask).view(np.uint8)
-    return ndimage.minimum_filter(m, size=_check_size(size), mode="constant", cval=0).view(bool)
+    return _square_filter(mask, size, np.logical_and)
 
 
 def dilate(mask, size: int) -> np.ndarray:
     """Binary dilation with a filled square; outside the image counts as 0."""
-    m = _as_mask(mask).view(np.uint8)
-    return ndimage.maximum_filter(m, size=_check_size(size), mode="constant", cval=0).view(bool)
+    return _square_filter(mask, size, np.logical_or)
 
 
 def opening(mask, size: int) -> np.ndarray:
@@ -211,8 +252,17 @@ def closing(mask, size: int) -> np.ndarray:
 
 
 def postprocess(mask, cfg: DetectorConfig) -> np.ndarray:
-    """Opening (speckle removal) then dilation (object consolidation)."""
-    return dilate(opening(mask, cfg.opening_size), cfg.dilation_size)
+    """Opening (speckle removal) then dilation (object consolidation).
+
+    Equal to ``dilate(opening(mask, o), d)`` with ``o = cfg.opening_size``
+    and ``d = cfg.dilation_size``, computed as ``dilate(erode(mask, o),
+    o + d - 1)``: dilating by an o-square and then a d-square is one
+    dilation by their sum.  That holds with the zero background as well,
+    because a path from a set pixel to an image pixel through the two
+    squares can always pass through an intermediate pixel inside the image.
+    """
+    o = cfg.opening_size
+    return dilate(erode(mask, o), o + cfg.dilation_size - 1)
 
 
 @dataclass(frozen=True)
@@ -296,22 +346,21 @@ def score_detections(clusters, truth, radius_m: float, pixel_size_m: float = 1.0
     """
     if radius_m < 0:
         raise ValueError("radius must be nonnegative")
-    truth = [(float(r), float(c)) for r, c in truth]
-    pairs = []
-    for ci, cl in enumerate(clusters):
-        for ti, (tr, tc) in enumerate(truth):
-            d = np.hypot(cl.centroid_row - tr, cl.centroid_col - tc) * pixel_size_m
-            if d <= radius_m:
-                pairs.append((d, ci, ti))
-    pairs.sort()
+    truth = np.array([(float(r), float(c)) for r, c in truth], dtype=np.float64).reshape(-1, 2)
+    centroids = np.array([(cl.centroid_row, cl.centroid_col) for cl in clusters]).reshape(-1, 2)
+    diff = centroids[:, None, :] - truth[None, :, :]
+    dist = np.hypot(diff[..., 0], diff[..., 1]) * pixel_size_m
+    ci, ti = np.nonzero(dist <= radius_m)
+    # Nearest first; the stable sort keeps ties in (cluster, truth) order.
+    order = np.argsort(dist[ci, ti], kind="stable")
     used_c: set = set()
     used_t: set = set()
     hits = 0
-    for _, ci, ti in pairs:
-        if ci in used_c or ti in used_t:
+    for c, t in zip(ci[order].tolist(), ti[order].tolist()):
+        if c in used_c or t in used_t:
             continue
-        used_c.add(ci)
-        used_t.add(ti)
+        used_c.add(c)
+        used_t.add(t)
         hits += 1
     return hits, len(clusters) - hits, len(truth) - hits
 

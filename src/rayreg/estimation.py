@@ -176,7 +176,7 @@ def compute_weights(spec: ModelSpec, mu_ref, delta: float) -> np.ndarray:
 
 
 def _make_objective(spec: ModelSpec, weights: np.ndarray):
-    """``beta -> (value, gradient, direction)`` for :func:`maximize_bfgs`,
+    """``beta -> (value, gradient, direction, mean)`` for :func:`maximize_bfgs`,
     with ``value = -inf`` at infeasible points.  Expects the caller to
     silence numpy's floating-point warnings, which infeasible trial points
     raise."""
@@ -197,12 +197,12 @@ def _make_objective(spec: ModelSpec, weights: np.ndarray):
         # test rejects every infeasible point.
         fval = const - 2.0 * float(w @ np.log(mu)) - float(w @ quad)
         if not math.isfinite(fval):
-            return -np.inf, zero, zero
+            return -np.inf, zero, zero, None
         s, h = link.newton_terms(mu, quad)
         grad = X.T @ (w * s)
         if not np.isfinite(grad).all():
-            return -np.inf, zero, zero
-        return fval, grad, _direction(design.gram(w * h), grad, design, w, link, mu)
+            return -np.inf, zero, zero, None
+        return fval, grad, _direction(design.gram(w * h), grad, design, w, link, mu), mu
 
     return fun
 
@@ -251,7 +251,7 @@ def _maximize(spec, weights, start, cfg, method) -> FitResult:
         optres = maximize_bfgs(
             _make_objective(spec, weights), start, max_iter=cfg.max_iter, grad_tol=cfg.grad_tol
         )
-    mu_hat = predict_mean(spec, optres.x)
+    mu_hat = optres.aux
     info = fisher_information(spec, mu_hat)
     try:
         cov = spd_solve(info, np.eye(spec.n_params))

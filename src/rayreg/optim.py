@@ -1,10 +1,11 @@
 """Damped Newton maximization with step halving.
 
-The objective callback returns ``(value, gradient, direction)``, where the
-direction is the caller's Newton or Fisher-scoring step at that point, and
-signals an infeasible point with ``value = -inf``; the step is then
-halved, which is also how nonpositive-mean trial points are rejected under
-the identity link.
+The objective callback returns ``(value, gradient, direction, aux)``, where
+the direction is the caller's Newton or Fisher-scoring step at that point
+and ``aux`` anything the caller wants back at the solution, and signals an
+infeasible point with ``value = -inf``; the step is then halved, which is
+also how nonpositive-mean trial points are rejected under the identity
+link.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ class OptimResult:
     grad_norm: float
     iterations: int
     converged: bool
+    aux: object  # the objective's fourth item at ``x``
 
 
 def maximize_bfgs(
@@ -59,7 +61,7 @@ def maximize_bfgs(
     is appended to it (ascent diagnostics).
     """
     x = np.array(x0, dtype=np.float64)
-    f, g, p = fun(x)
+    f, g, p, aux = fun(x)
     if not math.isfinite(f):
         raise ValueError("objective is not finite at the starting point")
     grad_norm = float(np.abs(g).max())
@@ -70,7 +72,7 @@ def maximize_bfgs(
         step = 1.0
         for _ in range(_MAX_HALVINGS):
             x_new = x + step * p
-            f_new, g_new, p_new = fun(x_new)
+            f_new, g_new, p_new, aux_new = fun(x_new)
             if math.isfinite(f_new):
                 norm_new = float(np.abs(g_new).max())
                 if f_new >= f + _ARMIJO * step * slope or (
@@ -80,7 +82,7 @@ def maximize_bfgs(
             step *= 0.5
         else:
             break
-        x, f, g, p, grad_norm = x_new, f_new, g_new, p_new, norm_new
+        x, f, g, p, aux, grad_norm = x_new, f_new, g_new, p_new, aux_new, norm_new
         iterations += 1
         if trace is not None:
             trace.append(float(f))
@@ -92,4 +94,5 @@ def maximize_bfgs(
         grad_norm=grad_norm,
         iterations=iterations,
         converged=grad_norm <= grad_tol,
+        aux=aux,
     )

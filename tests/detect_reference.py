@@ -2,8 +2,9 @@
 
 Each function here is the plain form of a stage in ``rayreg.detection`` or
 ``rayreg.image_io``: the Python-level mask CSV writer, the all-pairs
-union-find cluster merge, and thresholding through the full-image design
-and the residual field.  numpy and scipy only, so the production code is
+union-find cluster merge, thresholding through the full-image design
+and the residual field, and detection scoring over a double loop of
+candidate pairs.  numpy and scipy only, so the production code is
 compared against arithmetic written out independently of it.
 """
 
@@ -88,3 +89,25 @@ def flag_out_of_control(interest, covariates, beta, limit, two_sided=True, link=
         raise ValueError("fitted mean field is not strictly positive over the image")
     res = residuals_from_mean(interest.ravel(), mu).reshape(interest.shape)
     return np.abs(res) > limit if two_sided else res > limit
+
+
+def score_detections(clusters, truth, radius_m, pixel_size_m=1.0):
+    """``(hits, false_alarms, missed)`` of the greedy nearest-first matching."""
+    truth = [(float(r), float(c)) for r, c in truth]
+    pairs = []
+    for ci, cl in enumerate(clusters):
+        for ti, (tr, tc) in enumerate(truth):
+            d = np.hypot(cl.centroid_row - tr, cl.centroid_col - tc) * pixel_size_m
+            if d <= radius_m:
+                pairs.append((d, ci, ti))
+    pairs.sort()
+    used_c = set()
+    used_t = set()
+    hits = 0
+    for _, ci, ti in pairs:
+        if ci in used_c or ti in used_t:
+            continue
+        used_c.add(ci)
+        used_t.add(ti)
+        hits += 1
+    return hits, len(clusters) - hits, len(truth) - hits

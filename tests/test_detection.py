@@ -25,7 +25,7 @@ from rayreg.detection import (
 )
 from rayreg.scenes import make_scene
 
-from morph_oracle import brute_dilate, brute_erode
+from morph_oracle import brute_dilate, brute_erode, brute_opening
 
 
 class TestThreshold:
@@ -118,8 +118,40 @@ class TestMorphology:
         assert np.array_equal(erode(mask, size), brute_erode(mask, size))
         assert np.array_equal(dilate(mask, size), brute_dilate(mask, size))
 
+    @pytest.mark.parametrize(
+        "convert",
+        [
+            lambda m: m.astype(np.uint8) * 255,
+            lambda m: m.astype(np.int64) * -3,
+            lambda m: np.where(m, 0.25, 0.0),
+            lambda m: np.repeat(np.repeat(m, 2, axis=0), 3, axis=1)[::2, ::3],
+            lambda m: m.T.copy().T,
+            lambda m: np.asfortranarray(m.astype(np.uint8) * 255),
+        ],
+        ids=["uint8-255", "int", "float", "strided-view", "fortran-view", "fortran-uint8"],
+    )
+    def test_any_dtype_and_layout_matches_brute_force(self, convert):
+        rng = np.random.default_rng(9)
+        for shape in [(1, 1), (3, 11), (12, 7), (16, 16)]:
+            mask = rng.random(shape) < 0.6
+            for size in (1, 3, 5, 9):
+                assert np.array_equal(erode(convert(mask), size), brute_erode(mask, size))
+                assert np.array_equal(dilate(convert(mask), size), brute_dilate(mask, size))
+
 
 class TestPostprocess:
+    @pytest.mark.parametrize("opening_size", [1, 3, 5])
+    @pytest.mark.parametrize("dilation_size", [1, 3, 7, 9])
+    def test_matches_brute_opening_then_dilation(self, opening_size, dilation_size):
+        # Shapes from 1 to 13 a side: the squares of the fused dilation are
+        # often larger than the image.
+        cfg = DetectorConfig(opening_size=opening_size, dilation_size=dilation_size)
+        rng = np.random.default_rng(opening_size * 10 + dilation_size)
+        for _ in range(12):
+            mask = rng.random(tuple(rng.integers(1, 14, size=2))) < rng.uniform(0.2, 0.9)
+            expected = brute_dilate(brute_opening(mask, opening_size), dilation_size)
+            assert np.array_equal(postprocess(mask, cfg), expected)
+
     def test_solid_blob_survives_and_grows(self):
         mask = np.zeros((30, 30), bool)
         mask[10:15, 10:15] = True  # 5x5 blob
@@ -351,6 +383,28 @@ class TestScoring:
             assert hits + fa == len(clusters)
             assert hits + missed == len(truths)
             assert hits <= min(len(clusters), len(truths))
+
+    def test_equal_distances_taken_in_cluster_then_truth_order(self):
+        # The first cluster is 1 from both truths, the second 1 from one of
+        # them: which truth the first cluster takes decides the score.
+        clusters = (Cluster(0.0, 0.0, 1), Cluster(0.0, 2.0, 1))
+        for truths, expected in [([(0, -1), (0, 1)], (2, 0, 0)), ([(0, 1), (0, -1)], (1, 1, 1))]:
+            assert score_detections(clusters, truths, radius_m=1.5) == expected
+            assert detect_reference.score_detections(clusters, truths, 1.5) == expected
+
+    @given(
+        clusters=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=8),
+        truths=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=8),
+        radius_m=st.sampled_from([0.0, 1.0, 1.5, 2.0, 5.0, 20.0]),
+        pixel_size_m=st.sampled_from([1.0, 0.5, 2.5, 0.3]),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_matches_reference(self, clusters, truths, radius_m, pixel_size_m):
+        # Integer grid positions: many candidate pairs lie at equal distances.
+        clusters = tuple(Cluster(float(r), float(c), 1) for r, c in clusters)
+        assert score_detections(clusters, truths, radius_m, pixel_size_m) == (
+            detect_reference.score_detections(clusters, truths, radius_m, pixel_size_m)
+        )
 
     def test_pixel_size_scales_distances(self):
         clusters = (Cluster(0.0, 6.0, 1),)

@@ -136,8 +136,9 @@ class TestObjective:
             return _direction(info, *args)
 
         monkeypatch.setattr(rayreg.estimation, "_direction", recording_direction)
-        fval, grad, _ = _make_objective(spec, w)(beta)
+        fval, grad, _, mu = _make_objective(spec, w)(beta)
         assert fval == pytest.approx(weighted_loglik(spec, beta, w), rel=1e-12)
+        assert np.array_equal(mu, predict_mean(spec, beta))
         reference = score(spec, beta, w)
         assert np.max(np.abs(grad - reference)) <= 1e-12 * np.max(np.abs(reference))
 
@@ -381,6 +382,7 @@ class TestClosedFormOracle:
         )
         for fit, mu in ((mle, mu_mle), (wmle, mu_wmle)):
             assert fit.converged
+            assert np.array_equal(fit.mu_hat, predict_mean(spec, fit.beta_hat))
             mu_gap = np.max(np.abs(fit.mu_hat - mu[groups]) / mu[groups])
             beta = coefficients(mu, case["link"])
             scale = max(1.0, float(np.max(np.abs(beta))))
@@ -446,7 +448,7 @@ class TestOptimizerBehavior:
         mu = np.full(50, 2.0)
         assert spec.link.newton_terms(mu, math.pi / 4 * (y / mu) ** 2)[1].sum() < 0.0
         fun = _make_objective(spec, w)
-        _, g0, _ = fun(np.array([2.0]))
+        _, g0, _, _ = fun(np.array([2.0]))
         first = maximize_bfgs(fun, np.array([2.0]), max_iter=1)
         assert first.x[0] == pytest.approx(2.0 + g0[0] / (50 * 4.0 / 2.0**2), rel=1e-12)
         res = maximize_bfgs(fun, np.array([2.0]))
