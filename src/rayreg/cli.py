@@ -16,9 +16,11 @@ import csv
 import dataclasses
 import datetime
 import decimal
+import functools
 import hashlib
 import inspect
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -292,103 +294,85 @@ def _schema_error(path, message):
     raise CliError(f"config error at {path}: {message}")
 
 
-def _check_number(value, path, lo=None, hi=None, lo_open=False, hi_open=False):
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        _schema_error(path, f"expected a number, got {value!r}")
-    v = float(value)
-    if lo is not None and (v <= lo if lo_open else v < lo):
-        _schema_error(path, f"value {v} below allowed range")
-    if hi is not None and (v >= hi if hi_open else v > hi):
-        _schema_error(path, f"value {v} above allowed range")
-    return v
+def _is_number(value) -> bool:
+    """A finite JSON number; a bool is not one."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
 
 
-def _check_int(value, path, lo=None):
-    if not isinstance(value, int) or isinstance(value, bool):
-        _schema_error(path, f"expected an integer, got {value!r}")
-    if lo is not None and value < lo:
-        _schema_error(path, f"value {value} below {lo}")
-    return value
+_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string"}
+
+# The JSON type of each simulation config key, that of its default where it
+# has one, and whether it is an array: "list" must be one, "grid" may be one
+# (the N x epsilon grid).  Ranges are left to ScenarioConfig and RobustConfig.
+_SIM_SCHEMA = {k: (type(v), None) for k, v in _SIM_DEFAULTS.items()} | {
+    "beta_true": (float, "list"), "N": (int, "grid"), "epsilon": (float, "grid"), "seed": (int, None)
+}
 
 
 def _load_sim_config(config) -> dict:
-    raw_path = config["config_file"]
-    raw = {}
-    if raw_path:
-        path = Path(raw_path)
-        if not path.exists():
-            raise CliError(f"config file not found: {path}")
-        try:
-            raw = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise CliError(f"{path}: invalid JSON: {exc}") from None
-        if not isinstance(raw, dict):
-            _schema_error("$", "top level must be an object")
-    known = set(_SIM_DEFAULTS) | {"seed", "beta_true", "N"}
-    for key in raw:
-        if key not in known:
+    """The config file over the ScenarioConfig defaults, with JSON types checked."""
+    path = Path(config["config_file"])
+    if not path.exists():
+        raise CliError(f"config file not found: {path}")
+    try:
+        raw = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise CliError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        _schema_error("$", "top level must be an object")
+    for key in ("beta_true", "N"):
+        if key not in raw:
+            _schema_error(f"$.{key}", "required field is missing")
+    for key, value in raw.items():
+        if key not in _SIM_SCHEMA:
             _schema_error(f"$.{key}", "unknown field")
-    merged = dict(_SIM_DEFAULTS)
-    merged.update(raw)
-
-    if "beta_true" not in merged:
-        _schema_error("$.beta_true", "required field is missing")
-    if not isinstance(merged["beta_true"], list) or not merged["beta_true"]:
-        _schema_error("$.beta_true", "expected a non-empty array of numbers")
-    for i, b in enumerate(merged["beta_true"]):
-        _check_number(b, f"$.beta_true[{i}]")
-    if "N" not in merged:
-        _schema_error("$.N", "required field is missing")
-    n_list = merged["N"] if isinstance(merged["N"], list) else [merged["N"]]
-    for i, n in enumerate(n_list):
-        _check_int(n, f"$.N[{i}]", lo=len(merged["beta_true"]) + 1)
-    eps_list = merged["epsilon"] if isinstance(merged["epsilon"], list) else [merged["epsilon"]]
-    for i, e in enumerate(eps_list):
-        _check_number(e, f"$.epsilon[{i}]", lo=0.0, hi=1.0, hi_open=True)
-    if merged.get("link") not in ("log", "identity"):
-        _schema_error("$.link", f"expected 'log' or 'identity', got {merged.get('link')!r}")
-    _check_number(merged["delta"], "$.delta", lo=0.0, hi=0.5, lo_open=True, hi_open=True)
-    _check_int(merged["reweight_iterations"], "$.reweight_iterations", lo=0)
-    _check_int(merged["max_iter"], "$.max_iter", lo=1)
-    _check_number(merged["grad_tol"], "$.grad_tol", lo=0.0, lo_open=True)
-    _check_number(merged["outlier_value"], "$.outlier_value", lo=0.0, lo_open=True)
-    _check_int(merged["replications"], "$.replications", lo=1)
-    if "seed" in merged and merged["seed"] is not None:
-        _check_int(merged["seed"], "$.seed")
-    merged["N"] = [int(n) for n in n_list]
-    merged["epsilon"] = [float(e) for e in eps_list]
-
-    if merged["replications"] < 50:
-        warnings.warn(
-            f"replications={merged['replications']} is very small; moments will be noisy",
-            stacklevel=2,
-        )
-    for e in merged["epsilon"]:
-        if e > 0.05:
-            warnings.warn(
-                f"epsilon={e} lies beyond the evaluated contamination grid (0..5%)",
-                stacklevel=2,
-            )
-    return merged
+        kind, array = _SIM_SCHEMA[key]
+        if array and isinstance(value, list):
+            if not value:
+                _schema_error(f"$.{key}", "expected a non-empty array")
+            items = [(f"$.{key}[{i}]", v) for i, v in enumerate(value)]
+        elif array == "list":
+            _schema_error(f"$.{key}", f"expected a non-empty array, got {value!r}")
+        else:
+            items = [(f"$.{key}", value)]
+        for where, v in items:
+            ok = _is_number(v) if kind is float else isinstance(v, kind) and not isinstance(v, bool)
+            if not (ok or key == "seed" and v is None):
+                _schema_error(where, f"expected {_TYPE_NAMES[kind]}, got {v!r}")
+    return _SIM_DEFAULTS | raw
 
 
 def _scenarios_from_config(config, single_n=False) -> list:
     """The (N, epsilon) grid of a simulation config, in file order.
 
-    The config file's ``seed`` takes precedence over ``--seed``.
+    The config file's ``seed`` takes precedence over ``--seed``.  Building
+    every cell checks the ranges before any warning, so a bad file gives one
+    line.
     """
     sim = _load_sim_config(config)
-    if single_n and len(sim["N"]) != 1:
+    n_list, eps_list = (v if isinstance(v, list) else [v] for v in (sim.pop("N"), sim.pop("epsilon")))
+    if single_n and len(n_list) != 1:
         raise CliError("breakdown/sensitivity need a single N in the config")
-    seed = sim["seed"] if sim.get("seed") is not None else config["seed"]
-    shared = {k: sim[k] for k in _SCENARIO.keys() - {"epsilon", "master_seed"}}
-    return [
-        simulation.ScenarioConfig(
-            beta_true=tuple(sim["beta_true"]), n_obs=n, epsilon=eps, master_seed=seed, **shared
-        )
-        for n in sim["N"]
-        for eps in sim["epsilon"]
-    ]
+    seed = sim.pop("seed", None)
+    try:
+        cells = [
+            simulation.ScenarioConfig(n_obs=n, epsilon=float(eps), **sim,
+                                      master_seed=config["seed"] if seed is None else seed)
+            for n in n_list
+            for eps in eps_list
+        ]
+    except ValueError as exc:
+        raise CliError(f"config error: {exc}") from None
+    if sim["replications"] < 50:
+        warnings.warn(f"replications={sim['replications']} is very small; moments will be noisy",
+                      stacklevel=2)
+    for eps in eps_list:
+        if eps > 0.05:
+            warnings.warn(f"epsilon={float(eps)} lies beyond the evaluated contamination grid (0..5%)",
+                          stacklevel=2)
+    return cells
 
 
 def _cmd_simulate(config, out_dir: Path) -> list:
@@ -430,38 +414,16 @@ def _parse_range(text, kind=float) -> list:
     return out
 
 
-def _cmd_breakdown(config, out_dir: Path) -> list:
+def _cmd_curve(name, flag, kind, config, out_dir: Path) -> list:
+    """``simulation.<name>_curve`` over the ``--<flag>`` sweep of ``kind`` values."""
     scenario = _scenarios_from_config(config, single_n=True)[0]
-    counts = _parse_range(config["counts"], int)
-    curve = simulation.breakdown_curve(scenario, counts, workers=config["threads"])
-    _write_text(out_dir / "breakdown.csv", curve.to_csv())
-    payload = {
-        "counts": list(curve.counts),
-        "mle_total_rb": list(curve.mle_total_rb),
-        "wmle_total_rb": list(curve.wmle_total_rb),
-        "convergence_failures": curve.convergence_failures,
-    }
-    _write_text(out_dir / "breakdown.json", _json_dumps(payload))
-    return ["breakdown.csv", "breakdown.json"]
-
-
-def _cmd_sensitivity(config, out_dir: Path) -> list:
-    scenario = _scenarios_from_config(config, single_n=True)[0]
-    values = _parse_range(config["values"], float)
-    curve = simulation.sensitivity_curve(scenario, values, workers=config["threads"])
-    _write_text(out_dir / "sensitivity.csv", curve.to_csv())
-    payload = {
-        "values": list(curve.values),
-        "mle_masc": list(curve.mle_masc),
-        "wmle_masc": list(curve.wmle_masc),
-        "convergence_failures": curve.convergence_failures,
-    }
-    _write_text(out_dir / "sensitivity.json", _json_dumps(payload))
-    return ["sensitivity.csv", "sensitivity.json"]
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    curve_fn = getattr(simulation, f"{name}_curve")  # per call, so a replacement on the module runs
+    curve = curve_fn(scenario, _parse_range(config[flag], kind), workers=config["threads"])
+    _write_text(out_dir / f"{name}.csv", curve.to_csv())
+    payload = dataclasses.asdict(curve)
+    del payload["config"]
+    _write_text(out_dir / f"{name}.json", _json_dumps(payload))
+    return [f"{name}.csv", f"{name}.json"]
 
 
 def _load_truth(path) -> tuple:
@@ -555,8 +517,8 @@ _HANDLERS = {
     "wald": _cmd_wald,
     "residuals": _cmd_residuals,
     "simulate": _cmd_simulate,
-    "breakdown": _cmd_breakdown,
-    "sensitivity": _cmd_sensitivity,
+    "breakdown": functools.partial(_cmd_curve, "breakdown", "counts", int),
+    "sensitivity": functools.partial(_cmd_curve, "sensitivity", "values", float),
     "detect": _cmd_detect,
     "synth-scene": _cmd_synth_scene,
 }
@@ -604,6 +566,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {self.prog}: {message} (see {self.prog} --help)\n")
 
 
+def _comma_list(kind):
+    """An argparse type: 'a,b,c' -> [kind('a'), kind('b'), kind('c')]."""
+    def parse(text):
+        return [kind(tok.strip()) for tok in text.split(",")]
+    parse.__name__ = f"comma-separated {kind.__name__}"  # argparse names it in errors
+    return parse
+
+
+# Each option's dest is its manifest config key; a metavar keeps the --help
+# text of an option whose dest differs from its flag.
 def _add_common(parser):
     parser.add_argument(
         "--seed", type=int, default=_SCENARIO["master_seed"], help="master seed recorded in the manifest"
@@ -621,8 +593,9 @@ def _add_common(parser):
 def _add_tabular(parser):
     parser.add_argument("--data", required=True, help="headered CSV data file")
     parser.add_argument("--response", required=True, help="response column name")
-    parser.add_argument("--covariates", default=None, help="comma-separated covariate columns")
-    parser.add_argument("--no-intercept", action="store_true")
+    parser.add_argument("--covariates", type=_comma_list(str), default=None,
+                        help="comma-separated covariate columns")
+    parser.add_argument("--no-intercept", dest="intercept", action="store_false")
     parser.add_argument("--dummy", default=None, help="label column for treatment coding")
     parser.add_argument("--reference", default=None, help="reference level for --dummy")
     parser.add_argument("--link", choices=("log", "identity"), default=_SCENARIO["link"])
@@ -632,26 +605,6 @@ def _add_tabular(parser):
     )
     parser.add_argument("--reweight-iterations", type=int, default=_ROBUST["reweight_iterations"])
     parser.add_argument("--pfa", type=float, default=_PFA, help="false-alarm probability for tests")
-
-
-def _tabular_config(args) -> dict:
-    return {
-        "data": args.data,
-        "response": args.response,
-        "covariates": [c.strip() for c in args.covariates.split(",")] if args.covariates else None,
-        "intercept": not args.no_intercept,
-        "dummy": args.dummy,
-        "reference": args.reference,
-        "link": args.link,
-        "method": args.method,
-        "delta": args.delta if args.delta is not None else _ROBUST["delta"],
-        "delta_explicit": args.delta is not None,
-        "reweight_iterations": args.reweight_iterations,
-        "pfa": args.pfa,
-        "seed": args.seed,
-        "threads": args.threads,
-        "format": args.format,
-    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -669,8 +622,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wald", help="fit and run one Wald test")
     _add_common(p)
     _add_tabular(p)
-    p.add_argument("--interest", required=True, help="comma-separated coefficient names or indices")
-    p.add_argument("--null", default=None, help="comma-separated null values (default zeros)")
+    p.add_argument("--interest", type=_comma_list(str), required=True,
+                   help="comma-separated coefficient names or indices")
+    p.add_argument("--null", type=_comma_list(float), default=None,
+                   help="comma-separated null values (default zeros)")
 
     p = sub.add_parser("residuals", help="fit and emit quantile residuals")
     _add_common(p)
@@ -683,15 +638,18 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=f"Monte Carlo {name} study from a JSON config")
         _add_common(p)
-        p.add_argument("--config", required=True, help="scenario config JSON file")
+        p.add_argument("--config", dest="config_file", metavar="CONFIG", required=True,
+                       help="scenario config JSON file")
         if extra:
             p.add_argument(f"--{extra[0]}", default=extra[1], help="list or start:stop[:step] range")
 
     p = sub.add_parser("detect", help="residual control-chart detection on an image")
     _add_common(p)
     p.add_argument("--interest", required=True, help="interest image (.csv or RRM1 binary)")
-    p.add_argument("--covariates", required=True, help="comma-separated covariate image paths")
-    p.add_argument("--training", required=True, help="training window r0,c0,r1,c1 (half-open)")
+    p.add_argument("--covariates", type=_comma_list(str), required=True,
+                   help="comma-separated covariate image paths")
+    p.add_argument("--training", type=_comma_list(int), required=True,
+                   help="training window r0,c0,r1,c1 (half-open)")
     p.add_argument("--method", choices=("mle", "wmle"), default="wmle")
     p.add_argument("--link", choices=("log", "identity"), default=_SCENARIO["link"])
     p.add_argument("--delta", type=float, default=_ROBUST["delta"])
@@ -699,12 +657,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--control-limit", type=float, default=_DETECTOR["control_limit"])
     p.add_argument("--opening-se", type=int, default=_DETECTOR["opening_size"])
     p.add_argument("--dilation-se", type=int, default=_DETECTOR["dilation_size"])
-    p.add_argument("--merge-distance", type=float, default=_DETECTOR["merge_distance"])
-    p.add_argument("--pixel-size", type=float, default=_DETECTOR["pixel_size_m"])
+    p.add_argument("--merge-distance", dest="merge_distance_m", metavar="MERGE_DISTANCE",
+                   type=float, default=_DETECTOR["merge_distance"])
+    p.add_argument("--pixel-size", dest="pixel_size_m", metavar="PIXEL_SIZE",
+                   type=float, default=_DETECTOR["pixel_size_m"])
     p.add_argument("--upper-tail-only", action="store_true",
                    help="flag only residuals above +L (default is two-sided)")
     p.add_argument("--truth", default=None, help="ground-truth JSON for scoring")
-    p.add_argument("--truth-radius", type=float, default=None, help="match radius in meters")
+    p.add_argument("--truth-radius", dest="truth_radius_m", metavar="TRUTH_RADIUS",
+                   type=float, default=None, help="match radius in meters")
 
     p = sub.add_parser("synth-scene", help="generate the seeded synthetic scene")
     _add_common(p)
@@ -716,52 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", default=".")
     return parser
-
-
-def _config_from_args(args) -> dict:
-    cmd = args.command
-    if cmd in ("fit", "residuals"):
-        return _tabular_config(args)
-    if cmd == "wald":
-        cfg = _tabular_config(args)
-        cfg["interest"] = [tok.strip() for tok in args.interest.split(",")]
-        cfg["null"] = [float(tok) for tok in args.null.split(",")] if args.null else None
-        return cfg
-    if cmd in ("simulate", "breakdown", "sensitivity"):
-        cfg = {
-            "config_file": args.config,
-            "seed": args.seed,
-            "threads": args.threads,
-            "format": args.format,
-        }
-        if cmd == "breakdown":
-            cfg["counts"] = args.counts
-        if cmd == "sensitivity":
-            cfg["values"] = args.values
-        return cfg
-    if cmd == "detect":
-        return {
-            "interest": args.interest,
-            "covariates": [p.strip() for p in args.covariates.split(",")],
-            "training": [int(v) for v in args.training.split(",")],
-            "method": args.method,
-            "link": args.link,
-            "delta": args.delta,
-            "reweight_iterations": args.reweight_iterations,
-            "control_limit": args.control_limit,
-            "opening_se": args.opening_se,
-            "dilation_se": args.dilation_se,
-            "merge_distance_m": args.merge_distance,
-            "pixel_size_m": args.pixel_size,
-            "upper_tail_only": args.upper_tail_only,
-            "truth": args.truth,
-            "truth_radius_m": args.truth_radius,
-            "seed": args.seed,
-            "threads": args.threads,
-        }
-    if cmd == "synth-scene":
-        return {name: getattr(args, name) for name in _SCENE} | {"threads": args.threads}
-    raise CliError(f"unknown command {cmd!r}")
 
 
 def main(argv=None) -> int:
@@ -781,12 +696,19 @@ def main(argv=None) -> int:
                 return _execute(command, manifest["config"], Path(args.out_dir))
             except KeyError as exc:
                 raise CliError(f"{manifest_path}: manifest config has no key {exc}") from None
-        config = _config_from_args(args)
-        return _execute(args.command, config, Path(args.out_dir))
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, FileNotFoundError) as exc:
+            except TypeError as exc:
+                raise CliError(f"{manifest_path}: manifest config has a mistyped value: {exc}") from None
+        config = vars(args)
+        command, out_dir = config.pop("command"), Path(config.pop("out_dir"))
+        if command in ("detect", "synth-scene"):
+            del config["format"]  # their artifact formats are pinned
+        # The tabular --delta is None unless given, so fit can warn that mle ignores it.
+        if command in ("fit", "wald", "residuals"):
+            config["delta_explicit"] = config["delta"] is not None
+            if not config["delta_explicit"]:
+                config["delta"] = _ROBUST["delta"]
+        return _execute(command, config, out_dir)
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

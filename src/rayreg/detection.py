@@ -17,6 +17,7 @@ one are done as a single dilation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,16 +78,16 @@ class DetectorConfig:
     two_sided: bool = True
 
     def __post_init__(self):
-        if self.control_limit <= 0:
-            raise ValueError("control_limit must be positive")
+        if not 0.0 < self.control_limit < math.inf:
+            raise ValueError(f"control_limit must be positive and finite, got {self.control_limit}")
         for name in ("opening_size", "dilation_size"):
             size = getattr(self, name)
-            if size < 1 or size % 2 == 0:
+            if not (1 <= size < math.inf and size % 2 == 1):
                 raise ValueError(f"{name} must be an odd positive integer, got {size}")
-        if self.merge_distance < 0:
-            raise ValueError("merge_distance must be nonnegative")
-        if self.pixel_size_m <= 0:
-            raise ValueError("pixel_size_m must be positive")
+        if not 0.0 <= self.merge_distance < math.inf:
+            raise ValueError(f"merge_distance must be nonnegative and finite, got {self.merge_distance}")
+        if not 0.0 < self.pixel_size_m < math.inf:
+            raise ValueError(f"pixel_size_m must be positive and finite, got {self.pixel_size_m}")
 
 
 def _as_mask(mask) -> np.ndarray:
@@ -344,8 +345,8 @@ def score_detections(clusters, truth, radius_m: float, pixel_size_m: float = 1.0
     every unmatched cluster is a false alarm and every unmatched truth a
     miss.  Returns ``(hits, false_alarms, missed)``.
     """
-    if radius_m < 0:
-        raise ValueError("radius must be nonnegative")
+    if not 0.0 <= radius_m < math.inf:
+        raise ValueError(f"radius must be nonnegative and finite, got {radius_m}")
     truth = np.array([(float(r), float(c)) for r, c in truth], dtype=np.float64).reshape(-1, 2)
     centroids = np.array([(cl.centroid_row, cl.centroid_col) for cl in clusters]).reshape(-1, 2)
     diff = centroids[:, None, :] - truth[None, :, :]

@@ -69,12 +69,12 @@ class RobustConfig:
     def __post_init__(self):
         if not 0.0 < self.delta < 0.5:
             raise ValueError(f"delta must lie in (0, 0.5), got {self.delta}")
-        if self.reweight_iterations < 0:
-            raise ValueError("reweight_iterations must be nonnegative")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        if not 0 <= self.reweight_iterations < math.inf:
+            raise ValueError(f"reweight_iterations must be nonnegative, got {self.reweight_iterations}")
+        if not 1 <= self.max_iter < math.inf:
+            raise ValueError(f"max_iter must be positive, got {self.max_iter}")
+        if not 0.0 < self.grad_tol < math.inf:
+            raise ValueError(f"grad_tol must be positive and finite, got {self.grad_tol}")
 
 
 @dataclass(frozen=True)

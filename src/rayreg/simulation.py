@@ -101,15 +101,16 @@ class ScenarioConfig:
         object.__setattr__(self, "beta_true", tuple(float(b) for b in self.beta_true))
         if len(self.beta_true) < 1:
             raise ValueError("beta_true must contain at least the intercept")
-        if self.n_obs <= len(self.beta_true):
-            raise ValueError("n_obs must exceed the number of parameters")
+        if not len(self.beta_true) < self.n_obs < math.inf:
+            raise ValueError(f"n_obs must exceed the number of parameters, got {self.n_obs}")
         if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in [0, 1)")
-        if self.outlier_value <= 0.0:
-            raise ValueError("outlier_value must be positive")
-        if self.replications < 1:
-            raise ValueError("replications must be positive")
+            raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
+        if not 0.0 < self.outlier_value < math.inf:
+            raise ValueError(f"outlier_value must be positive and finite, got {self.outlier_value}")
+        if not 1 <= self.replications < math.inf:
+            raise ValueError(f"replications must be positive, got {self.replications}")
         get_link(self.link)
+        self.robust_config()  # checks the robust fields
 
     @property
     def n_params(self) -> int:

@@ -1,11 +1,17 @@
 """End-to-end command-line checks: artifacts, warnings, manifests, reruns."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rayreg import distribution
 from rayreg.cli import _parse_range, main
@@ -43,8 +49,22 @@ def sim_config(tmp_path):
     return path
 
 
+@pytest.fixture
+def scene_dir(tmp_path):
+    out = tmp_path / "scene"
+    rc = main(["synth-scene", "--rows", "100", "--cols", "100", "--blob-grid", "2",
+               "--training-rows", "25", "--seed", "11", "--out-dir", str(out)])
+    assert rc == 0
+    return out
+
+
 def _read_json(path):
     return json.loads(path.read_text())
+
+
+def _scene_args(scene_dir):
+    return ["--interest", str(scene_dir / "interest.rrm"),
+            "--covariates", str(scene_dir / "covariate.rrm"), "--training", "75,0,100,100"]
 
 
 class TestFitCommand:
@@ -251,6 +271,102 @@ class TestUsageErrors:
         assert err[0].endswith(f"(see {command} --help)")
 
 
+class TestMalformedInputs:
+    """File-boundary OS errors and non-finite options: exit 1, one error line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--config", "{dir}"],
+            ["fit", "--data", "{dir}", "--response", "amplitude"],
+            ["detect", "--interest", "{dir}", "--covariates", "{dir}", "--training", "75,0,100,100"],
+            ["detect", "{scene}", "--truth", "{dir}"],
+            ["simulate", "--config", "{sim}", "--out-dir", "{file}"],
+            ["detect", "{scene}", "--control-limit", "nan"],
+            ["detect", "{scene}", "--control-limit", "inf"],
+            ["detect", "{scene}", "--merge-distance", "nan"],
+            ["detect", "{scene}", "--pixel-size", "nan"],
+            ["detect", "{scene}", "--truth", "{truth}", "--truth-radius", "nan"],
+        ],
+        ids=["config-dir", "data-dir", "interest-dir", "truth-dir", "out-dir-is-file",
+             "control-limit-nan", "control-limit-inf", "merge-distance-nan", "pixel-size-nan",
+             "truth-radius-nan"],
+    )
+    def test_one_error_line_and_exit_1(self, argv, scene_dir, sim_config, tmp_path, capsys):
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        paths = {"{dir}": str(tmp_path), "{sim}": str(sim_config), "{file}": str(a_file),
+                 "{truth}": str(scene_dir / "truth.json")}
+        resolved = []
+        for arg in argv:
+            resolved += _scene_args(scene_dir) if arg == "{scene}" else [paths.get(arg, arg)]
+        if "--out-dir" not in resolved:
+            resolved += ["--out-dir", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert main(resolved) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+
+# A valid simulation config, and values that each field must refuse for its
+# range; ScenarioConfig and RobustConfig own the ranges.
+_VALID_SIM = {"beta_true": [0.5, 0.15], "N": 60, "epsilon": 0.0, "outlier_value": 10.0,
+              "replications": 50, "delta": 0.001, "link": "log", "reweight_iterations": 1,
+              "max_iter": 500, "grad_tol": 1e-6, "seed": 5}
+_OUT_OF_RANGE = {
+    "beta_true": [[]],
+    "N": [2, 0, -60, [60, 2]],
+    "epsilon": [-0.01, 1.0, [0.0, 1.5]],
+    "outlier_value": [0, -10.0],
+    "replications": [0, -1],
+    "delta": [0, 0.5, -0.001, 1],
+    "link": ["logit", ""],
+    "reweight_iterations": [-1],
+    "max_iter": [0, -5],
+    "grad_tol": [0, -1e-6],
+}
+
+
+@st.composite
+def _malformed_sim_config(draw):
+    """The valid config with one field wrong-typed, non-finite, out of range or
+    a list where a scalar belongs (or a bad entry in an array)."""
+    key = draw(st.sampled_from(sorted(_VALID_SIM)))
+    valid = _VALID_SIM[key]
+    wrong = st.one_of(st.text(max_size=3), st.booleans(), st.just({}),
+                      st.sampled_from([math.nan, math.inf, -math.inf]))
+    if key != "seed":  # a null seed means --seed
+        wrong |= st.none()
+    if isinstance(valid, str):
+        wrong |= st.integers(-5, 5)
+    elif isinstance(valid, int):  # a JSON float is never an integer, 60.0 included
+        wrong |= st.floats(-100, 100)
+    if key == "beta_true":
+        bad = wrong.map(lambda v: [0.5, v]) | st.floats(-1, 1)
+    elif key in ("N", "epsilon"):
+        bad = wrong | wrong.map(lambda v: [valid, v])
+    else:
+        bad = wrong | st.just([valid])
+    if key in _OUT_OF_RANGE:
+        bad |= st.sampled_from(_OUT_OF_RANGE[key])
+    return dict(_VALID_SIM, **{key: draw(bad)})
+
+
+class TestSimConfigBoundary:
+    @settings(max_examples=150, deadline=None)
+    @given(doc=_malformed_sim_config())
+    def test_malformed_field_is_one_error_line(self, tmp_path_factory, doc):
+        cfg = tmp_path_factory.mktemp("cfg") / "sim.json"
+        cfg.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would be a second stderr line
+            rc = main(["simulate", "--config", str(cfg), "--out-dir", str(cfg.parent / "out")])
+        lines = err.getvalue().splitlines()
+        assert rc == 1
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
 class TestParseRange:
     def test_decimal_steps_are_exact(self):
         assert _parse_range("0.1:0.7:0.1") == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
@@ -273,14 +389,6 @@ class TestParseRange:
 
 
 class TestDetectCommands:
-    @pytest.fixture
-    def scene_dir(self, tmp_path):
-        out = tmp_path / "scene"
-        rc = main(["synth-scene", "--rows", "100", "--cols", "100", "--blob-grid", "2",
-                   "--training-rows", "25", "--seed", "11", "--out-dir", str(out)])
-        assert rc == 0
-        return out
-
     def test_synth_scene_files(self, scene_dir):
         for name in ("interest.rrm", "covariate.rrm", "truth.json", "scene.json", "manifest.json"):
             assert (scene_dir / name).exists()
@@ -340,6 +448,64 @@ class TestDetectCommands:
         assert len(err) == 1 and err[0].startswith("error:") and "targets" in err[0]
 
 
+_COMMON_KEYS = {"seed", "threads"}
+_TABULAR_KEYS = _COMMON_KEYS | {
+    "format", "data", "response", "covariates", "intercept", "dummy", "reference", "link",
+    "method", "delta", "delta_explicit", "reweight_iterations", "pfa",
+}
+_SIMULATION_KEYS = _COMMON_KEYS | {"format", "config_file"}
+_DETECT_KEYS = _COMMON_KEYS | {
+    "interest", "covariates", "training", "method", "link", "delta", "reweight_iterations",
+    "control_limit", "opening_se", "dilation_se", "merge_distance_m", "pixel_size_m",
+    "upper_tail_only", "truth", "truth_radius_m",
+}
+_SCENE_KEYS = _COMMON_KEYS | {
+    "rows", "cols", "mu_low", "mu_high", "blob_amplitude", "blob_grid", "training_rows",
+    "training_contamination",
+}
+
+
+class TestManifestConfig:
+    """The manifest's config keys are what rerun reads back; argparse builds them."""
+
+    @pytest.mark.parametrize(
+        "command",
+        ["fit", "wald", "residuals", "simulate", "breakdown", "sensitivity", "detect", "synth-scene"],
+    )
+    def test_keys_and_renamed_values(self, command, region_csv, sim_config, scene_dir, tmp_path):
+        tabular = ["--data", str(region_csv), "--response", "amplitude",
+                   "--dummy", "region", "--reference", "A"]
+        config_file = ["--config", str(sim_config)]
+        truth = str(scene_dir / "truth.json")
+        argv, keys, values = {
+            "fit": (tabular + ["--no-intercept"], _TABULAR_KEYS,
+                    {"intercept": False, "delta": 0.001, "delta_explicit": False, "covariates": None}),
+            "wald": (tabular + ["--interest", "is_B, is_C", "--null", "0,0.5", "--delta", "0.01"],
+                     _TABULAR_KEYS | {"interest", "null"},
+                     {"intercept": True, "interest": ["is_B", "is_C"], "null": [0.0, 0.5],
+                      "delta": 0.01, "delta_explicit": True}),
+            "residuals": (tabular, _TABULAR_KEYS, {"intercept": True}),
+            "simulate": (config_file, _SIMULATION_KEYS, {"config_file": str(sim_config)}),
+            "breakdown": (config_file + ["--counts", "0"], _SIMULATION_KEYS | {"counts"},
+                          {"config_file": str(sim_config), "counts": "0"}),
+            "sensitivity": (config_file + ["--values", "2"], _SIMULATION_KEYS | {"values"},
+                            {"config_file": str(sim_config), "values": "2"}),
+            "detect": (_scene_args(scene_dir) + ["--merge-distance", "12", "--pixel-size", "0.5",
+                                                 "--truth", truth, "--truth-radius", "8"],
+                       _DETECT_KEYS,
+                       {"merge_distance_m": 12.0, "pixel_size_m": 0.5, "truth_radius_m": 8.0,
+                        "training": [75, 0, 100, 100], "truth": truth}),
+            "synth-scene": (["--rows", "100", "--cols", "100", "--blob-grid", "2",
+                             "--training-rows", "25"], _SCENE_KEYS,
+                            {"rows": 100, "blob_grid": 2, "training_rows": 25}),
+        }[command]
+        out = tmp_path / "out"
+        assert main([command, *argv, "--out-dir", str(out)]) == 0
+        config = _read_json(out / "manifest.json")["config"]
+        assert set(config) == keys
+        assert {k: config[k] for k in values} == values
+
+
 class TestRerun:
     def _strip_timestamp(self, path):
         doc = _read_json(path)
@@ -369,11 +535,20 @@ class TestRerun:
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
     @pytest.mark.parametrize(
-        "doc", [{"command": "fit"}, ["fit"], {"command": "detect", "config": {}}]
+        "doc",
+        [
+            {"command": "fit"},
+            ["fit"],
+            {"command": "detect", "config": {}},
+            {"command": "simulate",
+             "config": {"config_file": "SIM", "seed": 0, "threads": "x", "format": "json"}},
+            {"command": "simulate",
+             "config": {"config_file": 5, "seed": 0, "threads": 1, "format": "json"}},
+        ],
     )
-    def test_rerun_manifest_without_config(self, tmp_path, capsys, doc):
+    def test_rerun_manifest_without_config(self, sim_config, tmp_path, capsys, doc):
         manifest = tmp_path / "manifest.json"
-        manifest.write_text(json.dumps(doc))
+        manifest.write_text(json.dumps(doc).replace('"SIM"', json.dumps(str(sim_config))))
         rc = main(["rerun", "--manifest", str(manifest), "--out-dir", str(tmp_path / "x")])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()

@@ -1,5 +1,7 @@
 """Control chart, binary morphology vs brute-force oracle, clusters, scoring."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -483,6 +485,14 @@ class TestDetectorConfig:
             {"dilation_size": 0},
             {"merge_distance": -1.0},
             {"pixel_size_m": 0.0},
+            {"control_limit": math.nan},
+            {"control_limit": math.inf},
+            {"opening_size": math.nan},
+            {"dilation_size": math.inf},
+            {"merge_distance": math.nan},
+            {"merge_distance": math.inf},
+            {"pixel_size_m": math.nan},
+            {"pixel_size_m": math.inf},
         ],
     )
     def test_validation(self, kwargs):

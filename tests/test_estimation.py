@@ -502,6 +502,13 @@ class TestRobustConfig:
             {"reweight_iterations": -1},
             {"max_iter": 0},
             {"grad_tol": 0.0},
+            {"delta": math.nan},
+            {"reweight_iterations": math.nan},
+            {"reweight_iterations": math.inf},
+            {"max_iter": math.nan},
+            {"max_iter": math.inf},
+            {"grad_tol": math.nan},
+            {"grad_tol": math.inf},
         ],
     )
     def test_validation(self, kwargs):

@@ -1,5 +1,7 @@
 """Monte Carlo harness: seeding, contamination, pairing, determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,28 @@ class TestSimulateSignal:
             _cfg(n_obs=2)
         with pytest.raises(ValueError):
             _cfg(outlier_value=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_obs": math.nan},
+            {"epsilon": math.nan},
+            {"outlier_value": math.nan},
+            {"outlier_value": math.inf},
+            {"replications": math.nan},
+            {"replications": math.inf},
+            # the robust fields, checked at construction rather than in a worker
+            {"delta": 0.5},
+            {"delta": math.nan},
+            {"reweight_iterations": -1},
+            {"max_iter": 0},
+            {"grad_tol": math.nan},
+            {"grad_tol": math.inf},
+        ],
+    )
+    def test_non_finite_and_robust_fields_refused(self, kwargs):
+        with pytest.raises(ValueError):
+            _cfg(**kwargs)
 
 
 class TestRunTable:
