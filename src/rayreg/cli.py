@@ -19,6 +19,7 @@ import decimal
 import functools
 import hashlib
 import inspect
+import io
 import json
 import math
 import sys
@@ -75,12 +76,21 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            h.update(chunk)
-    return "sha256:" + h.hexdigest()
+def _read_input(inputs: dict, path) -> bytes:
+    """The bytes of an input file; their sha256 goes into the run's
+    ``inputs`` map under the path as given."""
+    data = Path(path).read_bytes()
+    inputs[str(path)] = "sha256:" + hashlib.sha256(data).hexdigest()
+    return data
+
+
+def _read_image(inputs: dict, path) -> np.ndarray:
+    """An input image, read once; the sha256 of the bytes read goes into
+    ``inputs`` as for :func:`_read_input`."""
+    digest = hashlib.sha256()
+    image = image_io.read_image(path, digest=digest)
+    inputs[str(path)] = "sha256:" + digest.hexdigest()
+    return image
 
 
 def _utcnow() -> str:
@@ -91,25 +101,24 @@ def _utcnow() -> str:
 # tabular data loading
 
 
-def _load_table(path) -> tuple:
+def _load_table(given, inputs: dict) -> tuple:
     """Headered CSV -> (column names, list of row dicts with raw strings)."""
-    path = Path(path)
+    path = Path(given)
     if not path.exists():
         raise CliError(f"data file not found: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CliError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise CliError(f"{path}: line {lineno}: {len(row)} fields, expected {len(header)}")
-            rows.append((lineno, [cell.strip() for cell in row]))
+    reader = csv.reader(io.StringIO(_read_input(inputs, given).decode("utf-8"), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CliError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(header):
+            raise CliError(f"{path}: line {lineno}: {len(row)} fields, expected {len(header)}")
+        rows.append((lineno, [cell.strip() for cell in row]))
     if not rows:
         raise CliError(f"{path}: no data rows")
     return header, rows
@@ -130,9 +139,9 @@ def _numeric_column(path, header, rows, name) -> np.ndarray:
     return out
 
 
-def _build_spec_from_config(config) -> ModelSpec:
+def _build_spec_from_config(config, inputs: dict) -> ModelSpec:
     path = config["data"]
-    header, rows = _load_table(path)
+    header, rows = _load_table(path, inputs)
     y = _numeric_column(path, header, rows, config["response"])
     nonpos = np.flatnonzero(y <= 0)
     if nonpos.size:
@@ -216,11 +225,12 @@ def _fit_csv(payloads) -> str:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: config dict + out_dir -> list of written artifact names
+# command handlers: config dict + out_dir + the run's input map (filled by
+# _read_input and _read_image) -> list of written artifact names
 
 
-def _cmd_fit(config, out_dir: Path) -> list:
-    spec = _build_spec_from_config(config)
+def _cmd_fit(config, out_dir: Path, inputs: dict) -> list:
+    spec = _build_spec_from_config(config, inputs)
     method = config["method"]
     if method not in ("mle", "wmle", "both"):
         raise CliError("--method must be mle, wmle, or both")
@@ -243,8 +253,8 @@ def _cmd_fit(config, out_dir: Path) -> list:
     return outputs
 
 
-def _cmd_wald(config, out_dir: Path) -> list:
-    spec = _build_spec_from_config(config)
+def _cmd_wald(config, out_dir: Path, inputs: dict) -> list:
+    spec = _build_spec_from_config(config, inputs)
     method = config["method"]
     mle, wmle = fit_both(spec, _robust_from_config(config))
     fit = wmle if method == "wmle" else mle
@@ -267,8 +277,8 @@ def _cmd_wald(config, out_dir: Path) -> list:
     return ["wald.json"]
 
 
-def _cmd_residuals(config, out_dir: Path) -> list:
-    spec = _build_spec_from_config(config)
+def _cmd_residuals(config, out_dir: Path, inputs: dict) -> list:
+    spec = _build_spec_from_config(config, inputs)
     method = config["method"]
     mle, wmle = fit_both(spec, _robust_from_config(config))
     fit = wmle if method == "wmle" else mle
@@ -311,13 +321,13 @@ _SIM_SCHEMA = {k: (type(v), None) for k, v in _SIM_DEFAULTS.items()} | {
 }
 
 
-def _load_sim_config(config) -> dict:
+def _load_sim_config(config, inputs: dict) -> dict:
     """The config file over the ScenarioConfig defaults, with JSON types checked."""
     path = Path(config["config_file"])
     if not path.exists():
         raise CliError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(_read_input(inputs, config["config_file"]).decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -344,14 +354,14 @@ def _load_sim_config(config) -> dict:
     return _SIM_DEFAULTS | raw
 
 
-def _scenarios_from_config(config, single_n=False) -> list:
+def _scenarios_from_config(config, inputs: dict, single_n=False) -> list:
     """The (N, epsilon) grid of a simulation config, in file order.
 
     The config file's ``seed`` takes precedence over ``--seed``.  Building
     every cell checks the ranges before any warning, so a bad file gives one
     line.
     """
-    sim = _load_sim_config(config)
+    sim = _load_sim_config(config, inputs)
     n_list, eps_list = (v if isinstance(v, list) else [v] for v in (sim.pop("N"), sim.pop("epsilon")))
     if single_n and len(n_list) != 1:
         raise CliError("breakdown/sensitivity need a single N in the config")
@@ -375,8 +385,9 @@ def _scenarios_from_config(config, single_n=False) -> list:
     return cells
 
 
-def _cmd_simulate(config, out_dir: Path) -> list:
-    reports = simulation.run_table(_scenarios_from_config(config), workers=config["threads"])
+def _cmd_simulate(config, out_dir: Path, inputs: dict) -> list:
+    cells = _scenarios_from_config(config, inputs)
+    reports = simulation.run_table(cells, workers=config["threads"])
     _write_text(out_dir / "table.json", _json_dumps({"cells": [r.as_dict() for r in reports]}))
     _write_text(out_dir / "table.txt", simulation.format_table(reports))
     return ["table.json", "table.txt"]
@@ -414,9 +425,9 @@ def _parse_range(text, kind=float) -> list:
     return out
 
 
-def _cmd_curve(name, flag, kind, config, out_dir: Path) -> list:
+def _cmd_curve(name, flag, kind, config, out_dir: Path, inputs: dict) -> list:
     """``simulation.<name>_curve`` over the ``--<flag>`` sweep of ``kind`` values."""
-    scenario = _scenarios_from_config(config, single_n=True)[0]
+    scenario = _scenarios_from_config(config, inputs, single_n=True)[0]
     curve_fn = getattr(simulation, f"{name}_curve")  # per call, so a replacement on the module runs
     curve = curve_fn(scenario, _parse_range(config[flag], kind), workers=config["threads"])
     _write_text(out_dir / f"{name}.csv", curve.to_csv())
@@ -426,9 +437,9 @@ def _cmd_curve(name, flag, kind, config, out_dir: Path) -> list:
     return [f"{name}.csv", f"{name}.json"]
 
 
-def _load_truth(path) -> tuple:
+def _load_truth(path, inputs: dict) -> tuple:
     """Targets and optional match radius from a truth JSON file."""
-    doc = json.loads(Path(path).read_text())
+    doc = json.loads(_read_input(inputs, path).decode("utf-8"))
     targets = doc.get("targets") if isinstance(doc, dict) else None
     if not isinstance(targets, list) or not all(
         isinstance(t, list) and len(t) == 2 and all(_is_number(v) for v in t) for t in targets
@@ -440,9 +451,9 @@ def _load_truth(path) -> tuple:
     return targets, radius
 
 
-def _cmd_detect(config, out_dir: Path) -> list:
-    interest = image_io.read_image(config["interest"])
-    covariates = [image_io.read_image(p) for p in config["covariates"]]
+def _cmd_detect(config, out_dir: Path, inputs: dict) -> list:
+    interest = _read_image(inputs, config["interest"])
+    covariates = [_read_image(inputs, p) for p in config["covariates"]]
     cfg = detection.DetectorConfig(
         **{name: config[key] for key, name in _DETECTOR_KEYS.items()},
         two_sided=not config["upper_tail_only"],
@@ -450,7 +461,7 @@ def _cmd_detect(config, out_dir: Path) -> list:
     truth = None
     radius = config["truth_radius_m"]
     if config["truth"]:
-        truth, truth_radius = _load_truth(config["truth"])
+        truth, truth_radius = _load_truth(config["truth"], inputs)
         if radius is None:
             radius = truth_radius
     try:
@@ -491,7 +502,7 @@ def _cmd_detect(config, out_dir: Path) -> list:
     return outputs
 
 
-def _cmd_synth_scene(config, out_dir: Path) -> list:
+def _cmd_synth_scene(config, out_dir: Path, inputs: dict) -> list:
     scene = scenes.make_scene(**{name: config[name] for name in _SCENE})
     image_io.write_image_rrm(scene.interest, out_dir / "interest.rrm")
     image_io.write_image_rrm(scene.covariate, out_dir / "covariate.rrm")
@@ -523,30 +534,26 @@ _HANDLERS = {
     "synth-scene": _cmd_synth_scene,
 }
 
-_INPUT_KEYS = ("data", "config_file", "interest", "truth")
-
-
-def _input_digests(config) -> dict:
-    digests = {}
-    for key in _INPUT_KEYS:
-        value = config.get(key)
-        if isinstance(value, str) and value and Path(value).exists():
-            digests[str(value)] = _sha256(value)
-    for p in config.get("covariates") or []:
-        if Path(p).exists():
-            digests[str(p)] = _sha256(p)
-    return digests
+# Float options that no library check sees on every path (no Wald test runs
+# on an intercept-only fit; no score without --truth).  A non-finite value
+# would reach manifest.json, and JSON has no NaN or infinity.
+_FINITE_KEYS = ("pfa", "truth_radius_m")
 
 
 def _execute(command, config, out_dir: Path) -> int:
+    for key in _FINITE_KEYS:
+        value = config.get(key)
+        if value is not None and not math.isfinite(value):
+            raise CliError(f"{key} must be finite, got {value}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = _HANDLERS[command](config, out_dir)
+    inputs = {}  # every input file the handler read -> sha256 of the bytes it read
+    outputs = _HANDLERS[command](config, out_dir, inputs)
     manifest = {
         "command": command,
         "config": config,
         "master_seed": config["seed"],
         "library_version": __version__,
-        "inputs": _input_digests(config),
+        "inputs": inputs,
         "outputs": outputs,
         "created_utc": _utcnow(),
     }

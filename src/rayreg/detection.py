@@ -156,6 +156,16 @@ def _ratio_cuts(limit: float, two_sided: bool) -> tuple:
     return upper, lower
 
 
+def _guard_band(cut: float) -> tuple:
+    """Half-open ``[start, stop)`` of the float ratios ``z`` with
+    ``abs(z - cut) <= _GUARD * cut`` as float64 evaluates it: the ratios
+    the residual decides.  The subtraction rounds monotonically, so that
+    test is false, true, then false in ``z``.  A NaN cut gives NaN ends,
+    which no comparison passes."""
+    g = _GUARD * cut
+    return _first_ratio(lambda z: z - cut >= -g), _first_ratio(lambda z: z - cut > g)
+
+
 def flag_out_of_control(
     interest, covariates, beta, limit: float, two_sided: bool = True, link: str = "log"
 ) -> np.ndarray:
@@ -169,36 +179,52 @@ def flag_out_of_control(
     is one cut on that ratio.  Ratios within a relative 1e-9 of a cut are
     decided by the residual itself.
 
+    Each of these guard bands is a float interval (:func:`_guard_band`), so
+    a block takes two masks: ``wide``, the ratios past a band's inner end,
+    and ``narrow``, those past its outer end.  ``narrow`` lies within the
+    cuts' decision and that within ``wide``, so where their counts agree
+    no pixel is in a band and ``wide`` is the answer; otherwise the
+    ``wide & ~narrow`` pixels go through the residual.
+
     Raises ``ValueError`` unless the fitted mean is strictly positive and
     finite over the whole image.
     """
     if limit <= 0:
         raise ValueError("control limit must be positive")
     upper, lower = _ratio_cuts(limit, two_sided)
+    (upper_in, upper_out), (lower_out, lower_in) = _guard_band(upper), _guard_band(lower)
     inverse = get_link(link).inverse
     beta = np.asarray(beta, dtype=np.float64)
     y = np.asarray(interest, dtype=np.float64)
     columns = [np.asarray(c, dtype=np.float64).ravel() for c in covariates]
     flat = y.ravel()
     flags = np.empty(flat.size, dtype=bool)
-    design = np.empty((min(_BLOCK, flat.size), 1 + len(columns)))
+    size = min(_BLOCK, flat.size)
+    design = np.empty((size, 1 + len(columns)))
     design[:, 0] = 1.0
+    ratio = np.empty(size)
+    narrow, spare = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
     for start in range(0, flat.size, _BLOCK):
         block = slice(start, start + _BLOCK)
         yb = flat[block]
-        X = design[: yb.size]
+        n = yb.size
+        X = design[:n]
         for j, c in enumerate(columns, 1):
             X[:, j] = c[block]
         mu = inverse(X @ beta)
-        if np.any(mu <= 0.0) or not np.all(np.isfinite(mu)):
+        if not (mu.min() > 0.0 and mu.max() < math.inf):
             raise ValueError("fitted mean field is not strictly positive over the image")
-        z = yb / mu
-        out = (z >= upper) | (z < lower)
-        near = (np.abs(z - upper) <= _GUARD * upper) | (np.abs(z - lower) <= _GUARD * lower)
-        if near.any():
+        z = np.divide(yb, mu, out=ratio[:n])
+        wide, nb, tmp = flags[block], narrow[:n], spare[:n]
+        np.greater_equal(z, upper_in, out=wide)
+        wide |= np.less(z, lower_in, out=tmp)
+        np.greater_equal(z, upper_out, out=nb)
+        nb |= np.less(z, lower_out, out=tmp)
+        if np.count_nonzero(wide) != np.count_nonzero(nb):
+            near = np.flatnonzero(wide > nb)
             res = quantile_residuals_from_mean(yb[near], mu[near])
-            out[near] = threshold_residuals(res, limit, two_sided=two_sided)
-        flags[block] = out
+            wide[:] = nb
+            wide[near] = threshold_residuals(res, limit, two_sided=two_sided)
     return flags.reshape(y.shape)
 
 
@@ -297,7 +323,7 @@ def extract_clusters(mask, merge_distance: float = 0.0, pixel_size_m: float = 1.
         return ()
     # Per-label sums in flat-index order, as ndimage.sum_labels and
     # center_of_mass accumulate them, so the centroids match theirs exactly.
-    flat = np.flatnonzero(labels)
+    flat = np.flatnonzero(mask)  # the labels are nonzero exactly there
     lab = labels.ravel()[flat]
     rows, cols = np.divmod(flat, mask.shape[1])
     sizes = np.bincount(lab, minlength=n_comp + 1)[1:].astype(np.float64)

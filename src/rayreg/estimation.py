@@ -177,7 +177,9 @@ def compute_weights(spec: ModelSpec, mu_ref, delta: float) -> np.ndarray:
 
 def _make_objective(spec: ModelSpec, weights: np.ndarray):
     """``beta -> (value, gradient, direction, mean)`` for :func:`maximize_bfgs`,
-    with ``value = -inf`` at infeasible points.  Expects the caller to
+    with ``value = -inf`` at infeasible points.  ``direction`` is a
+    zero-argument callable, so the information and its solve are computed
+    only at the points the solver steps from.  Expects the caller to
     silence numpy's floating-point warnings, which infeasible trial points
     raise."""
     design = spec.design
@@ -197,12 +199,12 @@ def _make_objective(spec: ModelSpec, weights: np.ndarray):
         # test rejects every infeasible point.
         fval = const - 2.0 * float(w @ np.log(mu)) - float(w @ quad)
         if not math.isfinite(fval):
-            return -np.inf, zero, zero, None
+            return -np.inf, zero, None, None
         s, h = link.newton_terms(mu, quad)
         grad = X.T @ (w * s)
         if not np.isfinite(grad).all():
-            return -np.inf, zero, zero, None
-        return fval, grad, _direction(design.gram(w * h), grad, design, w, link, mu), mu
+            return -np.inf, zero, None, None
+        return fval, grad, lambda: _direction(design.gram(w * h), grad, design, w, link, mu), mu
 
     return fun
 

@@ -12,6 +12,7 @@ Formats are chosen for zero-dependency, bit-exact round trips:
 
 from __future__ import annotations
 
+import io
 import os
 import re
 import struct
@@ -53,17 +54,23 @@ def write_image_csv(arr, path) -> None:
             fh.write("\n")
 
 
-def read_image_csv(path) -> np.ndarray:
+def read_image_csv(path, digest=None) -> np.ndarray:
+    """Read the file's bytes once; ``digest``, a hashlib object, is updated
+    with them before they are parsed."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if digest is not None:
+        digest.update(data)
     rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    # Universal newlines, as a text-mode open of the file would read it.
+    for lineno, line in enumerate(io.StringIO(data.decode("ascii"), newline=None), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rows.append([float(tok) for tok in line.split(",")])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty image")
     width = len(rows[0])
@@ -82,8 +89,10 @@ def write_image_rrm(arr, path) -> None:
         fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def read_image_rrm(path) -> np.ndarray:
-    """Read the pixels straight into the returned array, with no copy of the file."""
+def read_image_rrm(path, digest=None) -> np.ndarray:
+    """Read the pixels straight into the returned array, with no copy of the
+    file; ``digest``, a hashlib object, is updated with the header and then
+    the pixel bytes, which together are the whole file."""
     with open(path, "rb") as fh:
         header = fh.read(12)
         if len(header) < 12 or header[:4] != _MAGIC:
@@ -96,17 +105,25 @@ def read_image_rrm(path) -> np.ndarray:
             size = 12 + fh.readinto(pixels)
     if size != expected:
         raise ValueError(f"{path}: truncated RRM1 image ({size} bytes, expected {expected})")
+    if digest is not None:
+        digest.update(header)
+        digest.update(pixels)
     return pixels
 
 
-def read_image(path) -> np.ndarray:
-    """Dispatch on extension: ``.csv`` text, anything else RRM1 binary."""
+def read_image(path, digest=None) -> np.ndarray:
+    """Dispatch on extension: ``.csv`` text, anything else RRM1 binary.
+
+    The file is read once.  When ``digest`` (a hashlib object) is given, it
+    is updated with exactly the bytes read, in file order, so it hashes
+    what was parsed even if the file changes afterwards.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"image file not found: {path}")
     if path.suffix.lower() == ".csv":
-        return read_image_csv(path)
-    return read_image_rrm(path)
+        return read_image_csv(path, digest)
+    return read_image_rrm(path, digest)
 
 
 def write_mask_pgm(mask, path) -> None:
@@ -117,7 +134,7 @@ def write_mask_pgm(mask, path) -> None:
     payload = np.where(mask.astype(bool, copy=False), np.uint8(255), np.uint8(0))
     with open(path, "wb") as fh:
         fh.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
-        fh.write(payload.tobytes())
+        fh.write(payload)
 
 
 def read_mask_pgm(path) -> np.ndarray:
@@ -143,7 +160,7 @@ def write_mask_csv(mask, path) -> None:
         raise ValueError("mask must be 2-D")
     rows, cols = mask.shape
     buf = np.full((rows, 2 * cols), ord(","), dtype=np.uint8)
-    buf[:, 0::2] = mask.astype(bool)
+    buf[:, 0::2] = mask.astype(bool, copy=False)
     buf[:, 0::2] += ord("0")
     buf[:, -1] = ord("\n")
-    Path(path).write_bytes(buf.tobytes())
+    Path(path).write_bytes(buf)

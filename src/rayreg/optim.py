@@ -1,11 +1,12 @@
 """Damped Newton maximization with step halving.
 
 The objective callback returns ``(value, gradient, direction, aux)``, where
-the direction is the caller's Newton or Fisher-scoring step at that point
-and ``aux`` anything the caller wants back at the solution, and signals an
-infeasible point with ``value = -inf``; the step is then halved, which is
-also how nonpositive-mean trial points are rejected under the identity
-link.
+``direction`` is a zero-argument callable giving the caller's Newton or
+Fisher-scoring step at that point, called only at the points the solver
+steps from, and ``aux`` anything the caller wants back at the solution.  It
+signals an infeasible point with ``value = -inf``; the step is then halved,
+which is also how nonpositive-mean trial points are rejected under the
+identity link.
 """
 
 from __future__ import annotations
@@ -61,18 +62,19 @@ def maximize_bfgs(
     is appended to it (ascent diagnostics).
     """
     x = np.array(x0, dtype=np.float64)
-    f, g, p, aux = fun(x)
+    f, g, direction, aux = fun(x)
     if not math.isfinite(f):
         raise ValueError("objective is not finite at the starting point")
     grad_norm = float(np.abs(g).max())
     iterations = 0
 
     while grad_norm > grad_tol and iterations < max_iter:
+        p = direction()
         slope = float(g @ p)
         step = 1.0
         for _ in range(_MAX_HALVINGS):
             x_new = x + step * p
-            f_new, g_new, p_new, aux_new = fun(x_new)
+            f_new, g_new, direction_new, aux_new = fun(x_new)
             if math.isfinite(f_new):
                 norm_new = float(np.abs(g_new).max())
                 if f_new >= f + _ARMIJO * step * slope or (
@@ -82,7 +84,7 @@ def maximize_bfgs(
             step *= 0.5
         else:
             break
-        x, f, g, p, aux, grad_norm = x_new, f_new, g_new, p_new, aux_new, norm_new
+        x, f, g, direction, aux, grad_norm = x_new, f_new, g_new, direction_new, aux_new, norm_new
         iterations += 1
         if trace is not None:
             trace.append(float(f))

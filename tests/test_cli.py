@@ -1,5 +1,6 @@
 """End-to-end command-line checks: artifacts, warnings, manifests, reruns."""
 
+import builtins
 import contextlib
 import csv
 import hashlib
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rayreg import distribution
+from rayreg import distribution, image_io
 from rayreg.cli import _parse_range, main
 
 
@@ -287,16 +288,20 @@ class TestMalformedInputs:
             ["detect", "{scene}", "--merge-distance", "nan"],
             ["detect", "{scene}", "--pixel-size", "nan"],
             ["detect", "{scene}", "--truth", "{truth}", "--truth-radius", "nan"],
+            ["detect", "{scene}", "--truth-radius", "nan"],
+            ["fit", "--data", "{regions}", "--response", "amplitude", "--pfa", "nan"],
         ],
         ids=["config-dir", "data-dir", "interest-dir", "truth-dir", "out-dir-is-file",
              "control-limit-nan", "control-limit-inf", "merge-distance-nan", "pixel-size-nan",
-             "truth-radius-nan"],
+             "truth-radius-nan", "truth-radius-nan-no-truth", "pfa-nan-intercept-only"],
     )
-    def test_one_error_line_and_exit_1(self, argv, scene_dir, sim_config, tmp_path, capsys):
+    def test_one_error_line_and_exit_1(
+        self, argv, scene_dir, sim_config, region_csv, tmp_path, capsys
+    ):
         a_file = tmp_path / "a_file"
         a_file.write_text("")
         paths = {"{dir}": str(tmp_path), "{sim}": str(sim_config), "{file}": str(a_file),
-                 "{truth}": str(scene_dir / "truth.json")}
+                 "{truth}": str(scene_dir / "truth.json"), "{regions}": str(region_csv)}
         resolved = []
         for arg in argv:
             resolved += _scene_args(scene_dir) if arg == "{scene}" else [paths.get(arg, arg)]
@@ -432,6 +437,33 @@ class TestDetectCommands:
         )
         assert rc == 1
         assert "at least" in capsys.readouterr().err
+
+    def test_each_input_read_once_and_digested(self, scene_dir, tmp_path, monkeypatch):
+        # Four inputs, images in both formats; the manifest's digests are of
+        # the bytes the run parsed, so no file is opened a second time.
+        second = tmp_path / "second.csv"
+        image_io.write_image_csv(np.random.default_rng(4).random((100, 100)), second)
+        files = [scene_dir / "interest.rrm", scene_dir / "covariate.rrm", second,
+                 scene_dir / "truth.json"]
+        opened = []
+        real_open = io.open
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", recording_open)
+        monkeypatch.setattr(builtins, "open", recording_open)
+        out = tmp_path / "det"
+        rc = main(["detect", "--interest", str(files[0]),
+                   "--covariates", f"{files[1]},{files[2]}", "--training", "75,0,100,100",
+                   "--truth", str(files[3]), "--out-dir", str(out)])
+        monkeypatch.undo()
+        assert rc == 0
+        assert [opened.count(str(p)) for p in files] == [1, 1, 1, 1]
+        assert _read_json(out / "manifest.json")["inputs"] == {
+            str(p): "sha256:" + hashlib.sha256(p.read_bytes()).hexdigest() for p in files
+        }
 
     @pytest.mark.parametrize("doc", [{"radius_m": 10.0}, [[1, 2]], {"targets": [[1]]}])
     def test_truth_without_targets_list_refused(self, scene_dir, tmp_path, capsys, doc):

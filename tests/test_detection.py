@@ -13,6 +13,8 @@ from rayreg import inference
 from rayreg.detection import (
     Cluster,
     DetectorConfig,
+    _GUARD,
+    _guard_band,
     _ratio_cuts,
     closing,
     detect,
@@ -297,6 +299,34 @@ class TestThresholdMatchesReference:
             assert not flagged(1e150)
         if two_sided and np.isnan(lower):
             assert not flagged(0.0)
+
+    @given(
+        cut=st.one_of(
+            st.floats(0.0, 1e6),
+            st.builds(lambda limit, side: _ratio_cuts(limit, True)[side],
+                      st.floats(0.5, 9.0), st.sampled_from([0, 1])),
+        )
+    )
+    @settings(deadline=None, max_examples=100)
+    def test_guard_band_is_the_near_test(self, cut):
+        # The band's ends and the ratios a few ulps either side of them, of
+        # the cut and of the nominal ends cut * (1 -+ 1e-9) are decided as
+        # abs(z - cut) <= _GUARD * cut decides them over float64 arrays.
+        start, stop = _guard_band(cut)
+        if np.isnan(cut):
+            assert np.isnan(start) and np.isnan(stop)
+            return
+        assert start <= cut < stop
+        z = np.array([start, stop, cut, cut * (1 - _GUARD), cut * (1 + _GUARD)])
+        for _ in range(3):
+            z = np.concatenate([z, np.nextafter(z, -np.inf), np.nextafter(z, np.inf)])
+        z = np.unique(z[z >= 0.0])
+        near = np.abs(z - cut) <= _GUARD * cut
+        assert np.array_equal((z >= start) & (z < stop), near)
+        assert near.any()
+
+    def test_guard_band_of_nan_cut(self):
+        assert all(np.isnan(_guard_band(float("nan"))))
 
     @given(
         seed=st.integers(0, 2**32 - 1),

@@ -136,7 +136,10 @@ class TestObjective:
             return _direction(info, *args)
 
         monkeypatch.setattr(rayreg.estimation, "_direction", recording_direction)
-        fval, grad, _, mu = _make_objective(spec, w)(beta)
+        fval, grad, direction, mu = _make_objective(spec, w)(beta)
+        assert not infos  # the information waits for the direction's call
+        step = direction()
+        assert np.array_equal(step, _direction(infos[0], grad, spec.design, w, spec.link, mu))
         assert fval == pytest.approx(weighted_loglik(spec, beta, w), rel=1e-12)
         assert np.array_equal(mu, predict_mean(spec, beta))
         reference = score(spec, beta, w)
@@ -393,6 +396,19 @@ class TestClosedFormOracle:
 
 
 class TestOptimizerBehavior:
+    def test_direction_solved_only_where_the_solver_steps_from(self, monkeypatch):
+        # Rejected trial points and the converged point need no direction.
+        solves = []
+
+        def counting_direction(*args):
+            solves.append(args)
+            return _direction(*args)
+
+        monkeypatch.setattr(rayreg.estimation, "_direction", counting_direction)
+        mle, wmle = fit_both(_simulated_spec(54, eps=0.05))
+        assert mle.converged and wmle.converged
+        assert len(solves) == mle.iterations + wmle.iterations
+
     def test_objective_ascends_over_accepted_steps(self):
         spec = _simulated_spec(51, eps=0.05)
         trace = []
@@ -448,7 +464,8 @@ class TestOptimizerBehavior:
         mu = np.full(50, 2.0)
         assert spec.link.newton_terms(mu, math.pi / 4 * (y / mu) ** 2)[1].sum() < 0.0
         fun = _make_objective(spec, w)
-        _, g0, _, _ = fun(np.array([2.0]))
+        _, g0, direction, _ = fun(np.array([2.0]))
+        assert direction()[0] == pytest.approx(g0[0] / (50 * 4.0 / 2.0**2), rel=1e-12)
         first = maximize_bfgs(fun, np.array([2.0]), max_iter=1)
         assert first.x[0] == pytest.approx(2.0 + g0[0] / (50 * 4.0 / 2.0**2), rel=1e-12)
         res = maximize_bfgs(fun, np.array([2.0]))

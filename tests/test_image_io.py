@@ -1,5 +1,7 @@
 """Round trips and exact byte layouts for the image interchange formats."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -78,6 +80,21 @@ class TestDispatch:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             image_io.read_image(tmp_path / "nope.rrm")
+
+    # CRLF line ends and a blank line: the digest covers every byte, not the
+    # parsed lines.
+    @pytest.mark.parametrize("name", ["a.rrm", "a.csv", "crlf.csv"])
+    def test_digest_is_sha256_of_the_file(self, name, image, tmp_path):
+        p = tmp_path / name
+        if name == "a.rrm":
+            image_io.write_image_rrm(image, p)
+        else:
+            image_io.write_image_csv(image, p)
+            if name == "crlf.csv":
+                p.write_bytes(p.read_bytes().replace(b"\n", b"\r\n") + b"\r\n")
+        digest = hashlib.sha256()
+        assert np.array_equal(image_io.read_image(p, digest=digest), image)
+        assert digest.hexdigest() == hashlib.sha256(p.read_bytes()).hexdigest()
 
 
 class TestPgm:

@@ -6,7 +6,10 @@ fails here instead.  The Monte Carlo curves make one traced ``fit_both``
 call per fit and two solver calls per ``fit_both``, the count that
 ``perfbench/run.py`` checks against each workload's design; the weights
 and the Fisher information of every fit pass through their traced
-functions, so their per-layer times cannot silently read zero.
+functions, so their per-layer times cannot silently read zero.  A
+detection through the CLI makes one ``fit_both`` call, and reads each input
+image in one ``read_image`` call whose first argument is the path, which
+the tracer sizes for ``read_mb``.
 """
 
 import importlib
@@ -16,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import rayreg.cli
 import rayreg.estimation
 import rayreg.optim
 from rayreg.simulation import ScenarioConfig, breakdown_curve, sensitivity_curve
@@ -78,3 +82,30 @@ def test_traced_fit_counts_match_the_design(run, expected_fit_both):
     assert calls["optim.maximize_bfgs"] == 2 * expected_fit_both
     assert calls["inference.fisher_information"] == 2 * expected_fit_both
     assert calls["estimation.compute_weights"] == expected_fit_both
+
+
+def test_traced_detect_fits_once_and_reads_each_image_once(tmp_path):
+    scene = tmp_path / "scene"
+    assert rayreg.cli.main(["synth-scene", "--rows", "100", "--cols", "100", "--blob-grid", "2",
+                            "--training-rows", "25", "--seed", "11", "--out-dir", str(scene)]) == 0
+    images = [scene / "interest.rrm", scene / "covariate.rrm"]
+    argv = ["detect", "--interest", str(images[0]), "--covariates", str(images[1]),
+            "--training", "75,0,100,100", "--truth", str(scene / "truth.json")]
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        for method in ("wmle", "mle"):  # as the detect_scene workload runs them
+            out = ["--method", method, "--out-dir", str(tmp_path / method)]
+            assert rayreg.cli.main(argv + out) == 0
+    finally:
+        tracer.uninstall()
+    assert not tracer.absent
+    names = [name for name, *_ in tracer.spans]
+    calls = Counter(names)
+    assert calls["cli.main"] == calls["detection.detect"] == calls["estimation.fit_both"] == 2
+    for name, _, _, parent, _ in tracer.spans:
+        if name == "estimation.fit_both":
+            assert names[parent] == "detection.detect"
+    assert calls["image_io.read_image"] == 2 * len(images)
+    read_mb = [value for name, value, _ in tracer.counts if name == "read_mb"]
+    assert read_mb == [p.stat().st_size / 1e6 for p in images] * 2
