@@ -22,6 +22,7 @@ import inspect
 import io
 import json
 import math
+import reprlib
 import sys
 import warnings
 from pathlib import Path
@@ -93,6 +94,17 @@ def _read_image(inputs: dict, path) -> np.ndarray:
     return image
 
 
+def _parse_json(data: bytes, path):
+    """The JSON document in ``data``, read from ``path``; malformed or too
+    deeply nested text is a :class:`CliError`."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise CliError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise CliError(f"{path}: invalid JSON: nested too deeply") from None
+
+
 def _utcnow() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
@@ -106,7 +118,9 @@ def _load_table(given, inputs: dict) -> tuple:
     path = Path(given)
     if not path.exists():
         raise CliError(f"data file not found: {path}")
-    reader = csv.reader(io.StringIO(_read_input(inputs, given).decode("utf-8"), newline=""))
+    # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
+    text = _read_input(inputs, given).decode("utf-8-sig")
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -305,10 +319,13 @@ def _schema_error(path, message):
 
 
 def _is_number(value) -> bool:
-    """A finite JSON number; a bool is not one."""
-    if isinstance(value, bool):
+    """A JSON number whose float is finite; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
-    return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 _TYPE_NAMES = {float: "a number", int: "an integer", str: "a string"}
@@ -326,10 +343,7 @@ def _load_sim_config(config, inputs: dict) -> dict:
     path = Path(config["config_file"])
     if not path.exists():
         raise CliError(f"config file not found: {path}")
-    try:
-        raw = json.loads(_read_input(inputs, config["config_file"]).decode("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: invalid JSON: {exc}") from None
+    raw = _parse_json(_read_input(inputs, config["config_file"]), path)
     if not isinstance(raw, dict):
         _schema_error("$", "top level must be an object")
     for key in ("beta_true", "N"):
@@ -348,9 +362,12 @@ def _load_sim_config(config, inputs: dict) -> dict:
         else:
             items = [(f"$.{key}", value)]
         for where, v in items:
-            ok = _is_number(v) if kind is float else isinstance(v, kind) and not isinstance(v, bool)
+            if kind is str:
+                ok = isinstance(v, str)
+            else:
+                ok = _is_number(v) and (kind is float or isinstance(v, int))
             if not (ok or key == "seed" and v is None):
-                _schema_error(where, f"expected {_TYPE_NAMES[kind]}, got {v!r}")
+                _schema_error(where, f"expected {_TYPE_NAMES[kind]}, got {reprlib.repr(v)}")
     return _SIM_DEFAULTS | raw
 
 
@@ -439,7 +456,7 @@ def _cmd_curve(name, flag, kind, config, out_dir: Path, inputs: dict) -> list:
 
 def _load_truth(path, inputs: dict) -> tuple:
     """Targets and optional match radius from a truth JSON file."""
-    doc = json.loads(_read_input(inputs, path).decode("utf-8"))
+    doc = _parse_json(_read_input(inputs, path), path)
     targets = doc.get("targets") if isinstance(doc, dict) else None
     if not isinstance(targets, list) or not all(
         isinstance(t, list) and len(t) == 2 and all(_is_number(v) for v in t) for t in targets
@@ -543,8 +560,8 @@ _FINITE_KEYS = ("pfa", "truth_radius_m")
 def _execute(command, config, out_dir: Path) -> int:
     for key in _FINITE_KEYS:
         value = config.get(key)
-        if value is not None and not math.isfinite(value):
-            raise CliError(f"{key} must be finite, got {value}")
+        if value is not None and not _is_number(value):
+            raise CliError(f"{key} must be a finite number, got {reprlib.repr(value)}")
     out_dir.mkdir(parents=True, exist_ok=True)
     inputs = {}  # every input file the handler read -> sha256 of the bytes it read
     outputs = _HANDLERS[command](config, out_dir, inputs)
@@ -693,7 +710,7 @@ def main(argv=None) -> int:
             manifest_path = Path(args.manifest)
             if not manifest_path.exists():
                 raise CliError(f"manifest not found: {manifest_path}")
-            manifest = json.loads(manifest_path.read_text())
+            manifest = _parse_json(manifest_path.read_bytes(), manifest_path)
             if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
                 raise CliError(f"{manifest_path}: manifest has no 'config' object")
             command = manifest.get("command")

@@ -8,10 +8,13 @@ The weighted log-likelihood is
 with ``mu = g^{-1}(X beta)``.  In terms of ``quad[n] = pi y[n]^2 / (4 mu[n]^2)``
 its gradient is ``X.T @ (w * s)`` and its observed information
 ``X.T @ diag(w * h) @ X``, with the per-observation score factor ``s`` and
-observed weight ``h`` from ``link.newton_terms(mu, quad)``.  Both
+observed weight ``h`` from ``link.newton_terms(eta, quad)``.  Both
 estimators maximize it by damped Newton steps
-(:func:`rayreg.optim.maximize_bfgs`), building the information as one
-product with the design's kept row outer products (``DesignMatrix.gram``).
+(:func:`rayreg.optim.maximize_bfgs`) from the least-squares fit of the
+link's unbiased transform of the response, evaluating each trial point on
+the linear predictor ``eta = X beta`` (``link.log_mean_quad``) and
+building the information as one product with the design's kept row outer
+products (``DesignMatrix.gram``).
 That information is positive definite under the log link, where the
 log-likelihood is strictly concave in ``beta``; where it is not, as can
 happen under the identity link, the step is Fisher scoring with the
@@ -33,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distribution
-from .inference import fisher_information, spd_solve
+from .inference import fisher_information
 from .optim import maximize_bfgs
-from .regression import ModelSpec, NonpositiveMeanError, predict_mean
+from .regression import LogLink, ModelSpec, NonpositiveMeanError, predict_mean, spd_solve
 
 __all__ = [
     "RobustConfig",
@@ -147,7 +150,8 @@ def weighted_loglik(spec: ModelSpec, beta, weights=None) -> float:
 def score(spec: ModelSpec, beta, weights=None) -> np.ndarray:
     """Gradient of :func:`weighted_loglik` with respect to ``beta``."""
     mu = predict_mean(spec, beta)
-    s, _ = spec.link.newton_terms(mu, _QUARTER_PI * (spec.response / mu) ** 2)
+    link = spec.link
+    s, _ = link.newton_terms(link.link(mu), _QUARTER_PI * (spec.response / mu) ** 2)
     if weights is None:
         return spec.design.X.T @ s
     w = _check_weights(spec, weights)
@@ -176,8 +180,9 @@ def compute_weights(spec: ModelSpec, mu_ref, delta: float) -> np.ndarray:
 
 
 def _make_objective(spec: ModelSpec, weights: np.ndarray):
-    """``beta -> (value, gradient, direction, mean)`` for :func:`maximize_bfgs`,
-    with ``value = -inf`` at infeasible points.  ``direction`` is a
+    """``beta -> (value, gradient, direction, eta)`` for :func:`maximize_bfgs`,
+    with ``value = -inf`` at infeasible points and ``eta = X beta``, from
+    which the caller takes the mean at the optimum.  ``direction`` is a
     zero-argument callable, so the information and its solve are computed
     only at the points the solver steps from.  Expects the caller to
     silence numpy's floating-point warnings, which infeasible trial points
@@ -191,43 +196,46 @@ def _make_objective(spec: ModelSpec, weights: np.ndarray):
     zero = np.zeros(spec.n_params)
 
     def fun(beta):
-        mu = link.inverse(X @ beta)
-        z = scaled_y / mu
-        quad = z * z
-        # A non-finite or nonpositive mean makes w @ log(mu) non-finite
-        # whatever its weight, since 0 * inf and 0 * nan are nan: this one
-        # test rejects every infeasible point.
-        fval = const - 2.0 * float(w @ np.log(mu)) - float(w @ quad)
-        if not math.isfinite(fval):
+        eta = X @ beta
+        log_mu, quad = link.log_mean_quad(eta, scaled_y)
+        # A nonpositive mean, or one that underflows, makes log_mu or quad
+        # non-finite and so the value, whatever its weight, since 0 * inf
+        # and 0 * nan are nan.  A mean that overflows leaves both finite
+        # under the log link, so the largest one is checked as well.
+        fval = const - 2.0 * float(w @ log_mu) - float(w @ quad)
+        if not (math.isfinite(fval) and math.isfinite(link.inverse(eta.max()))):
             return -np.inf, zero, None, None
-        s, h = link.newton_terms(mu, quad)
+        s, h = link.newton_terms(eta, quad)
         grad = X.T @ (w * s)
         if not np.isfinite(grad).all():
             return -np.inf, zero, None, None
-        return fval, grad, lambda: _direction(design.gram(w * h), grad, design, w, link, mu), mu
+        return fval, grad, lambda: _direction(design.gram(w * h), grad, design, w, link, eta), eta
 
     return fun
 
 
-def _direction(info, grad, design, w, link, mu) -> np.ndarray:
+def _direction(info, grad, design, w, link, eta) -> np.ndarray:
     """Newton step with the observed information ``info``.  Where that is
     not positive definite, as can happen under the identity link, the
-    Fisher scoring step with the expected information; where zero weights
-    leave even that singular, the gradient."""
+    Fisher scoring step with the expected information at the linear
+    predictor ``eta``; where zero weights leave even that singular, the
+    gradient."""
     try:
         return spd_solve(info, grad)
     except ValueError:
         pass
     try:
-        return spd_solve(design.gram(w * link.fisher_weight(mu)), grad)
+        return spd_solve(design.gram(w * link.fisher_weight(link.inverse(eta))), grad)
     except ValueError:
         return grad
 
 
 def _initial_beta(spec: ModelSpec) -> np.ndarray:
-    """Least squares of the link-transformed response on the design."""
+    """Least squares of the link's unbiased transform of the response on
+    the design: ``log y + kappa`` under the log link, where ``E[log Y] =
+    log mu - kappa``, and ``y`` under the identity link."""
     pinv = spec.design.pinv
-    beta0 = pinv @ spec.link.link(spec.response)
+    beta0 = pinv @ spec.link.unbiased_link(spec.response)
     try:
         predict_mean(spec, beta0)
         return beta0
@@ -253,10 +261,15 @@ def _maximize(spec, weights, start, cfg, method) -> FitResult:
         optres = maximize_bfgs(
             _make_objective(spec, weights), start, max_iter=cfg.max_iter, grad_tol=cfg.grad_tol
         )
-    mu_hat = optres.aux
+    mu_hat = spec.link.inverse(optres.aux)
     info = fisher_information(spec, mu_hat)
     try:
-        cov = spd_solve(info, np.eye(spec.n_params))
+        # Under the log link the information is the design's, and so is
+        # its inverse, kept there.
+        if isinstance(spec.link, LogLink):
+            cov = spec.design.log_covariance
+        else:
+            cov = spd_solve(info, np.eye(spec.n_params))
     except np.linalg.LinAlgError as exc:
         raise ValueError("Fisher information is not positive definite at the optimum") from exc
     std_errors = np.sqrt(np.diag(cov))

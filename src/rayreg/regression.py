@@ -8,13 +8,19 @@ through a strictly monotonic, twice differentiable link ``g``:
 Two links are provided.  The log link is the default and is used by every
 shipped experiment; the identity link exists as a minimal second option
 that exercises the general link machinery (and its positivity guard).
+
+Fits evaluate the likelihood on the linear predictor ``eta = X beta``:
+each link gives ``log mu`` and ``quad = pi/4 (y/mu)^2`` from ``eta``, so
+the log link needs neither a log nor a divide per trial point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 __all__ = [
     "LogLink",
@@ -25,7 +31,12 @@ __all__ = [
     "ModelSpec",
     "predict_mean",
     "dummy_design",
+    "spd_solve",
 ]
+
+# E[log Y] = log mu - _LOG_MEAN_BIAS for a Rayleigh amplitude Y of mean mu:
+# Y^2 is exponential and E[log E] = -gamma for a unit exponential E.
+_LOG_MEAN_BIAS = 0.5 * np.euler_gamma - math.log(2.0 / math.sqrt(math.pi))
 
 
 class NonpositiveMeanError(ValueError):
@@ -43,16 +54,28 @@ class LogLink:
     def inverse(self, eta):
         return np.exp(eta)
 
+    def unbiased_link(self, y):
+        """``log y`` shifted by its bias, so its mean is ``log mu``."""
+        return np.log(y) + _LOG_MEAN_BIAS
+
+    def log_mean_quad(self, eta, scaled_y):
+        """``log mu`` and ``quad = pi/4 (y/mu)^2`` at ``eta``, from
+        ``scaled_y = sqrt(pi/4) y``: ``eta`` itself and
+        ``(scaled_y exp(-eta))^2``.  Both stay finite where ``exp(eta)``
+        overflows, so a caller must check the mean's range itself."""
+        z = scaled_y * np.exp(-eta)
+        return eta, z * z
+
     def fisher_weight(self, mu):
         """(4 / mu^2) * (d mu / d eta)^2; collapses to the constant 4."""
         mu = np.asarray(mu, dtype=np.float64)
         return np.full(mu.shape, 4.0)
 
-    def newton_terms(self, mu, quad):
+    def newton_terms(self, eta, quad):
         """Score factor ``2 quad - 2`` and observed weight ``4 quad`` per
         observation, from ``quad = pi/4 * (y/mu)^2``: the first and minus the
-        second derivative of ``log f(y; mu)`` in ``eta``.  The weight is
-        positive wherever y > 0."""
+        second derivative of ``log f(y; mu)`` in ``eta``, on which they
+        depend only through ``quad``.  The weight is positive wherever y > 0."""
         return 2.0 * quad - 2.0, 4.0 * quad
 
 
@@ -67,16 +90,26 @@ class IdentityLink:
     def inverse(self, eta):
         return np.asarray(eta, dtype=np.float64)
 
+    def unbiased_link(self, y):
+        """``y`` itself, whose mean is ``mu``."""
+        return np.asarray(y, dtype=np.float64)
+
+    def log_mean_quad(self, eta, scaled_y):
+        """``log mu`` and ``quad``, as for the log link, with ``mu = eta``;
+        a nonpositive ``eta`` gives a ``log mu`` of -inf or nan."""
+        z = scaled_y / eta
+        return np.log(eta), z * z
+
     def fisher_weight(self, mu):
         mu = np.asarray(mu, dtype=np.float64)
         return 4.0 / (mu * mu)
 
-    def newton_terms(self, mu, quad):
+    def newton_terms(self, eta, quad):
         """Score factor ``(2 quad - 2) / mu`` and observed weight
-        ``(6 quad - 2) / mu^2``, as for the log link.  The weight is negative
-        for ``y`` below about 0.65 mu, so the information it builds can be
-        indefinite."""
-        return (2.0 * quad - 2.0) / mu, (6.0 * quad - 2.0) / (mu * mu)
+        ``(6 quad - 2) / mu^2`` with ``mu = eta``, as for the log link.  The
+        weight is negative for ``y`` below about 0.65 mu, so the information
+        it builds can be indefinite."""
+        return (2.0 * quad - 2.0) / eta, (6.0 * quad - 2.0) / (eta * eta)
 
 
 _LINKS = {"log": LogLink(), "identity": IdentityLink()}
@@ -106,7 +139,8 @@ class DesignMatrix:
     :meth:`assert_full_rank`, not at construction, so partially built
     designs can still be inspected.  ``X`` is read-only, so what the fits
     derive from it is kept: the singular values and the pseudo-inverse of
-    a design that passed, and the row outer products.
+    a design that passed, the row outer products, and the log link's
+    Fisher information and its inverse.
     """
 
     X: np.ndarray
@@ -131,11 +165,14 @@ class DesignMatrix:
         object.__setattr__(self, "_singular_values", None)
         object.__setattr__(self, "_pinv", None)
         object.__setattr__(self, "_row_products", None)
+        object.__setattr__(self, "_log_information", None)
+        object.__setattr__(self, "_log_covariance", None)
 
     def __setstate__(self, state):
         # Unpickling rebuilds arrays writeable; what is kept needs them read-only.
         self.__dict__.update(state)
-        for name in ("X", "_singular_values", "_pinv", "_row_products"):
+        for name in ("X", "_singular_values", "_pinv", "_row_products", "_log_information",
+                     "_log_covariance"):
             arr = getattr(self, name)
             if arr is not None:
                 arr.setflags(write=False)
@@ -185,6 +222,27 @@ class DesignMatrix:
             basis.setflags(write=False)
             object.__setattr__(self, "_row_products", basis)
         return (weights @ basis).reshape(k, k)
+
+    @property
+    def log_information(self) -> np.ndarray:
+        """``X.T @ (4 X)``, the Fisher information of every log-link fit on
+        this design: that link's expected weight is 4 on every row."""
+        if self._log_information is None:
+            info = self.X.T @ (4.0 * self.X)
+            info.setflags(write=False)
+            object.__setattr__(self, "_log_information", info)
+        return self._log_information
+
+    @property
+    def log_covariance(self) -> np.ndarray:
+        """The inverse of :attr:`log_information` by :func:`spd_solve`;
+        raises :class:`numpy.linalg.LinAlgError` if that is not positive
+        definite."""
+        if self._log_covariance is None:
+            cov = spd_solve(self.log_information, np.eye(self.n_params))
+            cov.setflags(write=False)
+            object.__setattr__(self, "_log_covariance", cov)
+        return self._log_covariance
 
 
 @dataclass(frozen=True)
@@ -279,3 +337,28 @@ def dummy_design(labels, reference) -> DesignMatrix:
         X[:, j] = [1.0 if lab == cat else 0.0 for lab in labels]
     names = ("intercept",) + tuple(f"is_{cat}" for cat in others)
     return DesignMatrix(X, names)
+
+
+def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a^{-1} b`` for a symmetric positive-definite float64 ``a``, by Cholesky.
+
+    Makes the two LAPACK calls of ``cho_solve(cho_factor(a), b)`` without
+    that wrapper's batching and array conversions, so the result is the
+    same to the bit; like it, reads only the upper triangle of ``a``.
+    ``b`` is a vector or a matrix of right-hand sides.
+
+    Raises
+    ------
+    ValueError
+        If ``a`` or ``b`` holds a non-finite value.
+    numpy.linalg.LinAlgError
+        If ``a`` is not positive definite (a subclass of ValueError).
+    """
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    c, info = dpotrf(a, lower=0, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    return dpotrs(c, b, lower=0)[0]

@@ -7,13 +7,18 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rayreg
 from rayreg import distribution, image_io
 from rayreg.cli import _parse_range, main
 
@@ -68,6 +73,15 @@ def _scene_args(scene_dir):
             "--covariates", str(scene_dir / "covariate.rrm"), "--training", "75,0,100,100"]
 
 
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats costs each process about 0.6 s of CPU and 29 MB at import.
+    path = [str(Path(rayreg.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    code = "import sys, rayreg.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)), check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 class TestFitCommand:
     def test_dummy_design_fit(self, region_csv, tmp_path):
         out = tmp_path / "out"
@@ -90,6 +104,19 @@ class TestFitCommand:
             assert names == ["intercept", "is_B", "is_C"]
             assert fit["coefficients"][1]["p_value"] is not None
         assert (out / "manifest.json").exists()
+
+    def test_byte_order_mark_fits_like_plain_utf8(self, region_csv, tmp_path):
+        # Spreadsheet exports often start with a UTF-8 byte-order mark.
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + region_csv.read_bytes())
+        fits = []
+        for data in (region_csv, bom):
+            out = tmp_path / data.stem
+            assert main(["fit", "--data", str(data), "--response", "amplitude",
+                         "--dummy", "region", "--reference", "A", "--method", "both",
+                         "--out-dir", str(out)]) == 0
+            fits.append((out / "fit.json").read_bytes())
+        assert fits[0] == fits[1]
 
     def test_explicit_covariates_text_format(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -311,6 +338,42 @@ class TestMalformedInputs:
         assert main(resolved) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+
+    @pytest.mark.parametrize(
+        "kind, text, message",
+        [
+            ("config", "[" * 100_000 + "]" * 100_000, "nested too deeply"),
+            ("truth", '{"targets": ' + "[" * 100_000 + "]" * 100_000 + "}", "nested too deeply"),
+            ("manifest", '{"command": "simulate", "config": {"a": ' + "[" * 100_000
+             + "]" * 100_000 + "}}", "nested too deeply"),
+            ("config", '{"beta_true": [0.5, 0.15], "N": 1' + "0" * 400 + "}",
+             "config error at $.N: "),
+            ("config", '{"beta_true": [0.5, -1' + "0" * 400 + '], "N": 60}',
+             "config error at $.beta_true[1]: "),
+            ("config", '{"beta_true": [0.5], "N": 60, "seed": 1' + "0" * 400 + "}",
+             "config error at $.seed: "),
+            ("truth", '{"targets": [[1' + "0" * 400 + ", 3]]}", "'targets'"),
+            ("truth", '{"targets": [], "radius_m": 1' + "0" * 400 + "}", "'radius_m'"),
+            ("manifest", '{"command": "fit", "config": {"pfa": 1' + "0" * 400 + "}}",
+             "pfa must be a finite number"),
+        ],
+        ids=["config-deep", "truth-deep", "manifest-deep", "config-huge-n", "config-huge-beta",
+             "config-huge-seed", "truth-huge-target", "truth-huge-radius", "manifest-huge-pfa"],
+    )
+    def test_deep_or_huge_json_is_one_error_line(
+        self, kind, text, message, scene_dir, tmp_path, capsys
+    ):
+        doc = tmp_path / "doc.json"
+        doc.write_text(text)
+        argv = {"config": ["simulate", "--config", str(doc)],
+                "truth": ["detect", *_scene_args(scene_dir), "--truth", str(doc)],
+                "manifest": ["rerun", "--manifest", str(doc)]}[kind]
+        capsys.readouterr()
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
+        assert len(err[0]) < 200
 
 
 # A valid simulation config, and values that each field must refuse for its

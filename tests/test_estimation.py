@@ -136,12 +136,12 @@ class TestObjective:
             return _direction(info, *args)
 
         monkeypatch.setattr(rayreg.estimation, "_direction", recording_direction)
-        fval, grad, direction, mu = _make_objective(spec, w)(beta)
+        fval, grad, direction, eta = _make_objective(spec, w)(beta)
         assert not infos  # the information waits for the direction's call
         step = direction()
-        assert np.array_equal(step, _direction(infos[0], grad, spec.design, w, spec.link, mu))
+        assert np.array_equal(step, _direction(infos[0], grad, spec.design, w, spec.link, eta))
         assert fval == pytest.approx(weighted_loglik(spec, beta, w), rel=1e-12)
-        assert np.array_equal(mu, predict_mean(spec, beta))
+        assert np.array_equal(spec.link.inverse(eta), predict_mean(spec, beta))
         reference = score(spec, beta, w)
         assert np.max(np.abs(grad - reference)) <= 1e-12 * np.max(np.abs(reference))
 

@@ -102,6 +102,20 @@ class TestFisherInformation:
         other = fisher_information(spec, np.full(spec.n_obs, 0.123))
         assert np.array_equal(info, other)
 
+    def test_log_link_information_is_kept_on_the_design(self):
+        spec, fit = _fitted(3)
+        design = spec.design
+        info = fisher_information(spec, fit.mu_hat)
+        assert info is design.log_information and fit.fisher_info is info
+        assert not info.flags.writeable
+        # The kept inverse is the solve each fit made before it was kept.
+        cov = design.log_covariance
+        assert not cov.flags.writeable
+        assert np.array_equal(cov, spd_solve(info, np.eye(2)))
+        assert np.array_equal(fit.std_errors, np.sqrt(np.diag(cov)))
+        wmle = fit_both(spec)[1]
+        assert wmle.fisher_info is info
+
     def test_intercept_only_value_and_se(self):
         y = distribution.quantile(np.random.default_rng(3).random(100), 1.0)
         spec = ModelSpec.build(np.ones((100, 1)), y)
@@ -161,6 +175,24 @@ class TestWaldTest:
         stats = np.linspace(0.0, 30.0, 200)
         p = chi2.sf(stats, 2)
         assert np.all(np.diff(p) <= 0)
+
+    def test_threshold_and_p_value_match_scipy_stats_chi2(self):
+        # wald_test evaluates the chi-square quantile and survival function
+        # with scipy.special; scipy.stats.chi2 gives the same bits.
+        rng = np.random.default_rng(21)
+        k = 7
+        X = np.column_stack([np.ones(300), rng.random((300, k - 1))])
+        y = distribution.quantile(rng.random(300), np.exp(X @ rng.uniform(-0.2, 0.2, k)))
+        fit = fit_mle(ModelSpec.build(X, y))
+        pfas = (1e-12, 1e-6, 0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.9, 0.999999)
+        for dof in range(1, k + 1):
+            interest = tuple(range(dof))
+            for shift in (0.0, 0.02, 0.1, 0.5, 3.0):
+                null = fit.beta_hat[:dof] + shift
+                for pfa in pfas:
+                    rep = wald_test(fit, interest, null, pfa=pfa)
+                    assert rep.threshold == float(chi2.ppf(1.0 - pfa, dof)), (dof, pfa)
+                    assert rep.p_value == float(chi2.sf(rep.statistic, dof)), (dof, shift)
 
     def test_refuses_unconverged_fit(self):
         spec, _ = _fitted(9)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import digamma
 
 from rayreg import (
     DesignMatrix,
@@ -18,6 +19,7 @@ from rayreg import (
     get_link,
     predict_mean,
 )
+from rayreg.regression import _LOG_MEAN_BIAS
 
 EXP_065 = 1.91554082901389607014669819268
 
@@ -68,6 +70,20 @@ class TestLinks:
         numeric = -(ll(eta + h) - 2.0 * ll(eta) + ll(eta - h)) / h**2
         _, observed = link.newton_terms(mu, math.pi / 4 * (y / mu) ** 2)
         assert np.allclose(observed, numeric, rtol=1e-5)
+
+    def test_log_mean_bias(self):
+        # E[log Y] = log mu - kappa, kappa = gamma/2 - log(2/sqrt(pi)).
+        assert _LOG_MEAN_BIAS == pytest.approx(
+            -digamma(1.0) / 2 - math.log(2.0 / math.sqrt(math.pi)), rel=1e-15
+        )
+        rng = np.random.default_rng(17)
+        mu = 2.5
+        y = distribution.quantile(rng.random(10**6), mu)
+        gap = np.log(y) - math.log(mu)
+        assert abs(gap.mean() + _LOG_MEAN_BIAS) < 4.0 * gap.std() / 1e3
+        # So the log link's start transform is unbiased for log mu.
+        shifted = get_link("log").unbiased_link(y) - math.log(mu)
+        assert abs(shifted.mean()) < 4.0 * gap.std() / 1e3
 
     def test_unknown_link(self):
         with pytest.raises(ValueError, match="unknown link"):
@@ -141,12 +157,13 @@ class TestDesignMatrix:
 
     def test_pickled_arrays_stay_read_only(self):
         # A fit fills the design's kept arrays: singular values,
-        # pseudo-inverse and row outer products.
+        # pseudo-inverse, row outer products, and the log link's Fisher
+        # information and its inverse.
         rng = np.random.default_rng(4)
         X = np.column_stack([np.ones(40), rng.random(40)])
         spec = ModelSpec.build(X, distribution.quantile(rng.random(40), 1.0))
         fit = fit_mle(spec)
-        for obj, n_arrays in ((spec.design, 4), (spec, 1), (fit, 5)):
+        for obj, n_arrays in ((spec.design, 6), (spec, 1), (fit, 5)):
             clone = pickle.loads(pickle.dumps(obj))
             arrays = {k: v for k, v in vars(clone).items() if isinstance(v, np.ndarray)}
             assert len(arrays) == n_arrays, sorted(arrays)
