@@ -267,11 +267,17 @@ def _cmd_fit(config, out_dir: Path, inputs: dict) -> list:
     return outputs
 
 
-def _cmd_wald(config, out_dir: Path, inputs: dict) -> list:
+def _one_fit(command, config, inputs: dict) -> tuple:
+    """The spec and the one fit, MLE or WMLE, that ``command`` reports."""
+    if config["method"] not in ("mle", "wmle"):
+        raise CliError(f"{command} reports one fit; --method must be mle or wmle")
     spec = _build_spec_from_config(config, inputs)
-    method = config["method"]
     mle, wmle = fit_both(spec, _robust_from_config(config))
-    fit = wmle if method == "wmle" else mle
+    return spec, wmle if config["method"] == "wmle" else mle
+
+
+def _cmd_wald(config, out_dir: Path, inputs: dict) -> list:
+    _, fit = _one_fit("wald", config, inputs)
     names = list(fit.column_names)
     interest = []
     for tok in config["interest"]:
@@ -292,10 +298,7 @@ def _cmd_wald(config, out_dir: Path, inputs: dict) -> list:
 
 
 def _cmd_residuals(config, out_dir: Path, inputs: dict) -> list:
-    spec = _build_spec_from_config(config, inputs)
-    method = config["method"]
-    mle, wmle = fit_both(spec, _robust_from_config(config))
-    fit = wmle if method == "wmle" else mle
+    spec, fit = _one_fit("residuals", config, inputs)
     res, clamped = inference.quantile_residuals(spec, fit, return_clamped=True)
     lines = ["residual"] + [repr(float(r)) for r in res]
     _write_text(out_dir / "residuals.csv", "\n".join(lines) + "\n")

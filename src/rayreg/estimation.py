@@ -1,28 +1,10 @@
 """Maximum-likelihood and weighted-maximum-likelihood fitting.
 
-The weighted log-likelihood is
-
-    ll_w(beta) = sum_n w[n] * (log(pi/2) + log y[n] - 2 log mu[n]
-                               - pi y[n]^2 / (4 mu[n]^2)),
-
-with ``mu = g^{-1}(X beta)``.  In terms of ``quad[n] = pi y[n]^2 / (4 mu[n]^2)``
-its gradient is ``X.T @ (w * s)`` and its observed information
-``X.T @ diag(w * h) @ X``, with the per-observation score factor ``s`` and
-observed weight ``h`` from ``link.newton_terms(eta, quad)``.  Both
-estimators maximize it by damped Newton steps
-(:func:`rayreg.optim.maximize_bfgs`) from the least-squares fit of the
-link's unbiased transform of the response, evaluating each trial point on
-the linear predictor ``eta = X beta`` (``link.log_mean_quad``) and
-building the information as one product with the design's kept row outer
-products (``DesignMatrix.gram``).
-That information is positive definite under the log link, where the
-log-likelihood is strictly concave in ``beta``; where it is not, as can
-happen under the identity link, the step is Fisher scoring with the
-expected information, ``h = link.fisher_weight`` (McCullagh & Nelder,
-*Generalized Linear Models*, ch. 2).
-
-The robust estimator downweights observations whose fitted probability
-falls in the extreme ``delta`` tails: weights are computed from a plain
+Both estimators maximize the weighted Rayleigh log-likelihood
+(:func:`weighted_loglik`) with :func:`rayreg.optim.maximize_bfgs`, from the
+least-squares fit of the link's unbiased transform of the response.  The
+robust estimator downweights observations whose fitted probability falls
+in the extreme ``delta`` tails: weights are computed from a plain
 maximum-likelihood pass and the weighted likelihood is then re-maximized
 from that solution.  With ``reweight_iterations=0`` no reweighting happens
 and the result is numerically identical to the plain fit.
@@ -31,14 +13,15 @@ and the result is numerically identical to the plain fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import distribution
 from .inference import fisher_information
 from .optim import maximize_bfgs
-from .regression import LogLink, ModelSpec, NonpositiveMeanError, predict_mean, spd_solve
+from .regression import (LogLink, ModelSpec, NonpositiveMeanError, ReadOnlyArrays, predict_mean,
+                         readonly_array, spd_solve)
 
 __all__ = [
     "RobustConfig",
@@ -53,7 +36,6 @@ __all__ = [
 
 _LOG_HALF_PI = math.log(math.pi / 2.0)
 _QUARTER_PI = math.pi / 4.0
-_SQRT_QUARTER_PI = math.sqrt(_QUARTER_PI)
 
 @dataclass(frozen=True)
 class RobustConfig:
@@ -81,7 +63,7 @@ class RobustConfig:
 
 
 @dataclass(frozen=True)
-class FitResult:
+class FitResult(ReadOnlyArrays):
     """Estimates, robustness weights, and convergence diagnostics."""
 
     method: str  # 'MLE' or 'WMLE'
@@ -96,35 +78,14 @@ class FitResult:
     grad_norm: float
     column_names: tuple
 
-    _ARRAYS = ("beta_hat", "std_errors", "fisher_info", "weights", "mu_hat")
-
     def __post_init__(self):
-        for name in self._ARRAYS:
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def __setstate__(self, state):
-        # Unpickling rebuilds the arrays writeable.
-        self.__dict__.update(state)
-        for name in self._ARRAYS:
-            getattr(self, name).setflags(write=False)
+        for name in ("beta_hat", "std_errors", "fisher_info", "weights", "mu_hat"):
+            object.__setattr__(self, name, readonly_array(getattr(self, name)))
 
     @property
     def n_downweighted(self) -> int:
         """Observations with weight strictly below one."""
         return int(np.count_nonzero(self.weights < 1.0))
-
-    def summary(self) -> str:
-        lines = [
-            f"{self.method} fit: loglik={self.loglik:.6f} "
-            f"converged={self.converged} iterations={self.iterations}",
-            f"{'coefficient':>16s} {'estimate':>12s} {'std.err':>10s}",
-        ]
-        for name, b, se in zip(self.column_names, self.beta_hat, self.std_errors):
-            lines.append(f"{name:>16s} {b:>12.6f} {se:>10.6f}")
-        lines.append(f"downweighted observations: {self.n_downweighted}")
-        return "\n".join(lines)
 
 
 def _check_weights(spec: ModelSpec, weights) -> np.ndarray:
@@ -137,7 +98,8 @@ def _check_weights(spec: ModelSpec, weights) -> np.ndarray:
 
 
 def weighted_loglik(spec: ModelSpec, beta, weights=None) -> float:
-    """Weighted log-likelihood; with unit weights, the ordinary one."""
+    """Weighted log-likelihood ``sum_n w[n] log f(y[n]; mu[n])``, with ``mu =
+    g^{-1}(X beta)``; with unit weights, the ordinary one."""
     mu = predict_mean(spec, beta)
     y = spec.response
     terms = _LOG_HALF_PI + np.log(y) - 2.0 * np.log(mu) - _QUARTER_PI * (y / mu) ** 2
@@ -179,57 +141,6 @@ def compute_weights(spec: ModelSpec, mu_ref, delta: float) -> np.ndarray:
     return w
 
 
-def _make_objective(spec: ModelSpec, weights: np.ndarray):
-    """``beta -> (value, gradient, direction, eta)`` for :func:`maximize_bfgs`,
-    with ``value = -inf`` at infeasible points and ``eta = X beta``, from
-    which the caller takes the mean at the optimum.  ``direction`` is a
-    zero-argument callable, so the information and its solve are computed
-    only at the points the solver steps from.  Expects the caller to
-    silence numpy's floating-point warnings, which infeasible trial points
-    raise."""
-    design = spec.design
-    X = design.X
-    link = spec.link
-    w = weights
-    scaled_y = _SQRT_QUARTER_PI * spec.response
-    const = float(np.sum(w)) * _LOG_HALF_PI + float(w @ np.log(spec.response))
-    zero = np.zeros(spec.n_params)
-
-    def fun(beta):
-        eta = X @ beta
-        log_mu, quad = link.log_mean_quad(eta, scaled_y)
-        # A nonpositive mean, or one that underflows, makes log_mu or quad
-        # non-finite and so the value, whatever its weight, since 0 * inf
-        # and 0 * nan are nan.  A mean that overflows leaves both finite
-        # under the log link, so the largest one is checked as well.
-        fval = const - 2.0 * float(w @ log_mu) - float(w @ quad)
-        if not (math.isfinite(fval) and math.isfinite(link.inverse(eta.max()))):
-            return -np.inf, zero, None, None
-        s, h = link.newton_terms(eta, quad)
-        grad = X.T @ (w * s)
-        if not np.isfinite(grad).all():
-            return -np.inf, zero, None, None
-        return fval, grad, lambda: _direction(design.gram(w * h), grad, design, w, link, eta), eta
-
-    return fun
-
-
-def _direction(info, grad, design, w, link, eta) -> np.ndarray:
-    """Newton step with the observed information ``info``.  Where that is
-    not positive definite, as can happen under the identity link, the
-    Fisher scoring step with the expected information at the linear
-    predictor ``eta``; where zero weights leave even that singular, the
-    gradient."""
-    try:
-        return spd_solve(info, grad)
-    except ValueError:
-        pass
-    try:
-        return spd_solve(design.gram(w * link.fisher_weight(link.inverse(eta))), grad)
-    except ValueError:
-        return grad
-
-
 def _initial_beta(spec: ModelSpec) -> np.ndarray:
     """Least squares of the link's unbiased transform of the response on
     the design: ``log y + kappa`` under the log link, where ``E[log Y] =
@@ -257,12 +168,13 @@ def _initial_beta(spec: ModelSpec) -> np.ndarray:
 
 
 def _maximize(spec, weights, start, cfg, method) -> FitResult:
+    optres = maximize_bfgs(spec, weights, start, max_iter=cfg.max_iter, grad_tol=cfg.grad_tol)
+    mu_hat = spec.link.inverse(optres.eta)
+    # A mean near the smallest double overflows the identity link's weights.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        optres = maximize_bfgs(
-            _make_objective(spec, weights), start, max_iter=cfg.max_iter, grad_tol=cfg.grad_tol
-        )
-    mu_hat = spec.link.inverse(optres.aux)
-    info = fisher_information(spec, mu_hat)
+        info = fisher_information(spec, mu_hat)
+    if not np.isfinite(info).all():
+        raise ValueError("Fisher information is not finite at the optimum")
     try:
         # Under the log link the information is the design's, and so is
         # its inverse, kept there.
@@ -325,7 +237,5 @@ def fit_both(spec: ModelSpec, cfg: RobustConfig | None = None):
         w = compute_weights(spec, fit.mu_hat, cfg.delta)
         fit = _maximize(spec, w, fit.beta_hat.copy(), cfg, "WMLE")
     if fit is mle:
-        from dataclasses import replace
-
         fit = replace(mle, method="WMLE")
     return mle, fit

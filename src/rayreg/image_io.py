@@ -61,9 +61,14 @@ def read_image_csv(path, digest=None) -> np.ndarray:
         data = fh.read()
     if digest is not None:
         digest.update(data)
+    # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     rows = []
     # Universal newlines, as a text-mode open of the file would read it.
-    for lineno, line in enumerate(io.StringIO(data.decode("ascii"), newline=None), start=1):
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
         line = line.strip()
         if not line:
             continue

@@ -1,12 +1,13 @@
-"""Damped Newton maximization with step halving.
+"""Damped Newton maximization of the weighted Rayleigh log-likelihood.
 
-The objective callback returns ``(value, gradient, direction, aux)``, where
-``direction`` is a zero-argument callable giving the caller's Newton or
-Fisher-scoring step at that point, called only at the points the solver
-steps from, and ``aux`` anything the caller wants back at the solution.  It
-signals an infeasible point with ``value = -inf``; the step is then halved,
-which is also how nonpositive-mean trial points are rejected under the
-identity link.
+Trial points are evaluated on the linear predictor ``eta = X beta``.
+``link.newton_terms`` gives each observation's score factor ``s`` and
+observed weight ``h``, so the gradient is ``X.T @ (w * s)`` and the observed
+information ``design.gram(w * h)``.  That information is positive definite
+under the log link, where the log-likelihood is strictly concave in
+``beta``; where it is not, as can happen under the identity link, the step
+is Fisher scoring with the expected information ``link.fisher_weight``
+(McCullagh & Nelder, *Generalized Linear Models*, ch. 2).
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .regression import ModelSpec, spd_solve
+
 __all__ = ["OptimResult", "maximize_bfgs"]
 
 _ARMIJO = 1e-4
@@ -24,6 +27,8 @@ _MAX_HALVINGS = 60
 # observations: a step may lower the objective by this much and still be
 # taken if it lowers the gradient.
 _ROUNDING = 1e-12
+_LOG_HALF_PI = math.log(math.pi / 2.0)
+_SQRT_QUARTER_PI = math.sqrt(math.pi / 4.0)
 
 
 @dataclass(frozen=True)
@@ -34,18 +39,20 @@ class OptimResult:
     grad_norm: float
     iterations: int
     converged: bool
-    aux: object  # the objective's fourth item at ``x``
+    eta: np.ndarray  # the linear predictor ``X x``
 
 
 def maximize_bfgs(
-    fun,
-    x0,
+    spec: ModelSpec,
+    weights: np.ndarray,
+    start,
     *,
     max_iter: int = 500,
     grad_tol: float = 1e-6,
     trace: list | None = None,
 ) -> OptimResult:
-    """Maximize a smooth objective from ``x0`` by damped Newton steps.
+    """Maximize the log-likelihood of ``spec`` under ``weights`` from
+    ``start`` by damped Newton steps.
 
     ``perfbench/spans.py`` traces the solver under this name, which changes
     only along with the benchmark.
@@ -56,38 +63,65 @@ def maximize_bfgs(
     progress, on a lower gradient sup-norm with the objective unchanged
     up to rounding.  Stops when the gradient sup-norm reaches
     ``grad_tol`` (``converged``), after ``max_iter`` accepted steps, or
-    when no halving is accepted.
+    when no halving is accepted.  The information and its solve are
+    computed only at the points the solver steps from.
 
     When ``trace`` is a list, the objective value of every accepted step
     is appended to it (ascent diagnostics).
     """
-    x = np.array(x0, dtype=np.float64)
-    f, g, direction, aux = fun(x)
-    if not math.isfinite(f):
-        raise ValueError("objective is not finite at the starting point")
-    grad_norm = float(np.abs(g).max())
-    iterations = 0
+    X = spec.design.X
+    link = spec.link
+    w = weights
+    scaled_y = _SQRT_QUARTER_PI * spec.response
+    const = float(np.sum(w)) * _LOG_HALF_PI + float(w @ np.log(spec.response))
 
-    while grad_norm > grad_tol and iterations < max_iter:
-        p = direction()
-        slope = float(g @ p)
-        step = 1.0
-        for _ in range(_MAX_HALVINGS):
-            x_new = x + step * p
-            f_new, g_new, direction_new, aux_new = fun(x_new)
-            if math.isfinite(f_new):
-                norm_new = float(np.abs(g_new).max())
-                if f_new >= f + _ARMIJO * step * slope or (
-                    norm_new < grad_norm and f_new >= f - _ROUNDING * abs(f)
-                ):
-                    break
-            step *= 0.5
-        else:
-            break
-        x, f, g, direction, aux, grad_norm = x_new, f_new, g_new, direction_new, aux_new, norm_new
-        iterations += 1
-        if trace is not None:
-            trace.append(float(f))
+    def evaluate(beta):
+        """``(value, gradient, eta, h)``, or None at an infeasible point."""
+        eta = X @ beta
+        log_mu, quad = link.log_mean_quad(eta, scaled_y)
+        # A nonpositive mean, or one that underflows, makes log_mu or quad
+        # non-finite and so the value, whatever its weight, since 0 * inf
+        # and 0 * nan are nan.  A mean that overflows leaves both finite
+        # under the log link, so the largest one is checked as well.
+        fval = const - 2.0 * float(w @ log_mu) - float(w @ quad)
+        if not (math.isfinite(fval) and math.isfinite(link.inverse(eta.max()))):
+            return None
+        s, h = link.newton_terms(eta, quad)
+        grad = X.T @ (w * s)
+        if not np.isfinite(grad).all():
+            return None
+        return fval, grad, eta, h
+
+    # Infeasible trial points raise numpy's floating-point warnings.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = np.array(start, dtype=np.float64)
+        point = evaluate(x)
+        if point is None:
+            raise ValueError("objective is not finite at the starting point")
+        f, g, eta, h = point
+        grad_norm = float(np.abs(g).max())
+        iterations = 0
+
+        while grad_norm > grad_tol and iterations < max_iter:
+            p = _direction(spec.design.gram(w * h), g, spec.design, w, link, eta)
+            slope = float(g @ p)
+            step = 1.0
+            for _ in range(_MAX_HALVINGS):
+                x_new = x + step * p
+                point = evaluate(x_new)
+                if point is not None:
+                    norm_new = float(np.abs(point[1]).max())
+                    if point[0] >= f + _ARMIJO * step * slope or (
+                        norm_new < grad_norm and point[0] >= f - _ROUNDING * abs(f)
+                    ):
+                        break
+                step *= 0.5
+            else:
+                break
+            x, (f, g, eta, h), grad_norm = x_new, point, norm_new
+            iterations += 1
+            if trace is not None:
+                trace.append(float(f))
 
     return OptimResult(
         x=x,
@@ -96,5 +130,21 @@ def maximize_bfgs(
         grad_norm=grad_norm,
         iterations=iterations,
         converged=grad_norm <= grad_tol,
-        aux=aux,
+        eta=eta,
     )
+
+
+def _direction(info, grad, design, w, link, eta) -> np.ndarray:
+    """Newton step with the observed information ``info``.  Where that is
+    not positive definite, as can happen under the identity link, the
+    Fisher scoring step with the expected information at the linear
+    predictor ``eta``; where zero weights leave even that singular, the
+    gradient."""
+    try:
+        return spd_solve(info, grad)
+    except ValueError:
+        pass
+    try:
+        return spd_solve(design.gram(w * link.fisher_weight(link.inverse(eta))), grad)
+    except ValueError:
+        return grad

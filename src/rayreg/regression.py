@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -125,21 +126,33 @@ def get_link(name):
         raise ValueError(f"unknown link {name!r}; expected one of {sorted(_LINKS)}") from None
 
 
-def _readonly(arr):
-    arr = np.array(arr, dtype=np.float64, copy=True)
+def readonly_array(arr) -> np.ndarray:
+    arr = np.asarray(arr, dtype=np.float64)
     arr.setflags(write=False)
     return arr
 
 
+class ReadOnlyArrays:
+    """Base of the frozen types holding read-only arrays: unpickling rebuilds
+    them writeable, so each one held, alone or in a tuple, is frozen again."""
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        for value in state.values():
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.setflags(write=False)
+
+
 @dataclass(frozen=True)
-class DesignMatrix:
+class DesignMatrix(ReadOnlyArrays):
     """N x k covariate matrix with one row per observation.
 
     The full-rank requirement is checked at fit time via
     :meth:`assert_full_rank`, not at construction, so partially built
     designs can still be inspected.  ``X`` is read-only, so what the fits
-    derive from it is kept: the singular values and the pseudo-inverse of
-    a design that passed, the row outer products, and the log link's
+    derive from it is kept: its SVD, the pseudo-inverse of a design that
+    passed the rank check, the row outer products, and the log link's
     Fisher information and its inverse.
     """
 
@@ -160,22 +173,8 @@ class DesignMatrix:
         names = tuple(self.column_names) or tuple(f"x{i + 1}" for i in range(k))
         if len(names) != k:
             raise ValueError(f"expected {k} column names, got {len(names)}")
-        object.__setattr__(self, "X", _readonly(X))
+        object.__setattr__(self, "X", readonly_array(np.array(X)))
         object.__setattr__(self, "column_names", names)
-        object.__setattr__(self, "_singular_values", None)
-        object.__setattr__(self, "_pinv", None)
-        object.__setattr__(self, "_row_products", None)
-        object.__setattr__(self, "_log_information", None)
-        object.__setattr__(self, "_log_covariance", None)
-
-    def __setstate__(self, state):
-        # Unpickling rebuilds arrays writeable; what is kept needs them read-only.
-        self.__dict__.update(state)
-        for name in ("X", "_singular_values", "_pinv", "_row_products", "_log_information",
-                     "_log_covariance"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr.setflags(write=False)
 
     @property
     def n_obs(self) -> int:
@@ -187,66 +186,57 @@ class DesignMatrix:
 
     def assert_full_rank(self, tol_factor: float = 1e-10) -> None:
         """Raise if any singular value falls below tol_factor * largest."""
-        kept = self._singular_values is not None
-        if kept:
-            s = self._singular_values
-        else:
-            u, s, vt = np.linalg.svd(self.X, full_matrices=False)
+        s = self.singular_values
         if s[-1] <= tol_factor * s[0]:
             raise ValueError(
                 "design matrix is rank deficient "
                 f"(singular values range {s[-1]:.3e} .. {s[0]:.3e})"
             )
-        if not kept:
-            pinv = (vt.T / s) @ u.T
-            for arr in (s, pinv):
-                arr.setflags(write=False)
-            object.__setattr__(self, "_singular_values", s)
-            object.__setattr__(self, "_pinv", pinv)
 
-    @property
+    @cached_property
+    def _svd(self) -> tuple:
+        return tuple(readonly_array(a) for a in np.linalg.svd(self.X, full_matrices=False))
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Singular values of ``X``, largest first."""
+        return self._svd[1]
+
+    @cached_property
     def pinv(self) -> np.ndarray:
         """Pseudo-inverse ``(X.T X)^{-1} X.T``, so ``pinv @ t`` is the least
         squares fit of ``t``; from the SVD of the rank check, which it runs."""
-        if self._pinv is None:
-            self.assert_full_rank()
-        return self._pinv
+        self.assert_full_rank()
+        u, s, vt = self._svd
+        return readonly_array((vt.T / s) @ u.T)
+
+    @cached_property
+    def _row_products(self) -> np.ndarray:
+        n, k = self.X.shape
+        return readonly_array(np.einsum("ni,nj->nij", self.X, self.X).reshape(n, k * k))
 
     def gram(self, weights) -> np.ndarray:
         """``X.T @ diag(weights) @ X`` as one product with the kept row outer
         products ``x_n x_n^T``, exactly symmetric."""
-        n, k = self.X.shape
-        basis = self._row_products
-        if basis is None:
-            basis = np.einsum("ni,nj->nij", self.X, self.X).reshape(n, k * k)
-            basis.setflags(write=False)
-            object.__setattr__(self, "_row_products", basis)
-        return (weights @ basis).reshape(k, k)
+        k = self.n_params
+        return (weights @ self._row_products).reshape(k, k)
 
-    @property
+    @cached_property
     def log_information(self) -> np.ndarray:
         """``X.T @ (4 X)``, the Fisher information of every log-link fit on
         this design: that link's expected weight is 4 on every row."""
-        if self._log_information is None:
-            info = self.X.T @ (4.0 * self.X)
-            info.setflags(write=False)
-            object.__setattr__(self, "_log_information", info)
-        return self._log_information
+        return readonly_array(self.X.T @ (4.0 * self.X))
 
-    @property
+    @cached_property
     def log_covariance(self) -> np.ndarray:
         """The inverse of :attr:`log_information` by :func:`spd_solve`;
         raises :class:`numpy.linalg.LinAlgError` if that is not positive
         definite."""
-        if self._log_covariance is None:
-            cov = spd_solve(self.log_information, np.eye(self.n_params))
-            cov.setflags(write=False)
-            object.__setattr__(self, "_log_covariance", cov)
-        return self._log_covariance
+        return readonly_array(spd_solve(self.log_information, np.eye(self.n_params)))
 
 
 @dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(ReadOnlyArrays):
     """Design, link, and strictly positive response, bundled for fitting."""
 
     design: DesignMatrix
@@ -269,12 +259,7 @@ class ModelSpec:
                 f"{bad.size} offending value(s), first indices: [{head}]"
             )
         object.__setattr__(self, "link", get_link(self.link))
-        object.__setattr__(self, "response", _readonly(y))
-
-    def __setstate__(self, state):
-        # Unpickling rebuilds the response writeable.
-        self.__dict__.update(state)
-        self.response.setflags(write=False)
+        object.__setattr__(self, "response", readonly_array(np.array(y)))
 
     @classmethod
     def build(cls, X, y, link="log", column_names=()) -> "ModelSpec":

@@ -209,6 +209,47 @@ class TestWaldResidualCommands:
         assert abs(summary["mean"]) < 0.2
 
 
+class TestOneFitCommands:
+    """wald and residuals report one fit, and the fit's failures are one line."""
+
+    @pytest.mark.parametrize("command, extra",
+                             [("wald", ["--interest", "is_B"]), ("residuals", [])])
+    def test_method_both_refused(self, command, extra, region_csv, tmp_path, capsys):
+        argv = [command, "--data", str(region_csv), "--response", "amplitude",
+                "--dummy", "region", "--reference", "A", *extra]
+        refused = tmp_path / "refused"
+        capsys.readouterr()
+        assert main(argv + ["--method", "both", "--out-dir", str(refused)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {command} reports one fit; --method must be mle or wmle"]
+        assert not list(refused.iterdir())
+        # A rerun manifest edited to ask for both is refused alike.
+        out = tmp_path / "out"
+        assert main(argv + ["--method", "wmle", "--out-dir", str(out)]) == 0
+        manifest = _read_json(out / "manifest.json")
+        manifest["config"]["method"] = "both"
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", "--manifest", str(edited), "--out-dir", str(tmp_path / "re")]) == 1
+        assert capsys.readouterr().err.splitlines() == err
+
+    def test_information_overflow_is_one_error_line(self, tmp_path):
+        # Responses of 1e-300 put the identity link's fitted means where
+        # its expected weights 4 / mu^2 overflow.
+        data = tmp_path / "tiny.csv"
+        data.write_text("y,x\n" + "".join(f"1e-300,{i % 4}\n" for i in range(40)))
+        path = [str(Path(rayreg.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "rayreg.cli", "fit", "--data", str(data), "--response", "y",
+             "--covariates", "x", "--link", "identity", "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: Fisher information is not finite at the optimum\n"
+
+
 class TestSimulateCommands:
     def test_simulate_artifacts(self, sim_config, tmp_path):
         out = tmp_path / "sim"
@@ -491,6 +532,22 @@ class TestDetectCommands:
             assert rc == 0
             masks[method] = (out / "mask.pgm").read_bytes()
         assert masks["wmle"] != masks["mle"]
+
+    def test_byte_order_mark_detects_like_plain_csv(self, scene_dir, tmp_path):
+        # Spreadsheet exports often start with a UTF-8 byte-order mark.
+        plain = tmp_path / "interest.csv"
+        image_io.write_image_csv(image_io.read_image(scene_dir / "interest.rrm"), plain)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outputs = []
+        for interest in (plain, bom):
+            out = tmp_path / interest.stem
+            assert main(["detect", "--interest", str(interest),
+                         "--covariates", str(scene_dir / "covariate.rrm"),
+                         "--training", "75,0,100,100", "--out-dir", str(out)]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("mask.pgm", "mask.csv", "clusters.json")])
+        assert outputs[0] == outputs[1]
 
     def test_tiny_training_rectangle_refused(self, scene_dir, tmp_path, capsys):
         rc = main(

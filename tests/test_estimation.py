@@ -1,6 +1,7 @@
 """Estimator oracles: finite differences, closed forms, weight rules, pipelines."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,10 +23,9 @@ from rayreg import (
     score,
     weighted_loglik,
 )
-import rayreg.estimation
-from rayreg.estimation import _direction, _make_objective
+import rayreg.optim
+from rayreg.optim import _direction, maximize_bfgs
 from rayreg.scenes import make_scene
-from rayreg.optim import maximize_bfgs
 
 from closed_form_oracle import closed_form_fits, coefficients
 
@@ -129,21 +129,24 @@ class TestObjective:
         # Zero, fractional and unit weights.
         w = rng.uniform(0.0, 1.0, size=spec.n_obs)
         w[:50], w[50:100] = 0.0, 1.0
-        infos = []
+        infos, steps = [], []
 
         def recording_direction(info, *args):
             infos.append(info)
-            return _direction(info, *args)
+            steps.append(_direction(info, *args))
+            return steps[-1]
 
-        monkeypatch.setattr(rayreg.estimation, "_direction", recording_direction)
-        fval, grad, direction, eta = _make_objective(spec, w)(beta)
-        assert not infos  # the information waits for the direction's call
-        step = direction()
-        assert np.array_equal(step, _direction(infos[0], grad, spec.design, w, spec.link, eta))
-        assert fval == pytest.approx(weighted_loglik(spec, beta, w), rel=1e-12)
-        assert np.array_equal(spec.link.inverse(eta), predict_mean(spec, beta))
+        monkeypatch.setattr(rayreg.optim, "_direction", recording_direction)
+        # No step taken: the value, gradient and linear predictor at beta.
+        at = maximize_bfgs(spec, w, beta, max_iter=0)
+        assert not infos  # the information waits for a step
+        maximize_bfgs(spec, w, beta, max_iter=1)
+        expected = _direction(infos[0], at.grad, spec.design, w, spec.link, at.eta)
+        assert np.array_equal(steps[0], expected)
+        assert at.fval == pytest.approx(weighted_loglik(spec, beta, w), rel=1e-12)
+        assert np.array_equal(spec.link.inverse(at.eta), predict_mean(spec, beta))
         reference = score(spec, beta, w)
-        assert np.max(np.abs(grad - reference)) <= 1e-12 * np.max(np.abs(reference))
+        assert np.max(np.abs(at.grad - reference)) <= 1e-12 * np.max(np.abs(reference))
 
         # -Hessian of the weighted log-likelihood by central differences.
         h = 1e-4
@@ -179,11 +182,12 @@ class TestObjective:
         spec = ModelSpec.build(X, y, link=link)
         w = np.ones(n)
         w[0] = weight
-        fun = _make_objective(spec, w)
         feasible = np.array([1.0 if link == "identity" else 0.0, 0.0])
-        with np.errstate(all="ignore"):  # as inside the solver
-            assert math.isfinite(fun(feasible)[0])
-            assert fun(np.array(beta))[0] == -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the solver silences numpy's warnings itself
+            assert math.isfinite(maximize_bfgs(spec, w, feasible, max_iter=0).fval)
+            with pytest.raises(ValueError, match="not finite at the starting point"):
+                maximize_bfgs(spec, w, np.array(beta), max_iter=0)
 
 
 class TestComputeWeights:
@@ -404,7 +408,7 @@ class TestOptimizerBehavior:
             solves.append(args)
             return _direction(*args)
 
-        monkeypatch.setattr(rayreg.estimation, "_direction", counting_direction)
+        monkeypatch.setattr(rayreg.optim, "_direction", counting_direction)
         mle, wmle = fit_both(_simulated_spec(54, eps=0.05))
         assert mle.converged and wmle.converged
         assert len(solves) == mle.iterations + wmle.iterations
@@ -412,8 +416,7 @@ class TestOptimizerBehavior:
     def test_objective_ascends_over_accepted_steps(self):
         spec = _simulated_spec(51, eps=0.05)
         trace = []
-        fun = _make_objective(spec, np.ones(spec.n_obs))
-        res = maximize_bfgs(fun, np.zeros(2), trace=trace)
+        res = maximize_bfgs(spec, np.ones(spec.n_obs), np.zeros(2), trace=trace)
         assert res.converged
         assert all(b >= a for a, b in zip(trace, trace[1:]))
 
@@ -429,11 +432,10 @@ class TestOptimizerBehavior:
     def test_start_point_robustness(self):
         spec = _simulated_spec(53)
         fit = fit_mle(spec)
-        fun = _make_objective(spec, np.ones(spec.n_obs))
         rng = np.random.default_rng(3)
         for _ in range(5):
             start = fit.beta_hat + rng.uniform(-0.5, 0.5, size=2)
-            res = maximize_bfgs(fun, start)
+            res = maximize_bfgs(spec, np.ones(spec.n_obs), start)
             assert res.converged
             assert np.allclose(res.x, fit.beta_hat, atol=1e-6)
 
@@ -452,7 +454,7 @@ class TestOptimizerBehavior:
             counts.append((mle.iterations, wmle.iterations))
         assert np.all(np.ptp(np.array(counts), axis=0) <= 2), counts
 
-    def test_falls_back_to_fisher_scoring(self):
+    def test_falls_back_to_fisher_scoring(self, monkeypatch):
         # Well above the data the identity link's observed information is
         # negative, so its Newton step points away from the optimum and no
         # halving of it is accepted.  The solver steps with the expected
@@ -463,12 +465,18 @@ class TestOptimizerBehavior:
         w = np.ones(50)
         mu = np.full(50, 2.0)
         assert spec.link.newton_terms(mu, math.pi / 4 * (y / mu) ** 2)[1].sum() < 0.0
-        fun = _make_objective(spec, w)
-        _, g0, direction, _ = fun(np.array([2.0]))
-        assert direction()[0] == pytest.approx(g0[0] / (50 * 4.0 / 2.0**2), rel=1e-12)
-        first = maximize_bfgs(fun, np.array([2.0]), max_iter=1)
+        g0 = maximize_bfgs(spec, w, np.array([2.0]), max_iter=0).grad
+        steps = []
+
+        def recording_direction(*args):
+            steps.append(_direction(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(rayreg.optim, "_direction", recording_direction)
+        first = maximize_bfgs(spec, w, np.array([2.0]), max_iter=1)
+        assert steps[0][0] == pytest.approx(g0[0] / (50 * 4.0 / 2.0**2), rel=1e-12)
         assert first.x[0] == pytest.approx(2.0 + g0[0] / (50 * 4.0 / 2.0**2), rel=1e-12)
-        res = maximize_bfgs(fun, np.array([2.0]))
+        res = maximize_bfgs(spec, w, np.array([2.0]))
         assert res.converged and res.iterations >= 1
         assert res.x[0] < 2.0
         assert res.x[0] == pytest.approx(math.sqrt(math.pi / 4 * np.mean(y**2)), rel=1e-8)

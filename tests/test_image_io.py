@@ -37,6 +37,13 @@ class TestCsv:
             image_io.read_image_csv(p)
 
 
+    def test_undecodable_bytes_name_the_file(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"1.0,2.0\n3.0,\xb5\n")
+        with pytest.raises(ValueError, match="latin1.csv: not UTF-8 text"):
+            image_io.read_image_csv(p)
+
+
 class TestRrm:
     def test_round_trip_bit_exact(self, image, tmp_path):
         p = tmp_path / "img.rrm"

@@ -14,6 +14,7 @@ from scipy.stats import chi2
 
 from rayreg import (
     DesignMatrix,
+    FitResult,
     ModelSpec,
     RobustConfig,
     distribution,
@@ -161,8 +162,16 @@ class TestWaldTest:
         assert report.statistic == pytest.approx(z2, rel=1e-10)
 
     def test_reference_case_p_value(self):
-        assert float(chi2.sf((0.1168 / 0.0521) ** 2, 1)) == pytest.approx(0.025, abs=2e-3)
-        assert P_REFERENCE_CASE == pytest.approx(0.025, abs=2e-3)
+        # One coefficient estimated at 0.1168 with standard error 0.0521.
+        se = 0.0521
+        fit = FitResult(method="MLE", beta_hat=np.array([0.1168]), std_errors=np.array([se]),
+                        fisher_info=np.array([[1.0 / se**2]]), weights=np.ones(2),
+                        mu_hat=np.ones(2), loglik=0.0, converged=True, iterations=1,
+                        grad_norm=0.0, column_names=("x",))
+        report = wald_test(fit, (0,), np.zeros(1))
+        assert report.statistic == pytest.approx((0.1168 / se) ** 2, rel=1e-12)
+        assert report.p_value == pytest.approx(P_REFERENCE_CASE, rel=1e-10)
+        assert report.p_value == pytest.approx(0.025, abs=2e-3)
 
     def test_consistency_of_decision_fields(self):
         _, fit = _fitted(8, eps=0.02)
@@ -172,9 +181,16 @@ class TestWaldTest:
             assert rep.reject_null == (rep.p_value < pfa)
 
     def test_p_value_monotone_in_statistic(self):
-        stats = np.linspace(0.0, 30.0, 200)
-        p = chi2.sf(stats, 2)
+        # Nulls moving away from the estimate: the statistic grows and the
+        # p-value falls, from 1 at the estimate itself.
+        _, fit = _fitted(11)
+        reports = [wald_test(fit, (0, 1), fit.beta_hat + shift)
+                   for shift in np.linspace(0.0, 0.3, 200)]
+        stats = np.array([r.statistic for r in reports])
+        p = np.array([r.p_value for r in reports])
+        assert np.all(np.diff(stats) > 0)
         assert np.all(np.diff(p) <= 0)
+        assert p[0] == 1.0 and p[-1] < 1e-40
 
     def test_threshold_and_p_value_match_scipy_stats_chi2(self):
         # wald_test evaluates the chi-square quantile and survival function

@@ -171,6 +171,18 @@ class TestDesignMatrix:
                 assert np.array_equal(arr, getattr(obj, name))
                 assert not arr.flags.writeable, (type(obj).__name__, name)
 
+    def test_pickled_svd_factors_stay_read_only(self):
+        # The rank check keeps the SVD's factors as one tuple, and the
+        # pseudo-inverse is built from them, so they are frozen too.
+        d = DesignMatrix(np.column_stack([np.ones(20), np.arange(20.0)]))
+        d.assert_full_rank()
+        clone = pickle.loads(pickle.dumps(d))
+        held = [a for v in vars(clone).values() for a in (v if isinstance(v, tuple) else (v,))
+                if isinstance(a, np.ndarray)]
+        assert len({id(a) for a in held}) == 4  # X and the three factors
+        assert not any(a.flags.writeable for a in held)
+        assert np.array_equal(clone.pinv, d.pinv)
+
     def test_readonly(self):
         d = DesignMatrix(np.ones((5, 1)))
         with pytest.raises(ValueError):
