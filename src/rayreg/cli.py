@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, detection, image_io, inference, scenes, simulation
-from .estimation import RobustConfig, fit_both
+from .estimation import RobustConfig, fit_both, fit_mle
 from .regression import DesignMatrix, ModelSpec, dummy_design
 
 
@@ -94,11 +94,21 @@ def _read_image(inputs: dict, path) -> np.ndarray:
     return image
 
 
-def _parse_json(data: bytes, path):
-    """The JSON document in ``data``, read from ``path``; malformed or too
-    deeply nested text is a :class:`CliError`."""
+def _decode(data: bytes, path, encoding="utf-8") -> str:
+    """``data``, read from ``path``, as text; bytes that are not UTF-8 are a
+    :class:`CliError` naming the file."""
     try:
-        return json.loads(data.decode("utf-8"))
+        return data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _parse_json(data: bytes, path):
+    """The JSON document in ``data``, read from ``path``; text that is not
+    UTF-8, malformed or too deeply nested is a :class:`CliError`."""
+    text = _decode(data, path)
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}: invalid JSON: {exc}") from None
     except RecursionError:
@@ -119,7 +129,7 @@ def _load_table(given, inputs: dict) -> tuple:
     if not path.exists():
         raise CliError(f"data file not found: {path}")
     # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
-    text = _read_input(inputs, given).decode("utf-8-sig")
+    text = _decode(_read_input(inputs, given), path, "utf-8-sig")
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
@@ -192,6 +202,16 @@ def _robust_from_config(config) -> RobustConfig:
     return RobustConfig(delta=config["delta"], reweight_iterations=config["reweight_iterations"])
 
 
+def _requested_fits(spec, config) -> list:
+    """The fits that ``--method`` reports, MLE first; the robust pass runs
+    only where its fit is reported."""
+    cfg = _robust_from_config(config)
+    if config["method"] == "mle":
+        return [fit_mle(spec, cfg)]
+    mle, wmle = fit_both(spec, cfg)
+    return [mle, wmle] if config["method"] == "both" else [wmle]
+
+
 def _fit_payload(fit, pfa) -> dict:
     tests = inference.ground_type_detect(fit, pfa=pfa) if fit.beta_hat.size > 1 and fit.converged else []
     p_by_index = {t.interest[0]: t.p_value for t in tests}
@@ -250,9 +270,7 @@ def _cmd_fit(config, out_dir: Path, inputs: dict) -> list:
         raise CliError("--method must be mle, wmle, or both")
     if method == "mle" and config["delta_explicit"]:
         warnings.warn("--delta is ignored for --method mle", stacklevel=2)
-    mle, wmle = fit_both(spec, _robust_from_config(config))
-    fits = {"mle": [mle], "wmle": [wmle], "both": [mle, wmle]}[method]
-    payloads = [_fit_payload(f, config["pfa"]) for f in fits]
+    payloads = [_fit_payload(f, config["pfa"]) for f in _requested_fits(spec, config)]
     fmt = config["format"]
     outputs = []
     if fmt == "json":
@@ -272,8 +290,7 @@ def _one_fit(command, config, inputs: dict) -> tuple:
     if config["method"] not in ("mle", "wmle"):
         raise CliError(f"{command} reports one fit; --method must be mle or wmle")
     spec = _build_spec_from_config(config, inputs)
-    mle, wmle = fit_both(spec, _robust_from_config(config))
-    return spec, wmle if config["method"] == "wmle" else mle
+    return spec, _requested_fits(spec, config)[0]
 
 
 def _cmd_wald(config, out_dir: Path, inputs: dict) -> list:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .regression import ModelSpec, spd_solve
 
-__all__ = ["OptimResult", "maximize_bfgs"]
+__all__ = ["InfeasibleStartError", "OptimResult", "maximize_bfgs"]
 
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
@@ -29,6 +29,10 @@ _MAX_HALVINGS = 60
 _ROUNDING = 1e-12
 _LOG_HALF_PI = math.log(math.pi / 2.0)
 _SQRT_QUARTER_PI = math.sqrt(math.pi / 4.0)
+
+
+class InfeasibleStartError(ValueError):
+    """Raised when the objective is not finite at the solver's start."""
 
 
 @dataclass(frozen=True)
@@ -67,58 +71,66 @@ def maximize_bfgs(
     computed only at the points the solver steps from.
 
     When ``trace`` is a list, the objective value of every accepted step
-    is appended to it (ascent diagnostics).
+    is appended to it (ascent diagnostics).  Raises
+    :class:`InfeasibleStartError` where the objective is not finite at
+    ``start``.
     """
-    X = spec.design.X
+    design = spec.design
+    X = design.X
+    XT = X.T
     link = spec.link
+    log_mean_quad, newton_terms = link.log_mean_quad, link.newton_terms
     w = weights
+    # 1.0 * x is exact, so unit weights (every MLE) skip their multiplies.
+    unit = bool((w == 1.0).all())
+    dot = np.dot  # the BLAS call of ``@`` on these shapes, with less dispatch
     scaled_y = _SQRT_QUARTER_PI * spec.response
-    const = float(np.sum(w)) * _LOG_HALF_PI + float(w @ np.log(spec.response))
+    const = float(np.sum(w)) * _LOG_HALF_PI + float(dot(w, np.log(spec.response)))
 
     def evaluate(beta):
-        """``(value, gradient, eta, h)``, or None at an infeasible point."""
-        eta = X @ beta
-        log_mu, quad = link.log_mean_quad(eta, scaled_y)
+        """``(value, gradient, gradient sup-norm, eta, h)``, or None at an
+        infeasible point."""
+        eta = dot(X, beta)
+        log_mu, quad = log_mean_quad(eta, scaled_y)
         # A nonpositive mean, or one that underflows, makes log_mu or quad
         # non-finite and so the value, whatever its weight, since 0 * inf
         # and 0 * nan are nan.  A mean that overflows leaves both finite
         # under the log link, so the largest one is checked as well.
-        fval = const - 2.0 * float(w @ log_mu) - float(w @ quad)
-        if not (math.isfinite(fval) and math.isfinite(link.inverse(eta.max()))):
+        fval = const - 2.0 * float(dot(w, log_mu)) - float(dot(w, quad))
+        if not (math.isfinite(fval) and math.isfinite(link.inverse(np.maximum.reduce(eta)))):
             return None
-        s, h = link.newton_terms(eta, quad)
-        grad = X.T @ (w * s)
-        if not np.isfinite(grad).all():
+        s, h = newton_terms(eta, quad)
+        grad = dot(XT, s if unit else w * s)
+        entries = grad.tolist()
+        if not all(map(math.isfinite, entries)):
             return None
-        return fval, grad, eta, h
+        return fval, grad, max(map(abs, entries)), eta, h
 
     # Infeasible trial points raise numpy's floating-point warnings.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = np.array(start, dtype=np.float64)
         point = evaluate(x)
         if point is None:
-            raise ValueError("objective is not finite at the starting point")
-        f, g, eta, h = point
-        grad_norm = float(np.abs(g).max())
+            raise InfeasibleStartError("objective is not finite at the starting point")
+        f, g, grad_norm, eta, h = point
         iterations = 0
 
         while grad_norm > grad_tol and iterations < max_iter:
-            p = _direction(spec.design.gram(w * h), g, spec.design, w, link, eta)
-            slope = float(g @ p)
+            p = _direction(design.gram(h if unit else w * h), g, design, w, link, eta)
+            slope = float(dot(g, p))
             step = 1.0
             for _ in range(_MAX_HALVINGS):
                 x_new = x + step * p
                 point = evaluate(x_new)
-                if point is not None:
-                    norm_new = float(np.abs(point[1]).max())
-                    if point[0] >= f + _ARMIJO * step * slope or (
-                        norm_new < grad_norm and point[0] >= f - _ROUNDING * abs(f)
-                    ):
-                        break
+                if point is not None and (
+                    point[0] >= f + _ARMIJO * step * slope
+                    or (point[2] < grad_norm and point[0] >= f - _ROUNDING * abs(f))
+                ):
+                    break
                 step *= 0.5
             else:
                 break
-            x, (f, g, eta, h), grad_norm = x_new, point, norm_new
+            x, (f, g, grad_norm, eta, h) = x_new, point
             iterations += 1
             if trace is not None:
                 trace.append(float(f))

@@ -64,8 +64,11 @@ class LogLink:
         ``scaled_y = sqrt(pi/4) y``: ``eta`` itself and
         ``(scaled_y exp(-eta))^2``.  Both stay finite where ``exp(eta)``
         overflows, so a caller must check the mean's range itself."""
-        z = scaled_y * np.exp(-eta)
-        return eta, z * z
+        z = np.negative(eta)
+        np.exp(z, out=z)
+        z *= scaled_y
+        z *= z
+        return eta, z
 
     def fisher_weight(self, mu):
         """(4 / mu^2) * (d mu / d eta)^2; collapses to the constant 4."""
@@ -99,7 +102,8 @@ class IdentityLink:
         """``log mu`` and ``quad``, as for the log link, with ``mu = eta``;
         a nonpositive ``eta`` gives a ``log mu`` of -inf or nan."""
         z = scaled_y / eta
-        return np.log(eta), z * z
+        z *= z
+        return np.log(eta), z
 
     def fisher_weight(self, mu):
         mu = np.asarray(mu, dtype=np.float64)

@@ -13,7 +13,10 @@ worker process, and stacks the per-replication results in replication
 order.  Two per-replication functions feed it: `_contaminated_fits` fits
 both estimators at each outlier count (a table cell is the single count
 ``floor(epsilon * N)``), and `_sensitivities` fits the N-1 baseline and
-then one contaminated signal per outlier value.
+then one contaminated signal per outlier value.  Within a replication,
+each fit of a sweep starts from the fit before it (a continuation start of
+`fit_both`), since the two signals differ in a few values only; the curves
+then agree with cold-started fits to within the solver's tolerance.
 
 Covariates are drawn once per scenario and held fixed across
 replications; each replication derives its own generator from the master
@@ -240,23 +243,30 @@ def _summarize(estimator, beta_true, estimates) -> MonteCarloReport:
     )
 
 
-def _fits(spec: ModelSpec, rcfg: RobustConfig) -> np.ndarray:
-    """``fit_both`` as a ``(2, k)`` array, MLE then WMLE; NaN rows mark diverged fits."""
+def _fits(spec: ModelSpec, rcfg: RobustConfig, start=None) -> np.ndarray:
+    """``fit_both`` as a ``(2, k)`` array, MLE then WMLE; NaN rows mark
+    diverged fits.  ``start`` is a neighbouring fit's array: a continuation
+    start, whose NaN rows start cold."""
     out = np.full((2, spec.design.X.shape[1]), np.nan)
-    for row, fit in zip(out, fit_both(spec, rcfg)):
+    for row, fit in zip(out, fit_both(spec, rcfg, start)):
         if fit.converged:
             row[:] = fit.beta_hat
     return out
 
 
 def _contaminated_fits(cfg, counts, design, mu, rcfg, rep) -> np.ndarray:
-    """Both fits at every outlier count, nested positions: ``(len(counts), 2, k)``."""
+    """Both fits at every outlier count, nested positions: ``(len(counts), 2, k)``.
+
+    Each count's fits start from the previous count's.
+    """
     y_clean, perm = _clean_signal_and_perm(cfg, rep, mu)
     out = []
+    fits = None
     for count in counts:
         y = y_clean.copy()
         y[perm[:count]] = cfg.outlier_value
-        out.append(_fits(ModelSpec(design=design, link=cfg.link, response=y), rcfg))
+        fits = _fits(ModelSpec(design=design, link=cfg.link, response=y), rcfg, fits)
+        out.append(fits)
     return np.stack(out)
 
 
@@ -264,7 +274,9 @@ def _sensitivities(cfg, values, design, mu, rcfg, rep) -> np.ndarray:
     """Mean |SC| of both fits at every outlier value: ``(len(values), 2)``.
 
     The baseline deletes row ``j``; a NaN marks a diverged fit, and a
-    diverged baseline makes the whole replication NaN.
+    diverged baseline makes the whole replication NaN.  The first value's
+    fits start from the baseline's, and each later value's from the value
+    before.
     """
     rng = rng_for(cfg.master_seed, _REPLICATION_STREAM, rep)
     y = distribution.quantile(rng.random(cfg.n_obs), mu)
@@ -276,10 +288,11 @@ def _sensitivities(cfg, values, design, mu, rcfg, rep) -> np.ndarray:
     out = np.full((len(values), 2), np.nan)
     if np.isnan(base[:, 0]).any():
         return out
+    fits = base
     for vi, value in enumerate(values):
         y_cont = y.copy()
         y_cont[j] = value
-        fits = _fits(ModelSpec(design=design, link=cfg.link, response=y_cont), rcfg)
+        fits = _fits(ModelSpec(design=design, link=cfg.link, response=y_cont), rcfg, fits)
         out[vi] = np.mean(np.abs(cfg.n_obs * (fits - base)), axis=1)
     return out
 

@@ -19,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rayreg
+import rayreg.cli
+import rayreg.estimation
 from rayreg import distribution, image_io
 from rayreg.cli import _parse_range, main
 
@@ -234,6 +236,24 @@ class TestOneFitCommands:
         assert main(["rerun", "--manifest", str(edited), "--out-dir", str(tmp_path / "re")]) == 1
         assert capsys.readouterr().err.splitlines() == err
 
+    @pytest.mark.parametrize("command, extra, artifact",
+                             [("fit", [], "fit.json"), ("wald", ["--interest", "is_B"], "wald.json"),
+                              ("residuals", [], "residuals.csv")])
+    def test_mle_skips_the_robust_pass(self, command, extra, artifact, region_csv, tmp_path,
+                                       monkeypatch):
+        argv = [command, "--data", str(region_csv), "--response", "amplitude",
+                "--dummy", "region", "--reference", "A", "--method", "mle", *extra]
+        calls = []
+        monkeypatch.setattr(rayreg.estimation, "compute_weights", lambda *args: calls.append(args))
+        assert main(argv + ["--out-dir", str(tmp_path / "mle")]) == 0
+        assert not calls
+        # Byte for byte the artifact of fit_both's MLE.
+        monkeypatch.undo()
+        monkeypatch.setattr(rayreg.cli, "fit_mle",
+                            lambda spec, cfg: rayreg.estimation.fit_both(spec, cfg)[0])
+        assert main(argv + ["--out-dir", str(tmp_path / "both")]) == 0
+        assert (tmp_path / "mle" / artifact).read_bytes() == (tmp_path / "both" / artifact).read_bytes()
+
     def test_information_overflow_is_one_error_line(self, tmp_path):
         # Responses of 1e-300 put the identity link's fitted means where
         # its expected weights 4 / mu^2 overflow.
@@ -416,6 +436,24 @@ class TestMalformedInputs:
         assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
         assert len(err[0]) < 200
 
+    @pytest.mark.parametrize("kind", ["data", "config", "truth", "manifest"])
+    def test_undecodable_bytes_name_the_file(self, kind, scene_dir, region_csv, tmp_path, capsys):
+        # Latin-1 bytes for "é" and "µ" (0xe9, 0xb5) before ASCII are not UTF-8.
+        text = {"data": region_csv.read_text().replace("region", "r\xe9gion"),
+                "config": '{"beta_true": [0.5, 0.15], "N": 60, "link": "log\xb5"}',
+                "truth": '{"targets": [], "note": "\xb5m"}',
+                "manifest": '{"command": "fit", "config": {"note": "\xb5m"}}'}[kind]
+        doc = tmp_path / "latin1.in"
+        doc.write_bytes(text.encode("latin-1"))
+        argv = {"data": ["fit", "--data", str(doc), "--response", "amplitude"],
+                "config": ["simulate", "--config", str(doc)],
+                "truth": ["detect", *_scene_args(scene_dir), "--truth", str(doc)],
+                "manifest": ["rerun", "--manifest", str(doc)]}[kind]
+        capsys.readouterr()
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {doc}: not UTF-8 text: "), err
+
 
 # A valid simulation config, and values that each field must refuse for its
 # range; ScenarioConfig and RobustConfig own the ranges.
@@ -474,6 +512,68 @@ class TestSimConfigBoundary:
         lines = err.getvalue().splitlines()
         assert rc == 1
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+def _valid_data_csv() -> bytes:
+    rng = np.random.default_rng(21)
+    x = rng.random(40)
+    y = distribution.quantile(rng.random(40), np.exp(0.5 + 0.15 * x))
+    rows = "".join(f"{a!r},{b!r}\n" for a, b in zip(y.tolist(), x.tolist()))
+    return ("y,x\n" + rows).encode()
+
+
+_DATA_CSV = _valid_data_csv()
+
+
+@st.composite
+def _mutated_data_csv(draw):
+    """The valid data CSV after one to three byte-level mutations."""
+    data = _DATA_CSV
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["truncate", "bytes", "bom", "huge", "non-finite", "ragged"]))
+        if kind == "truncate":
+            data = data[:at]
+        elif kind == "bytes":  # mostly not UTF-8
+            data = data[:at] + draw(st.binary(min_size=1, max_size=4)) + data[at:]
+        elif kind == "bom":
+            data = b"\xef\xbb\xbf" + data
+        else:
+            # Replace one cell of a data line with a 400-digit number, a
+            # non-finite value, or an extra field.
+            lines = data.split(b"\n")
+            i = draw(st.integers(1, max(1, len(lines) - 1)))
+            if i < len(lines):
+                cells = lines[i].split(b",")
+                c = draw(st.integers(0, len(cells) - 1))
+                cells[c] = draw({
+                    "huge": st.sampled_from([b"1" + b"0" * 400, b"-1" + b"0" * 400,
+                                             b"0." + b"0" * 399 + b"1"]),
+                    "non-finite": st.sampled_from([b"nan", b"inf", b"-inf", b"NaN", b"Infinity"]),
+                    "ragged": st.sampled_from([cells[c] + b",1.0", b""]),
+                }[kind])
+                lines[i] = b",".join(cells)
+            data = b"\n".join(lines)
+    return data
+
+
+class TestDataCsvBoundary:
+    @settings(max_examples=150, deadline=None)
+    @given(data=_mutated_data_csv())
+    def test_mutated_data_fits_or_is_one_error_line(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("data") / "data.csv"
+        path.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would be a second stderr line
+            rc = main(["fit", "--data", str(path), "--response", "y", "--covariates", "x",
+                       "--out-dir", str(path.parent / "out")])
+        lines = err.getvalue().splitlines()
+        if rc == 0:
+            assert lines == []
+        else:
+            assert rc == 1
+            assert len(lines) == 1 and lines[0].startswith("error:"), lines
 
 
 class TestParseRange:
@@ -685,6 +785,22 @@ class TestRerun:
                      "--out-dir", str(second)]) == 0
         for name in ("table.json", "table.txt"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    @pytest.mark.parametrize("command, sweep", [("sensitivity", ["--values", "1:6"]),
+                                                ("breakdown", ["--counts", "0,3,6"])])
+    def test_chained_sweep_rerun_byte_identical(self, command, sweep, sim_config, tmp_path):
+        # Each sweep fit starts from the one before it, so a rerun must
+        # replay the same chain.
+        first = tmp_path / "a"
+        assert main([command, "--config", str(sim_config), *sweep, "--out-dir", str(first)]) == 0
+        second = tmp_path / "b"
+        assert main(["rerun", "--manifest", str(first / "manifest.json"),
+                     "--out-dir", str(second)]) == 0
+        for name in (f"{command}.csv", f"{command}.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        assert self._strip_timestamp(first / "manifest.json") == self._strip_timestamp(
+            second / "manifest.json"
+        )
 
     @pytest.mark.parametrize(
         "doc",

@@ -23,6 +23,7 @@ from rayreg import (
     score,
     weighted_loglik,
 )
+import rayreg.estimation
 import rayreg.optim
 from rayreg.optim import _direction, maximize_bfgs
 from rayreg.scenes import make_scene
@@ -516,6 +517,91 @@ class TestOptimizerBehavior:
         fit = fit_mle(spec)
         assert fit.converged
         assert np.all(predict_mean(spec, fit.beta_hat) > 0.0)
+
+
+def _neighbours(link, seed):
+    """A contaminated signal and the same one with one value moved."""
+    beta = (0.5, 0.15) if link == "log" else (2.0, 0.5)
+    spec = _simulated_spec(seed, n=300, beta=beta, link=link, eps=0.03)
+    y = spec.response.copy()
+    y[7] = 4.0 * y.max()
+    return spec, ModelSpec(design=spec.design, link=link, response=y)
+
+
+class TestContinuationStart:
+    @pytest.mark.parametrize("rounds", [1, 3])
+    @pytest.mark.parametrize("link", ["log", "identity"])
+    @pytest.mark.parametrize("seed", [61, 62, 63])
+    def test_warm_start_matches_cold(self, link, rounds, seed):
+        before, after = _neighbours(link, seed)
+        for grad_tol in (1e-6, 1e-10):
+            cfg = RobustConfig(reweight_iterations=rounds, grad_tol=grad_tol)
+            start = tuple(fit.beta_hat for fit in fit_both(before, cfg))
+            for cold, warm in zip(fit_both(after, cfg), fit_both(after, cfg, start=start)):
+                assert cold.converged and warm.converged
+                assert cold.method == warm.method
+                assert warm.n_downweighted == cold.n_downweighted
+                if grad_tol < 1e-6:
+                    # Both at the one optimum, to rounding.
+                    np.testing.assert_allclose(warm.beta_hat, cold.beta_hat, rtol=1e-8, atol=0)
+                else:
+                    # Two points whose gradient sup-norms are at most grad_tol
+                    # lie within about 2 grad_tol |I^-1| 1 of each other.
+                    cov = np.linalg.inv(cold.fisher_info)
+                    bound = 2.0 * grad_tol * np.abs(cov).sum(axis=1)
+                    assert np.all(np.abs(warm.beta_hat - cold.beta_hat) <= bound)
+
+    def test_warm_start_saves_iterations(self):
+        steps = {"cold": 0, "warm": 0}
+        for seed in range(61, 71):
+            before, after = _neighbours("log", seed)
+            start = tuple(fit.beta_hat for fit in fit_both(before))
+            for kind, fits in (("cold", fit_both(after)), ("warm", fit_both(after, start=start))):
+                steps[kind] += sum(fit.iterations for fit in fits)
+        assert steps["warm"] < steps["cold"], steps
+
+    @pytest.mark.parametrize("bad", ["nan", "infeasible", "shape"])
+    def test_unusable_start_falls_back_to_cold(self, bad):
+        before, after = _neighbours("identity", 64)
+        mle, wmle = fit_both(after)
+        if bad == "nan":
+            start = (np.array([np.nan, 0.5]), np.array([2.0, np.inf]))
+        elif bad == "infeasible":
+            # A nonpositive mean at every row whose covariate exceeds 0.5.
+            start = (np.array([1.0, -2.0]), np.array([-1.0, 0.0]))
+            assert (after.design.X @ start[0] <= 0.0).any() and (after.design.X @ start[1] <= 0.0).all()
+        else:
+            start = (np.ones(3), np.ones(1))
+        for cold, warm in zip((mle, wmle), fit_both(after, start=start)):
+            assert warm.converged
+            assert np.array_equal(warm.beta_hat, cold.beta_hat)
+            assert warm.iterations == cold.iterations
+
+    def test_one_usable_half_is_kept(self):
+        # A NaN MLE start (a diverged neighbour) leaves the WMLE start in use.
+        before, after = _neighbours("log", 65)
+        mle, wmle = fit_both(before)
+        cold = fit_both(after)
+        warm = fit_both(after, start=(np.full(2, np.nan), wmle.beta_hat))
+        assert np.array_equal(warm[0].beta_hat, cold[0].beta_hat)
+        np.testing.assert_allclose(warm[1].beta_hat, cold[1].beta_hat, rtol=1e-8, atol=0)
+
+    def test_fit_counts_are_unchanged(self, monkeypatch):
+        calls = []
+        for name in ("maximize_bfgs", "fisher_information", "compute_weights"):
+            original = getattr(rayreg.estimation, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(rayreg.estimation, name, counted)
+        before, after = _neighbours("log", 66)
+        start = tuple(fit.beta_hat for fit in fit_both(before))
+        calls.clear()
+        fit_both(after, start=start)
+        assert sorted(calls) == ["compute_weights", "fisher_information", "fisher_information",
+                                 "maximize_bfgs", "maximize_bfgs"]
 
 
 class TestRobustConfig:

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import rayreg.simulation
+from rayreg.estimation import fit_both
 from rayreg.simulation import (
     BreakdownCurve,
     ScenarioConfig,
@@ -211,6 +213,49 @@ class TestSensitivityCurve:
     def test_rejects_nonpositive_values(self):
         with pytest.raises(ValueError):
             sensitivity_curve(_cfg(replications=5), [0.0, 1.0])
+
+
+class TestContinuationStarts:
+    """Each sweep fit starts from the fit before it in its replication; the
+    curves stay within the solver's tolerance of cold-started fits."""
+
+    CFG = _cfg(n_obs=60, replications=30, master_seed=17)
+    SWEEPS = {
+        "breakdown": (breakdown_curve, [0, 3, 6, 9, 12], ("mle_total_rb", "wmle_total_rb")),
+        "sensitivity": (sensitivity_curve, [float(v) for v in range(1, 21)],
+                        ("mle_masc", "wmle_masc")),
+    }
+
+    @pytest.mark.parametrize("experiment", sorted(SWEEPS))
+    def test_curves_match_cold_fits(self, experiment, monkeypatch):
+        curve_fn, sweep, fields = self.SWEEPS[experiment]
+        starts = []
+
+        def recording_fit_both(spec, cfg=None, start=None):
+            starts.append(start)
+            return fit_both(spec, cfg, start)
+
+        monkeypatch.setattr(rayreg.simulation, "fit_both", recording_fit_both)
+        warm = curve_fn(self.CFG, sweep)
+        # Only each replication's first fit (the baseline, or the first
+        # count) starts cold.
+        assert sum(start is None for start in starts) == self.CFG.replications
+        monkeypatch.setattr(rayreg.simulation, "fit_both",
+                            lambda spec, cfg=None, start=None: fit_both(spec, cfg))
+        cold = curve_fn(self.CFG, sweep)
+        assert warm.convergence_failures == cold.convergence_failures
+        atol = 0.0
+        if experiment == "sensitivity":
+            # A fit stops anywhere its gradient sup-norm is below grad_tol,
+            # about 2 grad_tol |I^-1| 1 from where another start stops, and
+            # the baseline starts cold in both runs: so each sensitivity
+            # N (beta - beta_base), and their mean, can move by N times that.
+            # Well outside the band the WMLE's MASC is only ~0.06 here.
+            cov = scenario_design(self.CFG).log_covariance
+            atol = 2.0 * self.CFG.n_obs * self.CFG.grad_tol * np.abs(cov).sum(axis=1).mean()
+        for name in fields:
+            np.testing.assert_allclose(getattr(warm, name), getattr(cold, name), rtol=1e-6,
+                                       atol=atol)
 
 
 _EXPERIMENTS = {
