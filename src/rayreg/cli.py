@@ -149,17 +149,20 @@ def _load_table(given, inputs: dict) -> tuple:
 
 
 def _numeric_column(path, header, rows, name) -> np.ndarray:
+    """Column ``name`` as floats; a cell that is not a finite number (``nan``,
+    ``inf``, or digits past the largest double) names its file line."""
     if name not in header:
         raise CliError(f"{path}: column {name!r} not found; available: {header}")
     j = header.index(name)
     out = np.empty(len(rows))
     for i, (lineno, row) in enumerate(rows):
         try:
-            out[i] = float(row[j])
+            out[i] = value = float(row[j])
         except ValueError:
-            raise CliError(
-                f"{path}: line {lineno}: column {name!r} has non-numeric value {row[j]!r}"
-            ) from None
+            value = None
+        if value is None or not math.isfinite(value):
+            kind = "non-numeric" if value is None else "non-finite"
+            raise CliError(f"{path}: line {lineno}: column {name!r} has {kind} value {row[j]!r}")
     return out
 
 

@@ -214,7 +214,10 @@ def flag_out_of_control(
         mu = inverse(X @ beta)
         if not (mu.min() > 0.0 and mu.max() < math.inf):
             raise ValueError("fitted mean field is not strictly positive over the image")
-        z = np.divide(yb, mu, out=ratio[:n])
+        # A pixel near the largest double over a mean below one overflows
+        # to an infinite ratio, which lies past the upper cut as it should.
+        with np.errstate(over="ignore"):
+            z = np.divide(yb, mu, out=ratio[:n])
         wide, nb, tmp = flags[block], narrow[:n], spare[:n]
         np.greater_equal(z, upper_in, out=wide)
         wide |= np.less(z, lower_in, out=tmp)

@@ -129,17 +129,16 @@ def compute_weights(spec: ModelSpec, mu_ref, delta: float) -> np.ndarray:
 
         w = F/delta         if F < delta,
         w = 1               if delta <= F <= 1 - delta,
-        w = (1 - F)/delta   if F > 1 - delta.
+        w = (1 - F)/delta   if F > 1 - delta,
+
+    that is ``w = min(min(F, 1 - F)/delta, 1)``.
     """
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
     prob = distribution.cdf(spec.response, np.asarray(mu_ref, dtype=np.float64))
-    w = np.ones(spec.n_obs)
-    lo = prob < delta
-    hi = prob > 1.0 - delta
-    w[lo] = prob[lo] / delta
-    w[hi] = (1.0 - prob[hi]) / delta
-    return w
+    w = np.minimum(prob, 1.0 - prob)
+    w /= delta
+    return np.minimum(w, 1.0, out=w)
 
 
 def _initial_beta(spec: ModelSpec) -> np.ndarray:
@@ -168,33 +167,38 @@ def _initial_beta(spec: ModelSpec) -> np.ndarray:
     return beta_flat
 
 
-def _maximize(spec, weights, cfg, method, cold, warm=None) -> FitResult:
+def _maximize(spec, weights, cfg, method, cold, warm=None, terms=None) -> FitResult:
     """One maximization, from ``warm`` where that is a finite β of this model
-    at which the objective is finite, and otherwise from ``cold()``."""
+    at which the objective is finite, and otherwise from ``cold()``.
+    ``terms`` are the response's constants for the solver."""
     optres = None
-    if warm is not None and warm.shape == (spec.n_params,) and np.isfinite(warm).all():
+    if warm is not None and warm.shape == (spec.n_params,) and all(map(math.isfinite, warm.tolist())):
         try:
-            optres = maximize_bfgs(spec, weights, warm, max_iter=cfg.max_iter, grad_tol=cfg.grad_tol)
+            optres = maximize_bfgs(spec, weights, warm, max_iter=cfg.max_iter,
+                                   grad_tol=cfg.grad_tol, terms=terms)
         except InfeasibleStartError:
             pass
     if optres is None:
-        optres = maximize_bfgs(spec, weights, cold(), max_iter=cfg.max_iter, grad_tol=cfg.grad_tol)
+        optres = maximize_bfgs(spec, weights, cold(), max_iter=cfg.max_iter,
+                               grad_tol=cfg.grad_tol, terms=terms)
     mu_hat = spec.link.inverse(optres.eta)
-    # A mean near the smallest double overflows the identity link's weights.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        info = fisher_information(spec, mu_hat)
-    if not np.isfinite(info).all():
-        raise ValueError("Fisher information is not finite at the optimum")
+    # fisher_information's own checks pass at a feasible point, so a
+    # ValueError below is the solve's.
     try:
-        # Under the log link the information is the design's, and so is
-        # its inverse, kept there.
         if isinstance(spec.link, LogLink):
+            # The information is the design's, and so is its inverse, kept there.
+            info = fisher_information(spec, mu_hat)
             cov = spec.design.log_covariance
         else:
+            # A mean near the smallest double overflows the link's weights.
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                info = fisher_information(spec, mu_hat)
             cov = spd_solve(info, np.eye(spec.n_params))
     except np.linalg.LinAlgError as exc:
         raise ValueError("Fisher information is not positive definite at the optimum") from exc
-    std_errors = np.sqrt(np.diag(cov))
+    except ValueError as exc:  # spd_solve refuses a non-finite matrix
+        raise ValueError("Fisher information is not finite at the optimum") from exc
+    std_errors = np.sqrt(cov.diagonal())
     return FitResult(
         method=method,
         beta_hat=optres.x,
@@ -220,9 +224,9 @@ def fit_mle(spec: ModelSpec, cfg: RobustConfig | None = None) -> FitResult:
     return _fit_mle(spec, cfg or RobustConfig())
 
 
-def _fit_mle(spec, cfg, warm=None) -> FitResult:
+def _fit_mle(spec, cfg, warm=None, terms=None) -> FitResult:
     spec.design.assert_full_rank()
-    return _maximize(spec, np.ones(spec.n_obs), cfg, "MLE", lambda: _initial_beta(spec), warm)
+    return _maximize(spec, np.ones(spec.n_obs), cfg, "MLE", lambda: _initial_beta(spec), warm, terms)
 
 
 def fit_wmle(spec: ModelSpec, cfg: RobustConfig | None = None) -> FitResult:
@@ -255,11 +259,13 @@ def fit_both(spec: ModelSpec, cfg: RobustConfig | None = None, start=None):
     mle_start, wmle_start = (None, None) if start is None else (
         np.asarray(b, dtype=np.float64) for b in start
     )
-    mle = _fit_mle(spec, cfg, mle_start)
+    # The response's constants serve every maximization of this response.
+    terms = spec.link.response_terms(spec.response)
+    mle = _fit_mle(spec, cfg, mle_start, terms)
     fit = mle
     for _ in range(cfg.reweight_iterations):
         w = compute_weights(spec, fit.mu_hat, cfg.delta)
-        fit = _maximize(spec, w, cfg, "WMLE", fit.beta_hat.copy, wmle_start)
+        fit = _maximize(spec, w, cfg, "WMLE", fit.beta_hat.copy, wmle_start, terms)
         wmle_start = None  # later rounds start from the round before
     if fit is mle:
         fit = replace(mle, method="WMLE")

@@ -37,6 +37,7 @@ _MAGIC = b"RRM1"
 # and ``#`` comments (which run to the end of the line), then exactly one
 # whitespace byte before the raster.
 _PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\r\n]*[\r\n])+(\d+)" * 3 + rb"\s")
+_PGM_MAX_DIM = 2**31 - 1  # Netpbm's limit on a width or height
 
 
 def _check_2d(arr) -> np.ndarray:
@@ -147,9 +148,13 @@ def read_mask_pgm(path) -> np.ndarray:
     header = _PGM_HEADER.match(data)
     if header is None:
         raise ValueError(f"{path}: not a binary P5 PGM")
-    cols, rows, maxval = (int(tok) for tok in header.groups())
+    # A number of more than ten digits exceeds every field's limit, and
+    # int() refuses one of thousands.
+    cols, rows, maxval = (int(tok) if len(tok) <= 10 else -1 for tok in header.groups())
     if maxval != 255:
         raise ValueError(f"{path}: expected maxval 255")
+    if not (0 <= cols <= _PGM_MAX_DIM and 0 <= rows <= _PGM_MAX_DIM):
+        raise ValueError(f"{path}: PGM dimensions exceed {_PGM_MAX_DIM}")
     size = rows * cols
     have = len(data) - header.end()
     if have < size:

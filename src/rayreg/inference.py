@@ -68,7 +68,7 @@ def fisher_information(spec: ModelSpec, mu) -> np.ndarray:
     mu = np.asarray(mu, dtype=np.float64)
     if mu.shape != (spec.n_obs,):
         raise ValueError(f"mu must have shape ({spec.n_obs},), got {mu.shape}")
-    if (mu <= 0.0).any():
+    if np.minimum.reduce(mu) <= 0.0:
         raise ValueError("mu must be strictly positive")
     if isinstance(spec.link, LogLink):
         return spec.design.log_information

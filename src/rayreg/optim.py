@@ -1,23 +1,30 @@
 """Damped Newton maximization of the weighted Rayleigh log-likelihood.
 
-Trial points are evaluated on the linear predictor ``eta = X beta``.
-``link.newton_terms`` gives each observation's score factor ``s`` and
-observed weight ``h``, so the gradient is ``X.T @ (w * s)`` and the observed
-information ``design.gram(w * h)``.  That information is positive definite
-under the log link, where the log-likelihood is strictly concave in
-``beta``; where it is not, as can happen under the identity link, the step
-is Fisher scoring with the expected information ``link.fisher_weight``
-(McCullagh & Nelder, *Generalized Linear Models*, ch. 2).
+The iteration keeps its state on Python floats: ``beta``, the gradient,
+the direction, the slope and every trial point are lists, and only the
+length-N work runs in numpy, in the link's fused evaluation
+(``link.objective``), one per trial point.  The value and gradient come
+from one pass over the linear predictor ``eta = X beta``, and the
+observed information, a k x k nested list, is formed only at the points
+the solver steps from.  The step solves it by a Cholesky factorization in
+plain Python, which for the two coefficients of the Monte Carlo studies
+costs a tenth of a call into LAPACK; from about five coefficients on it
+costs more.  The information is positive definite under
+the log link, where the log-likelihood is strictly concave in ``beta``;
+where it is not, as can happen under the identity link, the step is Fisher
+scoring with the expected information ``link.fisher_weight`` (McCullagh &
+Nelder, *Generalized Linear Models*, ch. 2).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
-from .regression import ModelSpec, spd_solve
+from .regression import ModelSpec
 
 __all__ = ["InfeasibleStartError", "OptimResult", "maximize_bfgs"]
 
@@ -27,8 +34,6 @@ _MAX_HALVINGS = 60
 # observations: a step may lower the objective by this much and still be
 # taken if it lowers the gradient.
 _ROUNDING = 1e-12
-_LOG_HALF_PI = math.log(math.pi / 2.0)
-_SQRT_QUARTER_PI = math.sqrt(math.pi / 4.0)
 
 
 class InfeasibleStartError(ValueError):
@@ -54,6 +59,7 @@ def maximize_bfgs(
     max_iter: int = 500,
     grad_tol: float = 1e-6,
     trace: list | None = None,
+    terms=None,
 ) -> OptimResult:
     """Maximize the log-likelihood of ``spec`` under ``weights`` from
     ``start`` by damped Newton steps.
@@ -70,75 +76,52 @@ def maximize_bfgs(
     when no halving is accepted.  The information and its solve are
     computed only at the points the solver steps from.
 
-    When ``trace`` is a list, the objective value of every accepted step
-    is appended to it (ascent diagnostics).  Raises
+    ``terms`` are the response's constants, ``spec.link.response_terms``
+    of the response, which a caller maximizing several weightings of one
+    response computes once.  When ``trace`` is a list, the objective value
+    of every accepted step is appended to it (ascent diagnostics).  Raises
     :class:`InfeasibleStartError` where the objective is not finite at
     ``start``.
     """
-    design = spec.design
-    X = design.X
-    XT = X.T
-    link = spec.link
-    log_mean_quad, newton_terms = link.log_mean_quad, link.newton_terms
-    w = weights
-    # 1.0 * x is exact, so unit weights (every MLE) skip their multiplies.
-    unit = bool((w == 1.0).all())
-    dot = np.dot  # the BLAS call of ``@`` on these shapes, with less dispatch
-    scaled_y = _SQRT_QUARTER_PI * spec.response
-    const = float(np.sum(w)) * _LOG_HALF_PI + float(dot(w, np.log(spec.response)))
-
-    def evaluate(beta):
-        """``(value, gradient, gradient sup-norm, eta, h)``, or None at an
-        infeasible point."""
-        eta = dot(X, beta)
-        log_mu, quad = log_mean_quad(eta, scaled_y)
-        # A nonpositive mean, or one that underflows, makes log_mu or quad
-        # non-finite and so the value, whatever its weight, since 0 * inf
-        # and 0 * nan are nan.  A mean that overflows leaves both finite
-        # under the log link, so the largest one is checked as well.
-        fval = const - 2.0 * float(dot(w, log_mu)) - float(dot(w, quad))
-        if not (math.isfinite(fval) and math.isfinite(link.inverse(np.maximum.reduce(eta)))):
-            return None
-        s, h = newton_terms(eta, quad)
-        grad = dot(XT, s if unit else w * s)
-        entries = grad.tolist()
-        if not all(map(math.isfinite, entries)):
-            return None
-        return fval, grad, max(map(abs, entries)), eta, h
-
+    design, link, w = spec.design, spec.link, weights
+    if terms is None:
+        terms = link.response_terms(spec.response)
     # Infeasible trial points raise numpy's floating-point warnings.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x = np.array(start, dtype=np.float64)
+        evaluate, information = link.objective(design, w, terms)
+        x = np.array(start, dtype=np.float64).tolist()
         point = evaluate(x)
         if point is None:
             raise InfeasibleStartError("objective is not finite at the starting point")
-        f, g, grad_norm, eta, h = point
+        f, g, eta, state = point
+        grad_norm = max(map(abs, g))
         iterations = 0
 
         while grad_norm > grad_tol and iterations < max_iter:
-            p = _direction(design.gram(h if unit else w * h), g, design, w, link, eta)
-            slope = float(dot(g, p))
+            p = _direction(information(state), g, design, w, link, eta)
+            slope = sum(map(mul, g, p))
             step = 1.0
             for _ in range(_MAX_HALVINGS):
-                x_new = x + step * p
+                x_new = [a + step * b for a, b in zip(x, p)]
                 point = evaluate(x_new)
-                if point is not None and (
-                    point[0] >= f + _ARMIJO * step * slope
-                    or (point[2] < grad_norm and point[0] >= f - _ROUNDING * abs(f))
-                ):
-                    break
+                if point is not None:
+                    norm_new = max(map(abs, point[1]))
+                    if point[0] >= f + _ARMIJO * step * slope or (
+                        norm_new < grad_norm and point[0] >= f - _ROUNDING * abs(f)
+                    ):
+                        break
                 step *= 0.5
             else:
                 break
-            x, (f, g, grad_norm, eta, h) = x_new, point
+            x, (f, g, eta, state), grad_norm = x_new, point, norm_new
             iterations += 1
             if trace is not None:
-                trace.append(float(f))
+                trace.append(f)
 
     return OptimResult(
-        x=x,
-        fval=float(f),
-        grad=g,
+        x=np.array(x),
+        fval=f,
+        grad=np.array(g),
         grad_norm=grad_norm,
         iterations=iterations,
         converged=grad_norm <= grad_tol,
@@ -146,17 +129,65 @@ def maximize_bfgs(
     )
 
 
-def _direction(info, grad, design, w, link, eta) -> np.ndarray:
+def _direction(info, grad, design, w, link, eta):
     """Newton step with the observed information ``info``.  Where that is
     not positive definite, as can happen under the identity link, the
     Fisher scoring step with the expected information at the linear
     predictor ``eta``; where zero weights leave even that singular, the
-    gradient."""
-    try:
-        return spd_solve(info, grad)
-    except ValueError:
-        pass
-    try:
-        return spd_solve(design.gram(w * link.fisher_weight(link.inverse(eta))), grad)
-    except ValueError:
-        return grad
+    gradient itself."""
+    step = _cholesky_solve(info, grad)
+    if step is None:
+        step = _cholesky_solve(design.gram(w * link.fisher_weight(link.inverse(eta))), grad)
+    return grad if step is None else step
+
+
+def _cholesky_solve(a, b) -> list | None:
+    """``a^{-1} b`` as a list of floats, for a symmetric positive-definite
+    ``a`` (nested lists or an array) and a vector ``b``, by the Cholesky
+    factorization ``a = L L^T`` in plain Python.  Reads the upper triangle
+    of ``a``, as ``spd_solve`` does.  None where a pivot is not positive and
+    finite, so where ``a`` is indefinite or holds a non-finite value, or
+    where the solution is not finite."""
+    if isinstance(a, np.ndarray):
+        a = a.tolist()
+    if len(a) == 2:  # every model of the Monte Carlo studies: the loops unrolled
+        (a00, a01), (_, a11) = a
+        if not 0.0 < a00 < math.inf:
+            return None
+        l00 = math.sqrt(a00)
+        l10 = a01 / l00
+        d = a11 - l10 * l10
+        if not 0.0 < d < math.inf:
+            return None
+        l11 = math.sqrt(d)
+        z0 = b[0] / l00
+        x1 = (b[1] - l10 * z0) / l11 / l11
+        x = [(z0 - l10 * x1) / l00, x1]
+        return x if math.isfinite(x[0]) and math.isfinite(x1) else None
+    rows = []  # rows of L, each up to its diagonal
+    for i in range(len(a)):
+        row = []
+        for j, lj in enumerate(rows):
+            s = a[j][i]
+            for m in range(j):
+                s -= row[m] * lj[m]
+            row.append(s / lj[j])
+        d = a[i][i]
+        for v in row:
+            d -= v * v
+        if not 0.0 < d < math.inf:
+            return None
+        row.append(math.sqrt(d))
+        rows.append(row)
+    z = []
+    for i, li in enumerate(rows):
+        s = float(b[i])
+        for m in range(i):
+            s -= li[m] * z[m]
+        z.append(s / li[i])
+    for i in reversed(range(len(z))):
+        s = z[i]
+        for m in range(i + 1, len(z)):
+            s -= rows[m][i] * z[m]
+        z[i] = s / rows[i][i]
+    return z if all(map(math.isfinite, z)) else None

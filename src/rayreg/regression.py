@@ -9,16 +9,20 @@ Two links are provided.  The log link is the default and is used by every
 shipped experiment; the identity link exists as a minimal second option
 that exercises the general link machinery (and its positivity guard).
 
-Fits evaluate the likelihood on the linear predictor ``eta = X beta``:
-each link gives ``log mu`` and ``quad = pi/4 (y/mu)^2`` from ``eta``, so
-the log link needs neither a log nor a divide per trial point.
+Fits evaluate the likelihood on the linear predictor ``eta = X beta``,
+through each link's fused evaluation (``objective``): under the log link
+``quad = pi/4 (y/mu)^2`` is ``exp(log(pi/4 y^2) - 2 eta)`` and ``log mu`` is
+``eta``, whose weighted sum is ``(X^T w) beta``, so a trial point costs one
+``exp`` and two products with the design.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -38,10 +42,23 @@ __all__ = [
 # E[log Y] = log mu - _LOG_MEAN_BIAS for a Rayleigh amplitude Y of mean mu:
 # Y^2 is exponential and E[log E] = -gamma for a unit exponential E.
 _LOG_MEAN_BIAS = 0.5 * np.euler_gamma - math.log(2.0 / math.sqrt(math.pi))
+_LOG_HALF_PI = math.log(math.pi / 2.0)
+_LOG_QUARTER_PI = math.log(math.pi / 4.0)
+_SQRT_QUARTER_PI = math.sqrt(math.pi / 4.0)
+# The largest linear predictor whose mean ``exp(eta)`` is finite.
+_MAX_LOG_MEAN = math.log(sys.float_info.max)
 
 
 class NonpositiveMeanError(ValueError):
     """Raised when a linear predictor maps to a nonpositive mean."""
+
+
+def _weighting(w, log_y) -> tuple:
+    """Whether every weight is one, so that the fused evaluations may skip
+    their multiplies by ``w`` (1.0 * x is exact), and the weighted
+    log-likelihood's constant ``sum(w) log(pi/2) + w . log y``."""
+    unit = np.minimum.reduce(w) == 1.0 == np.maximum.reduce(w)
+    return unit, float(np.add.reduce(w)) * _LOG_HALF_PI + float(np.dot(w, log_y))
 
 
 class LogLink:
@@ -59,16 +76,58 @@ class LogLink:
         """``log y`` shifted by its bias, so its mean is ``log mu``."""
         return np.log(y) + _LOG_MEAN_BIAS
 
-    def log_mean_quad(self, eta, scaled_y):
-        """``log mu`` and ``quad = pi/4 (y/mu)^2`` at ``eta``, from
-        ``scaled_y = sqrt(pi/4) y``: ``eta`` itself and
-        ``(scaled_y exp(-eta))^2``.  Both stay finite where ``exp(eta)``
-        overflows, so a caller must check the mean's range itself."""
-        z = np.negative(eta)
-        np.exp(z, out=z)
-        z *= scaled_y
-        z *= z
-        return eta, z
+    def response_terms(self, y):
+        """``log y`` and ``log(pi/4 y^2)``: the response's constants in the
+        log-likelihood and in ``quad``, shared by the maximizations of one
+        fit.  ``quad`` is formed from the log, so it is finite wherever its
+        value is, for any positive double ``y``."""
+        log_y = np.log(y)
+        return log_y, 2.0 * log_y + _LOG_QUARTER_PI
+
+    def objective(self, design, w, terms):
+        """The solver's fused evaluation of the weighted log-likelihood under
+        ``w``; ``terms`` are :meth:`response_terms`.
+
+        Returns ``evaluate(beta)``, which gives ``(value, gradient, eta,
+        state)`` at a list of floats ``beta``, the gradient a list too, or
+        None at an infeasible point; and ``information(state)``, the
+        observed information as nested lists.  With ``wq = w pi/4 y^2
+        exp(-2 eta)`` the value is ``c - 2 (X^T w) beta - sum(wq)``, the
+        gradient ``2 X^T wq - 2 X^T w`` and the information ``4 gram(wq)``,
+        so ``X^T w`` and ``c`` are formed once and a point costs one product
+        with ``X``, one ``exp`` and one product with ``X^T``.  A mean that
+        overflows leaves the value finite, so the largest ``eta`` is checked
+        as well.
+        """
+        dot = np.dot  # the BLAS call of ``@`` on these shapes, with less dispatch
+        X = design.X
+        XT = X.T
+        k = X.shape[1]
+        rows = design._row_products
+        log_y, log_scale = terms
+        unit, const = _weighting(w, log_y)
+        xtw = dot(XT, w).tolist()
+
+        def evaluate(beta):
+            eta = dot(X, beta)
+            wq = np.multiply(eta, -2.0)
+            wq += log_scale
+            np.exp(wq, out=wq)
+            if not unit:
+                wq *= w
+            value = const - 2.0 * sum(map(mul, xtw, beta)) - float(np.add.reduce(wq))
+            if not (math.isfinite(value) and np.maximum.reduce(eta) <= _MAX_LOG_MEAN):
+                return None
+            grad = [2.0 * (a - b) for a, b in zip(dot(XT, wq).tolist(), xtw)]
+            if not all(map(math.isfinite, grad)):
+                return None
+            return value, grad, eta, wq
+
+        def information(wq):
+            # design.gram(wq), with the kept row products in hand
+            return [[4.0 * v for v in row] for row in dot(wq, rows).reshape(k, k).tolist()]
+
+        return evaluate, information
 
     def fisher_weight(self, mu):
         """(4 / mu^2) * (d mu / d eta)^2; collapses to the constant 4."""
@@ -98,12 +157,38 @@ class IdentityLink:
         """``y`` itself, whose mean is ``mu``."""
         return np.asarray(y, dtype=np.float64)
 
-    def log_mean_quad(self, eta, scaled_y):
-        """``log mu`` and ``quad``, as for the log link, with ``mu = eta``;
-        a nonpositive ``eta`` gives a ``log mu`` of -inf or nan."""
-        z = scaled_y / eta
-        z *= z
-        return np.log(eta), z
+    def response_terms(self, y):
+        """``log y`` and ``sqrt(pi/4) y``, as for the log link."""
+        return np.log(y), _SQRT_QUARTER_PI * y
+
+    def objective(self, design, w, terms):
+        """The fused evaluation, as for the log link, on ``log mu`` and
+        ``quad = pi/4 (y/mu)^2`` with ``mu = eta``: the gradient is ``X^T (w
+        s)`` and the information ``gram(w h)`` from :meth:`newton_terms`.  A
+        nonpositive ``eta`` makes ``log mu`` and so the value -inf or nan."""
+        dot = np.dot
+        X = design.X
+        XT = X.T
+        log_y, scaled_y = terms
+        unit, const = _weighting(w, log_y)
+
+        def evaluate(beta):
+            eta = dot(X, beta)
+            quad = scaled_y / eta
+            quad *= quad
+            value = const - 2.0 * float(dot(w, np.log(eta))) - float(dot(w, quad))
+            if not math.isfinite(value):
+                return None
+            s, h = self.newton_terms(eta, quad)
+            grad = dot(XT, s if unit else w * s).tolist()
+            if not all(map(math.isfinite, grad)):
+                return None
+            return value, grad, eta, h
+
+        def information(h):
+            return design.gram(h if unit else w * h).tolist()
+
+        return evaluate, information
 
     def fisher_weight(self, mu):
         mu = np.asarray(mu, dtype=np.float64)
@@ -255,8 +340,9 @@ class ModelSpec(ReadOnlyArrays):
             raise ValueError(
                 f"response length {y.shape[0]} does not match design rows {self.design.n_obs}"
             )
-        bad = np.flatnonzero(~(y > 0.0) | ~np.isfinite(y))
-        if bad.size:
+        # One pass each for the smallest and largest value; a NaN fails them.
+        if not (np.minimum.reduce(y) > 0.0 and np.maximum.reduce(y) < math.inf):
+            bad = np.flatnonzero(~(y > 0.0) | ~np.isfinite(y))
             head = ", ".join(str(i) for i in bad[:10])
             raise ValueError(
                 f"response must be strictly positive and finite; "

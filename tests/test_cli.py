@@ -8,8 +8,10 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 import rayreg
 import rayreg.cli
 import rayreg.estimation
-from rayreg import distribution, image_io
+from rayreg import distribution, image_io, scenes
 from rayreg.cli import _parse_range, main
 
 
@@ -172,6 +174,23 @@ class TestFitCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert "nonpositive" in err and "3" in err  # data line number
+
+    @pytest.mark.parametrize(
+        "column, cell, kind",
+        [("y", "nan", "non-finite"), ("y", "-inf", "non-finite"), ("x", "inf", "non-finite"),
+         ("x", "NaN", "non-finite"), ("x", "1" * 400, "non-finite"), ("x", "0.2.5", "non-numeric")],
+    )
+    def test_non_finite_cell_names_path_line_and_column(self, tmp_path, capsys, column, cell, kind):
+        path = tmp_path / "bad.csv"
+        rows = [["1.0", "0.1"], ["1.5", "0.2"], ["2.0", "0.3"], ["0.7", "0.4"]]
+        rows[2][0 if column == "y" else 1] = cell
+        path.write_text("y,x\n" + "".join(",".join(row) + "\n" for row in rows))
+        rc = main(["fit", "--data", str(path), "--response", "y", "--covariates", "x",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 4: column {column!r} has {kind} value {cell!r}\n"
+        )
 
 
 class TestWaldResidualCommands:
@@ -574,6 +593,137 @@ class TestDataCsvBoundary:
         else:
             assert rc == 1
             assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+def _rrm_bytes(image) -> bytes:
+    """An image in the RRM1 layout: magic, rows and cols as little-endian
+    uint32, then the float64 pixels."""
+    rows, cols = image.shape
+    return b"RRM1" + struct.pack("<II", rows, cols) + image.astype("<f8").tobytes()
+
+
+def _csv_bytes(image) -> bytes:
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in image).encode()
+
+
+# The bottom-left 40 x 40 corner of a scene, whose bottom 25 rows train the fit.
+_SCENE = scenes.make_scene(rows=100, cols=100, blob_grid=2, training_rows=25, seed=3)
+_SMALL_INTEREST, _SMALL_COVARIATE = (image[60:, :40] for image in (_SCENE.interest, _SCENE.covariate))
+_SMALL_TRAINING = "15,0,40,40"
+_SPECIAL_PIXELS = [math.nan, math.inf, -math.inf, -1.0, 0.0, 1e308, 5e-324]
+
+
+@st.composite
+def _mutated_image(draw, fmt):
+    """The scene's interest image as RRM1 or CSV bytes after one to three
+    mutations: truncation, a flipped header (or first-line) byte, a huge or
+    zero dimension in the RRM1 header, or a special pixel value."""
+    image = _SMALL_INTEREST
+    data = _rrm_bytes(image) if fmt == "rrm" else _csv_bytes(image)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["truncate", "header", "dimension", "pixel"]))
+        if kind == "truncate":
+            data = data[:draw(st.integers(0, len(data)))]
+        elif kind == "header":
+            head = 12 if fmt == "rrm" else max(1, data.find(b"\n"))
+            at = draw(st.integers(0, max(0, min(head, len(data)) - 1)))
+            if at < len(data):
+                data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+        elif kind == "dimension" and fmt == "rrm" and len(data) >= 12:
+            field = draw(st.sampled_from([4, 8]))
+            value = draw(st.sampled_from([0, 1, 39, 41, 10**6, 2**31, 2**32 - 1]))
+            data = data[:field] + struct.pack("<I", value) + data[field + 4:]
+        elif kind == "pixel":
+            value = draw(st.sampled_from(_SPECIAL_PIXELS))
+            if fmt == "rrm":
+                at = 12 + 8 * draw(st.integers(0, image.size - 1))
+                data = data[:at] + struct.pack("<d", value) + data[at + 8:]
+            else:
+                lines = data.split(b"\n")
+                i = draw(st.integers(0, len(lines) - 1))
+                cells = lines[i].split(b",")
+                cells[draw(st.integers(0, len(cells) - 1))] = repr(value).encode()
+                lines[i] = b",".join(cells)
+                data = b"\n".join(lines)
+    return data
+
+
+class TestImageBoundary:
+    """``detect`` on a mutated interest image, read through the CLI, fits
+    or ends in one ``error:`` line; no reader allocates from a header's
+    claimed size before checking the file's."""
+
+    @staticmethod
+    def _detect(tmp_path_factory, fmt, data):
+        work = tmp_path_factory.mktemp("image")
+        interest = work / f"interest.{fmt}"
+        covariate = work / f"covariate.{fmt}"
+        interest.write_bytes(data)
+        encode = _rrm_bytes if fmt == "rrm" else _csv_bytes
+        covariate.write_bytes(encode(_SMALL_COVARIATE))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would be a second stderr line
+            rc = main(["detect", "--interest", str(interest), "--covariates", str(covariate),
+                       "--training", _SMALL_TRAINING, "--out-dir", str(work / "out")])
+        lines = err.getvalue().splitlines()
+        if rc == 0:
+            assert lines == []
+        else:
+            assert rc == 1
+            assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=_mutated_image("rrm"))
+    def test_mutated_rrm_detects_or_is_one_error_line(self, tmp_path_factory, data):
+        self._detect(tmp_path_factory, "rrm", data)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=_mutated_image("csv"))
+    def test_mutated_csv_detects_or_is_one_error_line(self, tmp_path_factory, data):
+        self._detect(tmp_path_factory, "csv", data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.one_of(
+        st.builds(lambda cut: _PGM[:cut], st.integers(0, 64)),
+        st.builds(lambda at, flip: _PGM[:at] + bytes([_PGM[at] ^ flip]) + _PGM[at + 1:],
+                  st.integers(0, 12), st.integers(1, 255)),
+        st.builds(lambda cols, rows, maxval: f"P5\n{cols} {rows}\n{maxval}\n".encode() + _PGM[13:],
+                  st.sampled_from([0, 1, 40, 10**6, 10**12, 10**400]),
+                  st.sampled_from([0, 1, 40, 10**6, 10**12, 10**400]),
+                  st.sampled_from([255, 1, 65535, 10**400])),
+    ))
+    def test_mutated_pgm_reads_or_refuses(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("pgm") / "mask.pgm"
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            mask = image_io.read_mask_pgm(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+        else:
+            assert mask.dtype == bool and mask.ndim == 2
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < 1_000_000 + 4 * len(data)
+
+    @pytest.mark.parametrize("rows, cols", [(2**32 - 1, 2**32 - 1), (2**31, 3), (10**6, 10**3)])
+    def test_huge_rrm_header_allocates_nothing(self, tmp_path, rows, cols):
+        path = tmp_path / "huge.rrm"
+        path.write_bytes(b"RRM1" + struct.pack("<II", rows, cols) + bytes(64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated RRM1 image"):
+                image_io.read_image(path)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
+# A valid 40 x 40 mask: the header is the first 13 bytes.
+_PGM = b"P5\n40 40\n255\n" + bytes(range(0, 256, 16)) * 100
 
 
 class TestParseRange:
