@@ -271,21 +271,20 @@ def _cmd_fit(config, out_dir: Path, inputs: dict) -> list:
     method = config["method"]
     if method not in ("mle", "wmle", "both"):
         raise CliError("--method must be mle, wmle, or both")
+    fmt = config["format"]
+    if fmt not in ("json", "text", "csv"):
+        raise CliError("--format must be json, text, or csv")
     if method == "mle" and config["delta_explicit"]:
         warnings.warn("--delta is ignored for --method mle", stacklevel=2)
     payloads = [_fit_payload(f, config["pfa"]) for f in _requested_fits(spec, config)]
-    fmt = config["format"]
-    outputs = []
     if fmt == "json":
-        _write_text(out_dir / "fit.json", _json_dumps({"fits": payloads}))
-        outputs.append("fit.json")
+        name, text = "fit.json", _json_dumps({"fits": payloads})
     elif fmt == "text":
-        _write_text(out_dir / "fit.txt", "\n".join(_fit_text(p) for p in payloads))
-        outputs.append("fit.txt")
+        name, text = "fit.txt", "\n".join(_fit_text(p) for p in payloads)
     else:
-        _write_text(out_dir / "fit.csv", _fit_csv(payloads))
-        outputs.append("fit.csv")
-    return outputs
+        name, text = "fit.csv", _fit_csv(payloads)
+    _write_text(out_dir / name, text)
+    return [name]
 
 
 def _one_fit(command, config, inputs: dict) -> tuple:
@@ -312,7 +311,7 @@ def _cmd_wald(config, out_dir: Path, inputs: dict) -> list:
     if len(null) != len(interest):
         raise CliError("--null must list one value per tested coefficient")
     report = inference.wald_test(fit, interest, np.asarray(null, dtype=float), pfa=config["pfa"])
-    payload = {"fit": _fit_payload(fit, config["pfa"]), "wald": report.as_dict()}
+    payload = {"fit": _fit_payload(fit, config["pfa"]), "wald": dataclasses.asdict(report)}
     _write_text(out_dir / "wald.json", _json_dumps(payload))
     return ["wald.json"]
 
@@ -522,7 +521,7 @@ def _cmd_detect(config, out_dir: Path, inputs: dict) -> list:
     image_io.write_mask_csv(result.mask, out_dir / "mask.csv")
     payload = {
         "method": result.fit.method,
-        "clusters": result.clusters_as_dicts(),
+        "clusters": [dataclasses.asdict(c) for c in result.clusters],
         "n_clusters": len(result.clusters),
         "n_flagged_pixels": result.n_flagged,
         "fit": _fit_payload(result.fit, _PFA),

@@ -304,14 +304,6 @@ class Cluster:
     n_pixels: int
     n_components: int = 1
 
-    def as_dict(self) -> dict:
-        return {
-            "centroid_row": self.centroid_row,
-            "centroid_col": self.centroid_col,
-            "n_pixels": self.n_pixels,
-            "n_components": self.n_components,
-        }
-
 
 def extract_clusters(mask, merge_distance: float = 0.0, pixel_size_m: float = 1.0) -> tuple:
     """8-connected components of a mask, merged by centroid proximity.
@@ -406,9 +398,6 @@ class DetectionResult:
     hits: int | None = None
     false_alarms: int | None = None
     missed: int | None = None
-
-    def clusters_as_dicts(self) -> list:
-        return [c.as_dict() for c in self.clusters]
 
 
 def _check_image(arr, name: str) -> np.ndarray:

@@ -38,9 +38,14 @@ _QUARTER_PI = math.pi / 4.0
 VARIANCE_RATIO = 4.0 / math.pi - 1.0
 
 
+# The range checks are single reductions; ``initial`` lets an empty array
+# pass.  ``minimum`` and ``maximum`` propagate NaN, so a NaN mean fails;
+# ``fmin`` and ``fmax`` skip it, so a NaN y or u passes, as it passes
+# ``np.any(y < 0)``, while a negative entry beside it still fails.
 def _check_mu(mu):
     mu = np.asarray(mu, dtype=np.float64)
-    if not np.isfinite(mu).all() or (mu <= 0.0).any():
+    if not (np.minimum.reduce(mu, axis=None, initial=math.inf) > 0.0
+            and np.maximum.reduce(mu, axis=None, initial=1.0) < math.inf):
         raise ValueError("mu must be positive and finite")
     return mu
 
@@ -49,7 +54,7 @@ def pdf(y, mu):
     """Density at ``y >= 0``; vanishes at the support boundary ``y = 0``."""
     mu = _check_mu(mu)
     y = np.asarray(y, dtype=np.float64)
-    if np.any(y < 0.0):
+    if np.fmin.reduce(y, axis=None, initial=0.0) < 0.0:
         raise ValueError("y must be nonnegative")
     z = y / mu
     out = (math.pi / 2.0) * z / mu * np.exp(-_QUARTER_PI * z * z)
@@ -66,7 +71,7 @@ def logpdf(y, mu):
     """
     mu = _check_mu(mu)
     y = np.asarray(y, dtype=np.float64)
-    if np.any(y <= 0.0):
+    if np.fmin.reduce(y, axis=None, initial=math.inf) <= 0.0:
         raise ValueError("y must be strictly positive for logpdf")
     z = y / mu
     out = _LOG_HALF_PI + np.log(y) - 2.0 * np.log(mu) - _QUARTER_PI * z * z
@@ -77,7 +82,7 @@ def cdf(y, mu):
     """Distribution function ``F(y; mu) = 1 - exp(-pi y^2 / (4 mu^2))``."""
     mu = _check_mu(mu)
     y = np.asarray(y, dtype=np.float64)
-    if (y < 0.0).any():
+    if np.fmin.reduce(y, axis=None, initial=0.0) < 0.0:
         raise ValueError("y must be nonnegative")
     z = y / mu
     out = -np.expm1(-_QUARTER_PI * z * z)
@@ -97,7 +102,8 @@ def quantile(u, mu):
     """
     mu = _check_mu(mu)
     u = np.asarray(u, dtype=np.float64)
-    if np.any(u < 0.0) or np.any(u >= 1.0):
+    if (np.fmin.reduce(u, axis=None, initial=0.0) < 0.0
+            or np.fmax.reduce(u, axis=None, initial=0.0) >= 1.0):
         raise ValueError("u must lie in [0, 1)")
     out = 2.0 * mu * np.sqrt(-np.log1p(-u) / math.pi)
     return out if out.ndim else float(out)

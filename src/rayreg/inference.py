@@ -47,18 +47,6 @@ class WaldReport:
     reject_null: bool
     pfa: float
 
-    def as_dict(self) -> dict:
-        return {
-            "interest": list(self.interest),
-            "names": list(self.names),
-            "statistic": self.statistic,
-            "dof": self.dof,
-            "p_value": self.p_value,
-            "threshold": self.threshold,
-            "reject_null": self.reject_null,
-            "pfa": self.pfa,
-        }
-
 
 def fisher_information(spec: ModelSpec, mu) -> np.ndarray:
     """Expected information ``X.T @ diag(4/mu^2 * (dmu/deta)^2) @ X``.

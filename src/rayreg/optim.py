@@ -6,10 +6,10 @@ length-N work runs in numpy, in the link's fused evaluation
 (``link.objective``), one per trial point.  The value and gradient come
 from one pass over the linear predictor ``eta = X beta``, and the
 observed information, a k x k nested list, is formed only at the points
-the solver steps from.  The step solves it by a Cholesky factorization in
-plain Python, which for the two coefficients of the Monte Carlo studies
-costs a tenth of a call into LAPACK; from about five coefficients on it
-costs more.  The information is positive definite under
+the solver steps from.  The step solves it by a Cholesky factorization:
+in plain Python for the two coefficients of the Monte Carlo studies, where
+that costs a tenth of a call into LAPACK, and by LAPACK for every other
+number of coefficients.  The information is positive definite under
 the log link, where the log-likelihood is strictly concave in ``beta``;
 where it is not, as can happen under the identity link, the step is Fisher
 scoring with the expected information ``link.fisher_weight`` (McCullagh &
@@ -24,7 +24,7 @@ from operator import mul
 
 import numpy as np
 
-from .regression import ModelSpec
+from .regression import ModelSpec, spd_solve
 
 __all__ = ["InfeasibleStartError", "OptimResult", "maximize_bfgs"]
 
@@ -144,13 +144,14 @@ def _direction(info, grad, design, w, link, eta):
 def _cholesky_solve(a, b) -> list | None:
     """``a^{-1} b`` as a list of floats, for a symmetric positive-definite
     ``a`` (nested lists or an array) and a vector ``b``, by the Cholesky
-    factorization ``a = L L^T`` in plain Python.  Reads the upper triangle
-    of ``a``, as ``spd_solve`` does.  None where a pivot is not positive and
-    finite, so where ``a`` is indefinite or holds a non-finite value, or
-    where the solution is not finite."""
+    factorization ``a = L L^T``: in plain Python for the 2 x 2 systems of
+    the Monte Carlo studies, by :func:`spd_solve` (LAPACK) for any other
+    size.  Reads the upper triangle of ``a``.  None where ``a`` is not
+    positive definite or holds a non-finite value, or where the solution is
+    not finite."""
     if isinstance(a, np.ndarray):
         a = a.tolist()
-    if len(a) == 2:  # every model of the Monte Carlo studies: the loops unrolled
+    if len(a) == 2:  # every model of the Monte Carlo studies
         (a00, a01), (_, a11) = a
         if not 0.0 < a00 < math.inf:
             return None
@@ -164,30 +165,8 @@ def _cholesky_solve(a, b) -> list | None:
         x1 = (b[1] - l10 * z0) / l11 / l11
         x = [(z0 - l10 * x1) / l00, x1]
         return x if math.isfinite(x[0]) and math.isfinite(x1) else None
-    rows = []  # rows of L, each up to its diagonal
-    for i in range(len(a)):
-        row = []
-        for j, lj in enumerate(rows):
-            s = a[j][i]
-            for m in range(j):
-                s -= row[m] * lj[m]
-            row.append(s / lj[j])
-        d = a[i][i]
-        for v in row:
-            d -= v * v
-        if not 0.0 < d < math.inf:
-            return None
-        row.append(math.sqrt(d))
-        rows.append(row)
-    z = []
-    for i, li in enumerate(rows):
-        s = float(b[i])
-        for m in range(i):
-            s -= li[m] * z[m]
-        z.append(s / li[i])
-    for i in reversed(range(len(z))):
-        s = z[i]
-        for m in range(i + 1, len(z)):
-            s -= rows[m][i] * z[m]
-        z[i] = s / rows[i][i]
-    return z if all(map(math.isfinite, z)) else None
+    try:
+        x = spd_solve(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)).tolist()
+    except ValueError:  # a non-finite value, or LinAlgError: not positive definite
+        return None
+    return x if all(map(math.isfinite, x)) else None

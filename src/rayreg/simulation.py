@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -183,19 +183,6 @@ class MonteCarloReport:
     convergence_failures: int
     n_used: int
 
-    def as_dict(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "beta_true": list(self.beta_true),
-            "mean": list(self.mean),
-            "rb_percent": list(self.rb_percent),
-            "mse": list(self.mse),
-            "absolute_total_rb": self.absolute_total_rb,
-            "absolute_total_mse": self.absolute_total_mse,
-            "convergence_failures": self.convergence_failures,
-            "n_used": self.n_used,
-        }
-
 
 @dataclass(frozen=True)
 class ScenarioReport:
@@ -204,22 +191,10 @@ class ScenarioReport:
     wmle: MonteCarloReport
 
     def as_dict(self) -> dict:
-        cfg = self.config
-        return {
-            "config": {
-                "beta_true": list(cfg.beta_true),
-                "n_obs": cfg.n_obs,
-                "epsilon": cfg.epsilon,
-                "outlier_value": cfg.outlier_value,
-                "replications": cfg.replications,
-                "delta": cfg.delta,
-                "master_seed": cfg.master_seed,
-                "link": cfg.link,
-                "reweight_iterations": cfg.reweight_iterations,
-            },
-            "mle": self.mle.as_dict(),
-            "wmle": self.wmle.as_dict(),
-        }
+        """The cell as ``table.json`` records it: the solver's limits stay out."""
+        cell = asdict(self)
+        del cell["config"]["max_iter"], cell["config"]["grad_tol"]
+        return cell
 
 
 def _summarize(estimator, beta_true, estimates) -> MonteCarloReport:

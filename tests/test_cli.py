@@ -927,6 +927,21 @@ class TestRerun:
             second / "manifest.json"
         )
 
+    def test_fit_rerun_refuses_an_unknown_format(self, region_csv, tmp_path, capsys):
+        first = tmp_path / "a"
+        assert main(["fit", "--data", str(region_csv), "--response", "amplitude",
+                     "--out-dir", str(first)]) == 0
+        manifest = _read_json(first / "manifest.json")
+        manifest["config"]["format"] = "xml"
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        second = tmp_path / "b"
+        assert main(["rerun", "--manifest", str(edited), "--out-dir", str(second)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --format must be json, text, or csv"]
+        assert not second.exists() or not list(second.iterdir())
+
     def test_simulate_rerun_byte_identical(self, sim_config, tmp_path):
         first = tmp_path / "a"
         assert main(["simulate", "--config", str(sim_config), "--out-dir", str(first)]) == 0

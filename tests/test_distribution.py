@@ -38,8 +38,11 @@ class TestPdf:
         assert mean == pytest.approx(mu, rel=1e-6)
 
     def test_rejects_negative_y(self):
-        with pytest.raises(ValueError):
-            distribution.pdf(-0.1, 1.0)
+        # A NaN beside a negative value does not hide it.
+        for bad in (-0.1, [math.nan, -0.1]):
+            for fn in (distribution.pdf, distribution.cdf):
+                with pytest.raises(ValueError):
+                    fn(bad, 1.0)
 
 
 class TestLogPdf:
@@ -58,16 +61,21 @@ class TestLogPdf:
         )
 
     def test_rejects_nonpositive_y(self):
-        with pytest.raises(ValueError):
-            distribution.logpdf(0.0, 1.0)
-        with pytest.raises(ValueError):
-            distribution.logpdf(-1.0, 1.0)
+        for bad in (0.0, -1.0, [math.nan, 0.0]):
+            with pytest.raises(ValueError):
+                distribution.logpdf(bad, 1.0)
 
 
 class TestCdfQuantile:
     def test_boundaries(self):
         assert distribution.cdf(0.0, 3.7) == 0.0
         assert distribution.quantile(0.0, 5.0) == 0.0
+        # Empty inputs pass the argument checks, and a NaN point propagates.
+        for fn in (distribution.pdf, distribution.logpdf, distribution.cdf, distribution.quantile):
+            assert fn(np.array([]), 1.0).shape == (0,)
+            assert fn(np.array([]), np.array([])).shape == (0,)
+            assert fn(np.zeros((0, 3)), np.ones(3)).shape == (0, 3)
+            assert math.isnan(fn(math.nan, 1.0))
 
     def test_median(self):
         assert distribution.cdf(2.0 * math.sqrt(math.log(2.0) / math.pi), 1.0) == pytest.approx(
@@ -101,7 +109,7 @@ class TestCdfQuantile:
         assert np.all(np.diff(distribution.quantile(u, 2.2)) >= 0.0)
 
     def test_quantile_domain(self):
-        for bad in (-0.01, 1.0, 1.5):
+        for bad in (-0.01, 1.0, 1.5, [math.nan, 1.5], [math.nan, -0.01]):
             with pytest.raises(ValueError):
                 distribution.quantile(bad, 1.0)
 
@@ -147,10 +155,13 @@ class TestRayleighMean:
         assert d.mean == 3.0
         assert d.variance == pytest.approx(9.0 * (4.0 / math.pi - 1.0), rel=1e-15)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, -math.inf, math.nan])
     def test_rejects_invalid_mu(self, bad):
         with pytest.raises(ValueError):
             RayleighMean(bad)
+        for mu in (bad, [1.0, bad], [[bad], [2.0]]):
+            with pytest.raises(ValueError):
+                distribution.cdf(0.5, mu)
 
     def test_immutable(self):
         d = RayleighMean(1.0)

@@ -37,7 +37,7 @@ def _spd_systems(draw):
     """A k x k symmetric positive-definite matrix of condition number below
     about 400, scaled as an information summed over 1e-3 to 1e6 rows, and a
     right-hand side."""
-    k = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 20))
     m = np.array([draw(_unit(k)) for _ in range(k)])
     scale = 10.0 ** draw(st.floats(-3.0, 6.0))
     a = scale * (m @ m.T + draw(st.floats(0.1, 10.0)) * np.eye(k))
