@@ -31,6 +31,7 @@ import numpy as np
 
 from . import __version__, detection, image_io, inference, scenes, simulation
 from .estimation import RobustConfig, fit_both, fit_mle
+from .optim import InfeasibleStartError
 from .regression import DesignMatrix, ModelSpec, dummy_design
 
 
@@ -166,7 +167,8 @@ def _numeric_column(path, header, rows, name) -> np.ndarray:
     return out
 
 
-def _build_spec_from_config(config, inputs: dict) -> ModelSpec:
+def _build_spec_from_config(config, inputs: dict) -> tuple:
+    """The model of the data file, and the file line of each of its rows."""
     path = config["data"]
     header, rows = _load_table(path, inputs)
     y = _numeric_column(path, header, rows, config["response"])
@@ -198,21 +200,26 @@ def _build_spec_from_config(config, inputs: dict) -> ModelSpec:
         if not cols:
             raise CliError("no covariates requested; pass --covariates or --dummy (or keep the intercept)")
         design = DesignMatrix(np.column_stack(cols), tuple(names))
-    return ModelSpec(design=design, link=config["link"], response=y)
+    return ModelSpec(design=design, link=config["link"], response=y), [n for n, _ in rows]
 
 
 def _robust_from_config(config) -> RobustConfig:
     return RobustConfig(delta=config["delta"], reweight_iterations=config["reweight_iterations"])
 
 
-def _requested_fits(spec, config) -> list:
-    """The fits that ``--method`` reports, MLE first; the robust pass runs
-    only where its fit is reported."""
+def _requested_fits(config, inputs: dict) -> tuple:
+    """The data file's model, and the fits that ``--method`` reports, MLE
+    first; the robust pass runs only where its fit is reported."""
+    spec, lines = _build_spec_from_config(config, inputs)
     cfg = _robust_from_config(config)
-    if config["method"] == "mle":
-        return [fit_mle(spec, cfg)]
-    mle, wmle = fit_both(spec, cfg)
-    return [mle, wmle] if config["method"] == "both" else [wmle]
+    try:
+        fits = [fit_mle(spec, cfg)] if config["method"] == "mle" else list(fit_both(spec, cfg))
+    except InfeasibleStartError as exc:
+        if exc.row is None:
+            raise
+        raise CliError(f"{config['data']}: line {lines[exc.row]}: response {config['response']!r} "
+                       f"value {float(spec.response[exc.row])!r} overflows the log-likelihood") from None
+    return spec, fits[1:] if config["method"] == "wmle" else fits
 
 
 def _fit_payload(fit, pfa) -> dict:
@@ -267,16 +274,16 @@ def _fit_csv(payloads) -> str:
 
 
 def _cmd_fit(config, out_dir: Path, inputs: dict) -> list:
-    spec = _build_spec_from_config(config, inputs)
     method = config["method"]
     if method not in ("mle", "wmle", "both"):
         raise CliError("--method must be mle, wmle, or both")
     fmt = config["format"]
     if fmt not in ("json", "text", "csv"):
         raise CliError("--format must be json, text, or csv")
+    _, fits = _requested_fits(config, inputs)
     if method == "mle" and config["delta_explicit"]:
         warnings.warn("--delta is ignored for --method mle", stacklevel=2)
-    payloads = [_fit_payload(f, config["pfa"]) for f in _requested_fits(spec, config)]
+    payloads = [_fit_payload(f, config["pfa"]) for f in fits]
     if fmt == "json":
         name, text = "fit.json", _json_dumps({"fits": payloads})
     elif fmt == "text":
@@ -291,8 +298,8 @@ def _one_fit(command, config, inputs: dict) -> tuple:
     """The spec and the one fit, MLE or WMLE, that ``command`` reports."""
     if config["method"] not in ("mle", "wmle"):
         raise CliError(f"{command} reports one fit; --method must be mle or wmle")
-    spec = _build_spec_from_config(config, inputs)
-    return spec, _requested_fits(spec, config)[0]
+    spec, fits = _requested_fits(config, inputs)
+    return spec, fits[0]
 
 
 def _cmd_wald(config, out_dir: Path, inputs: dict) -> list:
@@ -573,10 +580,11 @@ _HANDLERS = {
     "synth-scene": _cmd_synth_scene,
 }
 
-# Float options that no library check sees on every path (no Wald test runs
-# on an intercept-only fit; no score without --truth).  A non-finite value
-# would reach manifest.json, and JSON has no NaN or infinity.
-_FINITE_KEYS = ("pfa", "truth_radius_m")
+# Numeric options that no library check refuses on every path (no Wald test
+# runs on an intercept-only fit; no score without --truth; a round count past
+# the float range passes RobustConfig's "< inf" and runs for ever).  A
+# non-finite value would reach manifest.json, and JSON has no NaN or infinity.
+_FINITE_KEYS = ("pfa", "truth_radius_m", "reweight_iterations")
 
 
 def _execute(command, config, out_dir: Path) -> int:

@@ -28,6 +28,7 @@ from scipy.spatial import cKDTree
 
 from .estimation import FitResult, RobustConfig, fit_both
 from .inference import quantile_residuals_from_mean
+from .optim import InfeasibleStartError
 from .regression import DesignMatrix, ModelSpec, get_link
 
 __all__ = [
@@ -480,7 +481,14 @@ def detect(
     names = ("intercept",) + tuple(f"cov{i + 1}" for i in range(len(covariates)))
     X_train = np.column_stack([np.ones(y_train.size)] + [c[window].ravel() for c in covariates])
     spec = ModelSpec(design=DesignMatrix(X_train, names), link=link, response=y_train)
-    mle, wmle = fit_both(spec, robust)
+    try:
+        mle, wmle = fit_both(spec, robust)
+    except InfeasibleStartError as exc:
+        if exc.row is None:
+            raise
+        r, c = divmod(exc.row, c1 - c0)
+        raise ValueError(f"training pixel at (row, col) {(r0 + r, c0 + c)} has amplitude "
+                         f"{float(y_train[exc.row])!r}, which overflows the log-likelihood") from None
     fit = wmle if method == "wmle" else mle
 
     raw = flag_out_of_control(

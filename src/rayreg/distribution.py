@@ -84,9 +84,14 @@ def cdf(y, mu):
     y = np.asarray(y, dtype=np.float64)
     if np.fmin.reduce(y, axis=None, initial=0.0) < 0.0:
         raise ValueError("y must be nonnegative")
-    z = y / mu
-    out = -np.expm1(-_QUARTER_PI * z * z)
+    out = _cdf(y, mu)
     return out if out.ndim else float(out)
+
+
+def _cdf(y, mu):
+    """:func:`cdf` on arrays its checks have passed."""
+    z = y / mu
+    return -np.expm1(-_QUARTER_PI * z * z)
 
 
 def quantile(u, mu):

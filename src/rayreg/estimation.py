@@ -22,7 +22,7 @@ from . import distribution
 from .inference import fisher_information
 from .optim import InfeasibleStartError, maximize_bfgs
 from .regression import (LogLink, ModelSpec, NonpositiveMeanError, ReadOnlyArrays, predict_mean,
-                         readonly_array, spd_solve)
+                         spd_solve)
 
 __all__ = [
     "RobustConfig",
@@ -80,8 +80,9 @@ class FitResult(ReadOnlyArrays):
     column_names: tuple
 
     def __post_init__(self):
+        # Float64 arrays, fresh from the fit or kept by the design: frozen in place.
         for name in ("beta_hat", "std_errors", "fisher_info", "weights", "mu_hat"):
-            object.__setattr__(self, name, readonly_array(getattr(self, name)))
+            getattr(self, name).setflags(write=False)
 
     @property
     def n_downweighted(self) -> int:
@@ -135,7 +136,8 @@ def compute_weights(spec: ModelSpec, mu_ref, delta: float) -> np.ndarray:
     """
     if not 0.0 < delta < 0.5:
         raise ValueError(f"delta must lie in (0, 0.5), got {delta}")
-    prob = distribution.cdf(spec.response, np.asarray(mu_ref, dtype=np.float64))
+    # distribution.cdf, but for its check of y, which the response has passed
+    prob = distribution._cdf(spec.response, distribution._check_mu(mu_ref))
     w = np.minimum(prob, 1.0 - prob)
     w /= delta
     return np.minimum(w, 1.0, out=w)
@@ -179,26 +181,36 @@ def _maximize(spec, weights, cfg, method, cold, warm=None, terms=None) -> FitRes
         except InfeasibleStartError:
             pass
     if optres is None:
-        optres = maximize_bfgs(spec, weights, cold(), max_iter=cfg.max_iter,
-                               grad_tol=cfg.grad_tol, terms=terms)
+        start = cold()
+        try:
+            optres = maximize_bfgs(spec, weights, start, max_iter=cfg.max_iter,
+                                   grad_tol=cfg.grad_tol, terms=terms)
+        except InfeasibleStartError:  # name the first response whose (y/mu)^2 overflows
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                mu = spec.link.inverse(spec.design.X @ start)
+                rows = np.flatnonzero(np.isinf((spec.response / mu) ** 2))
+            if not rows.size:
+                raise
+            row = int(rows[0])
+            raise InfeasibleStartError(f"response {float(spec.response[row])!r} at row {row} "
+                                       "overflows the log-likelihood at the starting point", row) from None
     mu_hat = spec.link.inverse(optres.eta)
     # fisher_information's own checks pass at a feasible point, so a
     # ValueError below is the solve's.
     try:
         if isinstance(spec.link, LogLink):
-            # The information is the design's, and so is its inverse, kept there.
+            # The information is the design's, and so are the standard errors.
             info = fisher_information(spec, mu_hat)
-            cov = spec.design.log_covariance
+            std_errors = spec.design.log_std_errors
         else:
             # A mean near the smallest double overflows the link's weights.
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 info = fisher_information(spec, mu_hat)
-            cov = spd_solve(info, np.eye(spec.n_params))
+            std_errors = np.sqrt(spd_solve(info, np.eye(spec.n_params)).diagonal())
     except np.linalg.LinAlgError as exc:
         raise ValueError("Fisher information is not positive definite at the optimum") from exc
     except ValueError as exc:  # spd_solve refuses a non-finite matrix
         raise ValueError("Fisher information is not finite at the optimum") from exc
-    std_errors = np.sqrt(cov.diagonal())
     return FitResult(
         method=method,
         beta_hat=optres.x,
@@ -226,7 +238,7 @@ def fit_mle(spec: ModelSpec, cfg: RobustConfig | None = None) -> FitResult:
 
 def _fit_mle(spec, cfg, warm=None, terms=None) -> FitResult:
     spec.design.assert_full_rank()
-    return _maximize(spec, np.ones(spec.n_obs), cfg, "MLE", lambda: _initial_beta(spec), warm, terms)
+    return _maximize(spec, spec.design.unit_weights, cfg, "MLE", lambda: _initial_beta(spec), warm, terms)
 
 
 def fit_wmle(spec: ModelSpec, cfg: RobustConfig | None = None) -> FitResult:

@@ -4,10 +4,12 @@ The iteration keeps its state on Python floats: ``beta``, the gradient,
 the direction, the slope and every trial point are lists, and only the
 length-N work runs in numpy, in the link's fused evaluation
 (``link.objective``), one per trial point.  The value and gradient come
-from one pass over the linear predictor ``eta = X beta``, and the
-observed information, a k x k nested list, is formed only at the points
-the solver steps from.  The step solves it by a Cholesky factorization:
-in plain Python for the two coefficients of the Monte Carlo studies, where
+from one pass over the linear predictor ``eta = X beta`` (what does not
+depend on ``beta``, such as the plain fit's ``X^T 1`` and the bound on
+``|eta|`` that spares the overflow check, is formed once or kept on the
+design), and the observed information, a k x k array, is formed only at
+the points the solver steps from.  The step solves it by a Cholesky factorization: in
+plain Python for the two coefficients of the Monte Carlo studies, where
 that costs a tenth of a call into LAPACK, and by LAPACK for every other
 number of coefficients.  The information is positive definite under
 the log link, where the log-likelihood is strictly concave in ``beta``;
@@ -19,8 +21,8 @@ Nelder, *Generalized Linear Models*, ch. 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,11 +39,15 @@ _ROUNDING = 1e-12
 
 
 class InfeasibleStartError(ValueError):
-    """Raised when the objective is not finite at the solver's start."""
+    """Raised when the objective is not finite at the solver's start; ``row``
+    names the observation whose term is not finite there, where one is known."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
-@dataclass(frozen=True)
-class OptimResult:
+class OptimResult(NamedTuple):
     x: np.ndarray
     fval: float
     grad: np.ndarray
@@ -149,10 +155,8 @@ def _cholesky_solve(a, b) -> list | None:
     size.  Reads the upper triangle of ``a``.  None where ``a`` is not
     positive definite or holds a non-finite value, or where the solution is
     not finite."""
-    if isinstance(a, np.ndarray):
-        a = a.tolist()
     if len(a) == 2:  # every model of the Monte Carlo studies
-        (a00, a01), (_, a11) = a
+        (a00, a01), (_, a11) = a.tolist() if isinstance(a, np.ndarray) else a
         if not 0.0 < a00 < math.inf:
             return None
         l00 = math.sqrt(a00)

@@ -13,7 +13,9 @@ Fits evaluate the likelihood on the linear predictor ``eta = X beta``,
 through each link's fused evaluation (``objective``): under the log link
 ``quad = pi/4 (y/mu)^2`` is ``exp(log(pi/4 y^2) - 2 eta)`` and ``log mu`` is
 ``eta``, whose weighted sum is ``(X^T w) beta``, so a trial point costs one
-``exp`` and two products with the design.
+``exp`` and two products with the design.  The design keeps each column's
+largest ``|x|``: where ``sum_i max|x_i| |beta_i|``, a bound on ``|eta|``,
+stays below ``log(DBL_MAX) - 1``, no mean overflows and ``eta`` goes unchecked.
 """
 
 from __future__ import annotations
@@ -53,12 +55,13 @@ class NonpositiveMeanError(ValueError):
     """Raised when a linear predictor maps to a nonpositive mean."""
 
 
-def _weighting(w, log_y) -> tuple:
-    """Whether every weight is one, so that the fused evaluations may skip
-    their multiplies by ``w`` (1.0 * x is exact), and the weighted
+def _weighting(design, w, log_y) -> tuple:
+    """Whether ``w`` is the design's unit weights, so that the fused evaluations
+    may skip their multiplies by ``w`` (1.0 * x is exact), and the weighted
     log-likelihood's constant ``sum(w) log(pi/2) + w . log y``."""
-    unit = np.minimum.reduce(w) == 1.0 == np.maximum.reduce(w)
-    return unit, float(np.add.reduce(w)) * _LOG_HALF_PI + float(np.dot(w, log_y))
+    unit = w is design.unit_weights
+    total = design.n_obs if unit else float(np.add.reduce(w))
+    return unit, total * _LOG_HALF_PI + float(np.dot(w, log_y))
 
 
 class LogLink:
@@ -91,22 +94,23 @@ class LogLink:
         Returns ``evaluate(beta)``, which gives ``(value, gradient, eta,
         state)`` at a list of floats ``beta``, the gradient a list too, or
         None at an infeasible point; and ``information(state)``, the
-        observed information as nested lists.  With ``wq = w pi/4 y^2
+        observed information as a k x k array.  With ``wq = w pi/4 y^2
         exp(-2 eta)`` the value is ``c - 2 (X^T w) beta - sum(wq)``, the
         gradient ``2 X^T wq - 2 X^T w`` and the information ``4 gram(wq)``,
-        so ``X^T w`` and ``c`` are formed once and a point costs one product
-        with ``X``, one ``exp`` and one product with ``X^T``.  A mean that
-        overflows leaves the value finite, so the largest ``eta`` is checked
-        as well.
+        so ``X^T w`` (the design's for unit weights) and ``c`` are formed once
+        and a point costs one product with ``X``, one ``exp`` and one product
+        with ``X^T``.  A mean that overflows leaves the value finite, so the
+        largest ``eta`` is checked too, where the design's bound allows one.
         """
         dot = np.dot  # the BLAS call of ``@`` on these shapes, with less dispatch
         X = design.X
         XT = X.T
         k = X.shape[1]
         rows = design._row_products
+        bounds = design._column_bounds
         log_y, log_scale = terms
-        unit, const = _weighting(w, log_y)
-        xtw = dot(XT, w).tolist()
+        unit, const = _weighting(design, w, log_y)
+        xtw = design._unit_xtw if unit else dot(XT, w).tolist()
 
         def evaluate(beta):
             eta = dot(X, beta)
@@ -116,7 +120,8 @@ class LogLink:
             if not unit:
                 wq *= w
             value = const - 2.0 * sum(map(mul, xtw, beta)) - float(np.add.reduce(wq))
-            if not (math.isfinite(value) and np.maximum.reduce(eta) <= _MAX_LOG_MEAN):
+            if not (math.isfinite(value) and (sum(map(mul, bounds, map(abs, beta))) < _MAX_LOG_MEAN - 1.0
+                                              or np.maximum.reduce(eta) <= _MAX_LOG_MEAN)):
                 return None
             grad = [2.0 * (a - b) for a, b in zip(dot(XT, wq).tolist(), xtw)]
             if not all(map(math.isfinite, grad)):
@@ -125,7 +130,7 @@ class LogLink:
 
         def information(wq):
             # design.gram(wq), with the kept row products in hand
-            return [[4.0 * v for v in row] for row in dot(wq, rows).reshape(k, k).tolist()]
+            return (4.0 * dot(wq, rows)).reshape(k, k)
 
         return evaluate, information
 
@@ -170,7 +175,7 @@ class IdentityLink:
         X = design.X
         XT = X.T
         log_y, scaled_y = terms
-        unit, const = _weighting(w, log_y)
+        unit, const = _weighting(design, w, log_y)
 
         def evaluate(beta):
             eta = dot(X, beta)
@@ -186,7 +191,7 @@ class IdentityLink:
             return value, grad, eta, h
 
         def information(h):
-            return design.gram(h if unit else w * h).tolist()
+            return design.gram(h if unit else w * h)
 
         return evaluate, information
 
@@ -241,8 +246,9 @@ class DesignMatrix(ReadOnlyArrays):
     :meth:`assert_full_rank`, not at construction, so partially built
     designs can still be inspected.  ``X`` is read-only, so what the fits
     derive from it is kept: its SVD, the pseudo-inverse of a design that
-    passed the rank check, the row outer products, and the log link's
-    Fisher information and its inverse.
+    passed the rank check, the row outer products, the unit weights and
+    ``X^T 1``, each column's largest ``|x|``, and the log link's Fisher
+    information, its inverse and standard errors.
     """
 
     X: np.ndarray
@@ -311,6 +317,20 @@ class DesignMatrix(ReadOnlyArrays):
         return (weights @ self._row_products).reshape(k, k)
 
     @cached_property
+    def unit_weights(self) -> np.ndarray:
+        """The plain fit's weights, all one, shared by its fits."""
+        return readonly_array(np.ones(self.n_obs))
+
+    @cached_property
+    def _unit_xtw(self) -> tuple:
+        return tuple(np.dot(self.X.T, self.unit_weights).tolist())
+
+    @cached_property
+    def _column_bounds(self) -> tuple:
+        # column by column: numpy reduces a tall array's first axis slowly
+        return tuple(float(np.abs(col).max()) for col in self.X.T)
+
+    @cached_property
     def log_information(self) -> np.ndarray:
         """``X.T @ (4 X)``, the Fisher information of every log-link fit on
         this design: that link's expected weight is 4 on every row."""
@@ -322,6 +342,11 @@ class DesignMatrix(ReadOnlyArrays):
         raises :class:`numpy.linalg.LinAlgError` if that is not positive
         definite."""
         return readonly_array(spd_solve(self.log_information, np.eye(self.n_params)))
+
+    @cached_property
+    def log_std_errors(self) -> np.ndarray:
+        """The standard errors of every log-link fit on this design."""
+        return readonly_array(np.sqrt(self.log_covariance.diagonal()))
 
 
 @dataclass(frozen=True)

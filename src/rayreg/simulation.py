@@ -14,9 +14,10 @@ order.  Two per-replication functions feed it: `_contaminated_fits` fits
 both estimators at each outlier count (a table cell is the single count
 ``floor(epsilon * N)``), and `_sensitivities` fits the N-1 baseline and
 then one contaminated signal per outlier value.  Within a replication,
-each fit of a sweep starts from the fit before it (a continuation start of
-`fit_both`), since the two signals differ in a few values only; the curves
-then agree with cold-started fits to within the solver's tolerance.
+each sweep fit starts from the fits before it (a continuation start of
+`fit_both`: the signals differ in a few values only), from the line through
+the two fits before it in the sweep variable where there are two; the
+curves then agree with cold-started fits to within the solver's tolerance.
 
 Covariates are drawn once per scenario and held fixed across
 replications; each replication derives its own generator from the master
@@ -220,28 +221,37 @@ def _summarize(estimator, beta_true, estimates) -> MonteCarloReport:
 
 def _fits(spec: ModelSpec, rcfg: RobustConfig, start=None) -> np.ndarray:
     """``fit_both`` as a ``(2, k)`` array, MLE then WMLE; NaN rows mark
-    diverged fits.  ``start`` is a neighbouring fit's array: a continuation
-    start, whose NaN rows start cold."""
-    out = np.full((2, spec.design.X.shape[1]), np.nan)
-    for row, fit in zip(out, fit_both(spec, rcfg, start)):
-        if fit.converged:
-            row[:] = fit.beta_hat
-    return out
+    diverged fits.  ``start`` is a continuation start from the sweep (see
+    :func:`_next_start`), whose NaN rows start cold."""
+    return np.array([fit.beta_hat if fit.converged else np.full(spec.n_params, np.nan)
+                     for fit in fit_both(spec, rcfg, start)])
+
+
+def _next_start(points, fits, first=None):
+    """The start at sweep point ``points[len(fits)]`` after ``fits``: ``first``,
+    then the fit before, then the line through the two fits before in the
+    sweep variable (the fit before, where their points are equal).  A NaN row
+    stays NaN, and starts cold."""
+    i = len(fits)
+    if i < 2:
+        return fits[-1] if fits else first
+    span = points[i - 1] - points[i - 2]
+    return fits[-1] + ((points[i] - points[i - 1]) / span if span else 0.0) * (fits[-1] - fits[-2])
 
 
 def _contaminated_fits(cfg, counts, design, mu, rcfg, rep) -> np.ndarray:
     """Both fits at every outlier count, nested positions: ``(len(counts), 2, k)``.
 
-    Each count's fits start from the previous count's.
+    Each count's fits start from those of the counts before it
+    (:func:`_next_start`).
     """
     y_clean, perm = _clean_signal_and_perm(cfg, rep, mu)
     out = []
-    fits = None
     for count in counts:
         y = y_clean.copy()
         y[perm[:count]] = cfg.outlier_value
-        fits = _fits(ModelSpec(design=design, link=cfg.link, response=y), rcfg, fits)
-        out.append(fits)
+        spec = ModelSpec(design=design, link=cfg.link, response=y)
+        out.append(_fits(spec, rcfg, _next_start(counts, out)))
     return np.stack(out)
 
 
@@ -250,26 +260,23 @@ def _sensitivities(cfg, values, design, mu, rcfg, rep) -> np.ndarray:
 
     The baseline deletes row ``j``; a NaN marks a diverged fit, and a
     diverged baseline makes the whole replication NaN.  The first value's
-    fits start from the baseline's, and each later value's from the value
-    before.
+    fits start from the baseline's, and later values' from the values
+    before (:func:`_next_start`).
     """
     rng = rng_for(cfg.master_seed, _REPLICATION_STREAM, rep)
     y = distribution.quantile(rng.random(cfg.n_obs), mu)
     j = int(rng.integers(cfg.n_obs))
-    keep = np.ones(cfg.n_obs, dtype=bool)
-    keep[j] = False
-    base_design = DesignMatrix(design.X[keep], design.column_names)
-    base = _fits(ModelSpec(design=base_design, link=cfg.link, response=y[keep]), rcfg)
-    out = np.full((len(values), 2), np.nan)
+    base_design = DesignMatrix(np.delete(design.X, j, axis=0), design.column_names)
+    base = _fits(ModelSpec(design=base_design, link=cfg.link, response=np.delete(y, j)), rcfg)
     if np.isnan(base[:, 0]).any():
-        return out
-    fits = base
-    for vi, value in enumerate(values):
+        return np.full((len(values), 2), np.nan)
+    fits = []
+    for value in values:
         y_cont = y.copy()
         y_cont[j] = value
-        fits = _fits(ModelSpec(design=design, link=cfg.link, response=y_cont), rcfg, fits)
-        out[vi] = np.mean(np.abs(cfg.n_obs * (fits - base)), axis=1)
-    return out
+        spec = ModelSpec(design=design, link=cfg.link, response=y_cont)
+        fits.append(_fits(spec, rcfg, _next_start(values, fits, base)))
+    return np.mean(np.abs(cfg.n_obs * (np.reshape(fits, (len(values), *base.shape)) - base)), axis=2)
 
 
 def _chunk(per_rep, cfg: ScenarioConfig, sweep: tuple, lo: int, hi: int) -> np.ndarray:

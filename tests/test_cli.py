@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -175,6 +176,20 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "nonpositive" in err and "3" in err  # data line number
 
+    @pytest.mark.parametrize("method", ["mle", "both"])
+    def test_overflowing_response_names_its_line(self, tmp_path, capsys, method):
+        # No mean near the others' makes pi/4 (y / mu)^2 finite at 1e200.
+        lines = _DATA_CSV.decode().splitlines()
+        lines[18] = "1e200," + lines[18].split(",")[1]  # data row 17
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["fit", "--data", str(path), "--response", "y", "--covariates", "x",
+                   "--method", method, "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 19: response 'y' value 1e+200 overflows the log-likelihood\n"
+        )
+
     @pytest.mark.parametrize(
         "column, cell, kind",
         [("y", "nan", "non-finite"), ("y", "-inf", "non-finite"), ("x", "inf", "non-finite"),
@@ -191,6 +206,20 @@ class TestFitCommand:
         assert capsys.readouterr().err == (
             f"error: {path}: line 4: column {column!r} has {kind} value {cell!r}\n"
         )
+
+
+def test_overflowing_training_pixel_names_its_position(scene_dir, tmp_path, capsys):
+    interest = image_io.read_image(scene_dir / "interest.rrm").copy()
+    interest[80, 7] = 1e200
+    path = tmp_path / "interest.rrm"
+    image_io.write_image_rrm(interest, path)
+    rc = main(["detect", "--interest", str(path), "--covariates", str(scene_dir / "covariate.rrm"),
+               "--training", "75,0,100,100", "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: training pixel at (row, col) (80, 7) has amplitude 1e+200, which overflows "
+        "the log-likelihood\n"
+    )
 
 
 class TestWaldResidualCommands:
@@ -720,6 +749,105 @@ class TestImageBoundary:
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+# A number token of a JSON document (not one inside a string), and what the
+# mutations put in its place: numbers past or at the float range's edges, and
+# the non-finite constants Python's reader accepts.
+_JSON_NUMBER = re.compile(rb"(?<=[\[:,\s])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?=[\s,\]}])")
+_ODD_NUMBERS = [b"1e308", b"-1e308", b"1e400", b"-1e400", b"1e-400", b"1" + b"0" * 400,
+                b"-1" + b"0" * 400, b"NaN", b"Infinity", b"-Infinity"]
+
+
+@st.composite
+def _mutated_json(draw, doc: bytes):
+    """``doc`` after one to three mutations: a flipped byte, truncation, a
+    number nested 1 to 100 000 arrays deep, or a number replaced by a huge
+    or non-finite one."""
+    data = doc
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["flip", "truncate", "nest", "number"]))
+        spans = [m.span() for m in _JSON_NUMBER.finditer(data)]
+        if kind == "flip" and data:
+            at = draw(st.integers(0, len(data) - 1))
+            data = data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+        elif kind == "truncate":
+            data = data[:draw(st.integers(0, len(data)))]
+        elif spans:
+            lo, hi = draw(st.sampled_from(spans))
+            if kind == "nest":
+                depth = draw(st.sampled_from([1, 50, 100_000]))
+                new = b"[" * depth + data[lo:hi] + b"]" * depth
+            else:
+                new = draw(st.sampled_from(_ODD_NUMBERS))
+            data = data[:lo] + new + data[hi:]
+    return data
+
+
+def _runs_or_is_one_error_line(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would be a second stderr line
+        rc = main(argv)
+    lines = err.getvalue().splitlines()
+    if rc == 0:
+        assert lines == []
+    else:
+        assert rc == 1
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+_TRUTH_JSON = json.dumps({"radius_m": 3.0, "targets": [[5, 10], [20, 30.5]]}, indent=2).encode()
+
+
+class TestJsonBoundary:
+    """``detect --truth`` and ``rerun`` on mutated bytes run, or end in one
+    ``error:`` line."""
+
+    @pytest.fixture(scope="class")
+    def fit_run(self, tmp_path_factory):
+        """A fit's manifest bytes, over the data CSV."""
+        work = tmp_path_factory.mktemp("fit")
+        data = work / "data.csv"
+        data.write_bytes(_DATA_CSV)
+        assert main(["fit", "--data", str(data), "--response", "y", "--covariates", "x",
+                     "--method", "both", "--out-dir", str(work / "run")]) == 0
+        return (work / "run" / "manifest.json").read_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=_mutated_json(_TRUTH_JSON))
+    def test_mutated_truth_scores_or_is_one_error_line(self, tmp_path_factory, data):
+        work = tmp_path_factory.mktemp("truth")
+        images = []
+        for name, image in (("interest", _SMALL_INTEREST), ("covariate", _SMALL_COVARIATE)):
+            images.append(work / f"{name}.rrm")
+            images[-1].write_bytes(_rrm_bytes(image))
+        (work / "truth.json").write_bytes(data)
+        _runs_or_is_one_error_line(
+            ["detect", "--interest", str(images[0]), "--covariates", str(images[1]),
+             "--training", _SMALL_TRAINING, "--truth", str(work / "truth.json"),
+             "--out-dir", str(work / "out")])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_manifest_reruns_or_is_one_error_line(self, tmp_path_factory, fit_run, data):
+        work = tmp_path_factory.mktemp("rerun")
+        (work / "manifest.json").write_bytes(data.draw(_mutated_json(fit_run)))
+        _runs_or_is_one_error_line(["rerun", "--manifest", str(work / "manifest.json"),
+                                    "--out-dir", str(work / "out")])
+
+    def test_count_past_the_float_range_is_refused(self, tmp_path, fit_run, capsys):
+        # RobustConfig's "< inf" lets 10**400 through, as a round count that
+        # would run for ever.
+        manifest = json.loads(fit_run)
+        manifest["config"]["reweight_iterations"] = 10**400
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", "--manifest", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: reweight_iterations must be a finite "
+                                                   "number, got 1000"), err
 
 
 # A valid 40 x 40 mask: the header is the first 13 bytes.

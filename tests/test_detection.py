@@ -465,6 +465,14 @@ class TestDetect:
         with pytest.raises(ValueError, match=r"\(3, 7\)"):
             detect(img, [], (0, 0, 20, 40))
 
+    def test_overflowing_training_pixel_reported_with_position(self):
+        # No mean near the others' makes pi/4 (y / mu)^2 finite at 1e200.
+        img = np.random.default_rng(3).uniform(1.0, 3.0, (40, 40))
+        img[13, 27] = 1e200
+        with pytest.raises(ValueError, match=r"^training pixel at \(row, col\) \(13, 27\) has "
+                                             r"amplitude 1e\+200, which overflows"):
+            detect(img, [], (10, 0, 30, 40))
+
     def test_shape_mismatch(self):
         img = np.full((40, 40), 2.5)
         with pytest.raises(ValueError, match="does not match"):

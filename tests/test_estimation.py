@@ -1,6 +1,7 @@
 """Estimator oracles: finite differences, closed forms, weight rules, pipelines."""
 
 import math
+import pickle
 import warnings
 from dataclasses import replace
 
@@ -25,7 +26,8 @@ from rayreg import (
 )
 import rayreg.estimation
 import rayreg.optim
-from rayreg.optim import _direction, maximize_bfgs
+from rayreg.optim import InfeasibleStartError, _direction, maximize_bfgs
+from rayreg.regression import _MAX_LOG_MEAN
 from rayreg.scenes import make_scene
 
 from closed_form_oracle import closed_form_fits, coefficients
@@ -190,6 +192,41 @@ class TestObjective:
             with pytest.raises(ValueError, match="not finite at the starting point"):
                 maximize_bfgs(spec, w, np.array(beta), max_iter=0)
 
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), edge=st.floats(-1.0, 1.0),
+           on_bound=st.booleans(), mixed=st.booleans(), unit=st.booleans())
+    def test_infeasible_exactly_where_the_reference_says(self, k, seed, edge, on_bound, mixed, unit):
+        # |x| up to 1e3, and beta scaled so that the largest eta, or the
+        # design's bound sum_i max|x_i| |beta_i| on every |eta|, lies within
+        # 1 of log(DBL_MAX).  Below log(DBL_MAX) - 1 the bound skips the
+        # check on eta; the reference always makes it.  Columns of one sign
+        # keep eta from the far negative side, where exp(-2 eta) overflows.
+        rng = np.random.default_rng(seed)
+        n = 30
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, k) * rng.choice([-1.0, 1.0], k)
+        design = DesignMatrix(rng.uniform(-1.0 if mixed else 0.0, 1.0, (n, k)) * scale)
+        X = design.X
+        beta = rng.uniform(-1.0, 1.0, k)
+        if on_bound:
+            beta *= (_MAX_LOG_MEAN + edge) / (np.abs(X).max(axis=0) @ np.abs(beta))
+        else:
+            beta *= math.copysign(1.0, np.max(X @ beta))
+            beta *= (_MAX_LOG_MEAN + edge) / np.max(X @ beta)
+        link = get_link("log")
+        y = distribution.quantile(rng.random(n), 1.0)
+        log_y, log_scale = link.response_terms(y)
+        w = design.unit_weights if unit else rng.uniform(0.0, 1.0, n)
+        evaluate, _ = link.objective(design, w, (log_y, log_scale))
+        with np.errstate(over="ignore", invalid="ignore"):
+            point = evaluate(beta.tolist())
+            eta = np.dot(X, beta)
+            wq = w * np.exp(log_scale - 2.0 * eta)
+            xtw = np.dot(X.T, w)
+            grad = 2.0 * (np.dot(X.T, wq) - xtw)
+            infeasible = (np.max(eta) > _MAX_LOG_MEAN or not math.isfinite(np.add.reduce(wq))
+                          or not np.isfinite(grad).all())
+        assert (point is None) == infeasible
 
 class TestComputeWeights:
     def test_middle_branch_is_one(self):
@@ -519,6 +556,27 @@ class TestOptimizerBehavior:
         assert np.all(predict_mean(spec, fit.beta_hat) > 0.0)
 
 
+class TestOverflowingResponse:
+    """A response whose likelihood term overflows at the starting point is
+    named with its row, not reported as a solver fault."""
+
+    @staticmethod
+    def _spec():
+        rng = np.random.default_rng(23)
+        n = 1000
+        X = np.column_stack([np.ones(n), rng.random(n)])
+        y = distribution.quantile(rng.random(n), np.exp(0.5 + 0.15 * X[:, 1]))
+        y[17] = 1e200
+        return ModelSpec.build(X, y)
+
+    @pytest.mark.parametrize("fit", [fit_both, fit_mle])
+    def test_names_row_and_value(self, fit):
+        with pytest.raises(InfeasibleStartError, match=r"^response 1e\+200 at row 17 overflows "
+                                                       r"the log-likelihood") as info:
+            fit(self._spec())
+        assert info.value.row == 17
+
+
 def _neighbours(link, seed):
     """A contaminated signal and the same one with one value moved."""
     beta = (0.5, 0.15) if link == "log" else (2.0, 0.5)
@@ -625,6 +683,18 @@ class TestRobustConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             RobustConfig(**kwargs)
+
+    def test_fit_result_arrays_stay_read_only(self):
+        # The plain fits share the design's unit weights; a pickled fit's
+        # arrays are frozen again.
+        spec = _simulated_spec(57, eps=0.05)
+        mle, wmle = fit_both(spec)
+        _, plain = fit_both(spec, RobustConfig(reweight_iterations=0))
+        assert mle.weights is plain.weights is spec.design.unit_weights
+        for fit in (mle, wmle, plain):
+            for held in (fit, pickle.loads(pickle.dumps(fit))):
+                for name in ("beta_hat", "std_errors", "fisher_info", "weights", "mu_hat"):
+                    assert not getattr(held, name).flags.writeable, (fit.method, name)
 
     def test_fit_result_immutable(self):
         fit = fit_mle(_simulated_spec(55))

@@ -1,6 +1,7 @@
 """Monte Carlo harness: seeding, contamination, pairing, determinism."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -256,6 +257,28 @@ class TestContinuationStarts:
         for name in fields:
             np.testing.assert_allclose(getattr(warm, name), getattr(cold, name), rtol=1e-6,
                                        atol=atol)
+
+
+    def test_start_extrapolated_from_a_diverged_fit_is_cold(self, monkeypatch):
+        # The MLE at the second value is reported diverged (a NaN row), so
+        # the third and fourth values' MLE starts are NaN and start cold.
+        calls = []
+
+        def diverging_fit_both(spec, cfg=None, start=None):
+            mle, wmle = fit_both(spec, cfg, start)
+            calls.append((spec, start, mle))
+            if len(calls) == 3:  # the baseline, then values 1 and 2
+                mle = replace(mle, converged=False)
+            return mle, wmle
+
+        monkeypatch.setattr(rayreg.simulation, "fit_both", diverging_fit_both)
+        cfg = _cfg(n_obs=60, replications=2, master_seed=5)
+        sensitivity_curve(cfg, [1.0, 2.0, 4.0, 8.0])
+        for spec, start, mle in calls[3:5]:  # the first replication's
+            assert np.isnan(start[0]).all() and np.isfinite(start[1]).all()
+            cold = fit_both(spec, cfg.robust_config())[0]
+            assert np.array_equal(mle.beta_hat, cold.beta_hat)
+            assert mle.iterations == cold.iterations
 
 
 _EXPERIMENTS = {
