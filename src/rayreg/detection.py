@@ -21,10 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .estimation import FitResult, RobustConfig, fit_both
 from .inference import quantile_residuals_from_mean
@@ -313,6 +309,10 @@ def extract_clusters(mask, merge_distance: float = 0.0, pixel_size_m: float = 1.
     meters of each other collapse (transitively) into a single cluster
     whose centroid is the pixel-count weighted mean.
     """
+    from scipy import ndimage
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
     mask = _as_mask(mask)
     labels, n_comp = ndimage.label(mask, structure=_EIGHT_CONNECTED)
     if n_comp == 0:

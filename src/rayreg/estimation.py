@@ -246,7 +246,8 @@ def fit_wmle(spec: ModelSpec, cfg: RobustConfig | None = None) -> FitResult:
 
     Weights come from the latest fitted means and the likelihood is
     re-maximized from the previous solution, ``cfg.reweight_iterations``
-    times.  The default single round freezes weights at the plain fit.
+    times or until a round after the first returns its start, a fixed
+    point.  The default single round freezes weights at the plain fit.
     """
     _, wmle = fit_both(spec, cfg)
     return wmle
@@ -275,9 +276,11 @@ def fit_both(spec: ModelSpec, cfg: RobustConfig | None = None, start=None):
     terms = spec.link.response_terms(spec.response)
     mle = _fit_mle(spec, cfg, mle_start, terms)
     fit = mle
-    for _ in range(cfg.reweight_iterations):
+    for rounds in range(cfg.reweight_iterations):
         w = compute_weights(spec, fit.mu_hat, cfg.delta)
-        fit = _maximize(spec, w, cfg, "WMLE", fit.beta_hat.copy, wmle_start, terms)
+        last, fit = fit, _maximize(spec, w, cfg, "WMLE", fit.beta_hat.copy, wmle_start, terms)
+        if rounds and np.array_equal(fit.beta_hat, last.beta_hat):
+            break  # a fixed point: every later round repeats this one to the bit
         wmle_start = None  # later rounds start from the round before
     if fit is mle:
         fit = replace(mle, method="WMLE")

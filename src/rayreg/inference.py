@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc, gammaincinv, ndtri
 
 from . import distribution
 from .regression import LogLink, ModelSpec, spd_solve
@@ -85,6 +84,7 @@ def wald_test(fit, interest, beta_null, pfa: float = 0.05) -> WaldReport:
         If the fit did not converge (a Wald statistic from an unconverged
         fit is meaningless), or on malformed inputs.
     """
+    from scipy.special import chdtrc, gammaincinv
     if not 0.0 < pfa < 1.0:
         raise ValueError("pfa must lie in (0, 1)")
     if not fit.converged:
@@ -154,6 +154,7 @@ def quantile_residuals_from_mean(y, mu, return_clamped: bool = False):
     ``RESIDUAL_CLAMP_EPS`` so the residual stays finite; set
     ``return_clamped`` to also receive the indices that were clamped.
     """
+    from scipy.special import ndtri
     prob = distribution.cdf(y, mu)
     prob = np.atleast_1d(np.asarray(prob, dtype=np.float64))
     clamped = np.flatnonzero((prob < RESIDUAL_CLAMP_EPS) | (prob > 1.0 - RESIDUAL_CLAMP_EPS))

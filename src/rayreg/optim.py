@@ -4,13 +4,18 @@ The iteration keeps its state on Python floats: ``beta``, the gradient,
 the direction, the slope and every trial point are lists, and only the
 length-N work runs in numpy, in the link's fused evaluation
 (``link.objective``), one per trial point.  The value and gradient come
-from one pass over the linear predictor ``eta = X beta`` (what does not
-depend on ``beta``, such as the plain fit's ``X^T 1`` and the bound on
-``|eta|`` that spares the overflow check, is formed once or kept on the
-design), and the observed information, a k x k array, is formed only at
-the points the solver steps from.  The step solves it by a Cholesky factorization: in
-plain Python for the two coefficients of the Monte Carlo studies, where
-that costs a tenth of a call into LAPACK, and by LAPACK for every other
+from one pass over the data (what does not depend on ``beta``, such as
+the plain fit's ``X^T 1``, ``-2 X`` and the bound on ``|eta|`` that spares
+the overflow check, is formed once or kept on the design), and the
+observed information, a k x k array, is formed only at the points the
+solver steps from.  The evaluation returns the point it evaluated, and
+the solver goes on from that point: under the log link, on a design with
+a column of ones, the trial point with its intercept moved to its optimum
+given the other coefficients, whose value is never lower.  The linear
+predictor ``eta = X beta`` of the result is formed once, at the end.  The
+step solves the information by a Cholesky factorization: in plain Python
+for the two coefficients of the Monte Carlo studies, where that costs a
+tenth of a call into LAPACK, and by LAPACK for every other
 number of coefficients.  The information is positive definite under
 the log link, where the log-likelihood is strictly concave in ``beta``;
 where it is not, as can happen under the identity link, the step is Fisher
@@ -26,16 +31,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .regression import ModelSpec, spd_solve
+from .regression import _ROUNDING, ModelSpec, spd_solve
 
 __all__ = ["InfeasibleStartError", "OptimResult", "maximize_bfgs"]
 
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
-# Relative size of the rounding in a log-likelihood summed over many
-# observations: a step may lower the objective by this much and still be
-# taken if it lowers the gradient.
-_ROUNDING = 1e-12
 
 
 class InfeasibleStartError(ValueError):
@@ -80,7 +81,8 @@ def maximize_bfgs(
     up to rounding.  Stops when the gradient sup-norm reaches
     ``grad_tol`` (``converged``), after ``max_iter`` accepted steps, or
     when no halving is accepted.  The information and its solve are
-    computed only at the points the solver steps from.
+    computed only at the points the solver steps from.  Every point, the
+    start too, is the one the link's evaluation returns (module docstring).
 
     ``terms`` are the response's constants, ``spec.link.response_terms``
     of the response, which a caller maximizing several weightings of one
@@ -95,21 +97,19 @@ def maximize_bfgs(
     # Infeasible trial points raise numpy's floating-point warnings.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         evaluate, information = link.objective(design, w, terms)
-        x = np.array(start, dtype=np.float64).tolist()
-        point = evaluate(x)
+        point = evaluate(np.array(start, dtype=np.float64).tolist())
         if point is None:
             raise InfeasibleStartError("objective is not finite at the starting point")
-        f, g, eta, state = point
+        f, g, x, state = point
         grad_norm = max(map(abs, g))
         iterations = 0
 
         while grad_norm > grad_tol and iterations < max_iter:
-            p = _direction(information(state), g, design, w, link, eta)
+            p = _direction(information(state), g, design, w, link, x)
             slope = sum(map(mul, g, p))
             step = 1.0
             for _ in range(_MAX_HALVINGS):
-                x_new = [a + step * b for a, b in zip(x, p)]
-                point = evaluate(x_new)
+                point = evaluate([a + step * b for a, b in zip(x, p)])
                 if point is not None:
                     norm_new = max(map(abs, point[1]))
                     if point[0] >= f + _ARMIJO * step * slope or (
@@ -119,7 +119,7 @@ def maximize_bfgs(
                 step *= 0.5
             else:
                 break
-            x, (f, g, eta, state), grad_norm = x_new, point, norm_new
+            (f, g, x, state), grad_norm = point, norm_new
             iterations += 1
             if trace is not None:
                 trace.append(f)
@@ -131,19 +131,19 @@ def maximize_bfgs(
         grad_norm=grad_norm,
         iterations=iterations,
         converged=grad_norm <= grad_tol,
-        eta=eta,
+        eta=np.dot(design.X, x),
     )
 
 
-def _direction(info, grad, design, w, link, eta):
+def _direction(info, grad, design, w, link, beta):
     """Newton step with the observed information ``info``.  Where that is
     not positive definite, as can happen under the identity link, the
-    Fisher scoring step with the expected information at the linear
-    predictor ``eta``; where zero weights leave even that singular, the
-    gradient itself."""
+    Fisher scoring step with the expected information at ``beta``; where
+    zero weights leave even that singular, the gradient itself."""
     step = _cholesky_solve(info, grad)
     if step is None:
-        step = _cholesky_solve(design.gram(w * link.fisher_weight(link.inverse(eta))), grad)
+        mu = link.inverse(np.dot(design.X, beta))
+        step = _cholesky_solve(design.gram(w * link.fisher_weight(mu)), grad)
     return grad if step is None else step
 
 

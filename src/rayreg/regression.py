@@ -11,11 +11,14 @@ that exercises the general link machinery (and its positivity guard).
 
 Fits evaluate the likelihood on the linear predictor ``eta = X beta``,
 through each link's fused evaluation (``objective``): under the log link
-``quad = pi/4 (y/mu)^2`` is ``exp(log(pi/4 y^2) - 2 eta)`` and ``log mu`` is
-``eta``, whose weighted sum is ``(X^T w) beta``, so a trial point costs one
-``exp`` and two products with the design.  The design keeps each column's
-largest ``|x|``: where ``sum_i max|x_i| |beta_i|``, a bound on ``|eta|``,
-stays below ``log(DBL_MAX) - 1``, no mean overflows and ``eta`` goes unchecked.
+``quad = pi/4 (y/mu)^2`` is ``exp(log(pi/4 y^2) + (-2 X) beta)`` and ``log mu``
+is ``eta``, whose weighted sum is ``(X^T w) beta``, so a trial point costs one
+``exp`` and two products with the design.  On a design with a column of ones
+it also moves the intercept to its optimum given the rest, in closed form
+(McCullagh & Nelder, *Generalized Linear Models*, ch. 2).  The design keeps
+each column's largest ``|x|``: where ``sum_i max|x_i| |beta_i|``, a bound on
+``|eta|``, stays below ``log(DBL_MAX) - 1``, no mean overflows and ``eta`` is
+not formed.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from functools import cached_property
 from operator import mul
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 __all__ = [
     "LogLink",
@@ -49,6 +51,9 @@ _LOG_QUARTER_PI = math.log(math.pi / 4.0)
 _SQRT_QUARTER_PI = math.sqrt(math.pi / 4.0)
 # The largest linear predictor whose mean ``exp(eta)`` is finite.
 _MAX_LOG_MEAN = math.log(sys.float_info.max)
+# Relative size of the rounding in a sum over many observations, such as
+# the log-likelihood and the log link's sum(wq) against sum(w).
+_ROUNDING = 1e-12
 
 
 class NonpositiveMeanError(ValueError):
@@ -91,46 +96,57 @@ class LogLink:
         """The solver's fused evaluation of the weighted log-likelihood under
         ``w``; ``terms`` are :meth:`response_terms`.
 
-        Returns ``evaluate(beta)``, which gives ``(value, gradient, eta,
-        state)`` at a list of floats ``beta``, the gradient a list too, or
-        None at an infeasible point; and ``information(state)``, the
+        Returns ``evaluate(beta)``, which gives ``(value, gradient, point,
+        state)`` at a list of floats ``beta``, the gradient and point lists
+        too, or None at an infeasible point; and ``information(state)``, the
         observed information as a k x k array.  With ``wq = w pi/4 y^2
         exp(-2 eta)`` the value is ``c - 2 (X^T w) beta - sum(wq)``, the
-        gradient ``2 X^T wq - 2 X^T w`` and the information ``4 gram(wq)``,
-        so ``X^T w`` (the design's for unit weights) and ``c`` are formed once
-        and a point costs one product with ``X``, one ``exp`` and one product
-        with ``X^T``.  A mean that overflows leaves the value finite, so the
-        largest ``eta`` is checked too, where the design's bound allows one.
+        gradient ``2 X^T wq - 2 X^T w`` and the information ``4 gram(wq)``, so
+        ``X^T w`` and ``c`` are formed once and a point costs one product with
+        ``-2 X``, one ``exp`` and one with ``X^T``.  The point is ``beta`` unless the design
+        has a column of ones whose entry of ``X^T wq``, ``sum(wq)``, is off
+        ``sum(w)`` by more than rounding: the intercept then moves to its
+        optimum given the rest, by ``log(sum(wq) / sum(w)) / 2``, which scales
+        every sum of ``wq`` above by ``s = sum(w) / sum(wq)``.  A mean that
+        overflows leaves the value finite, so the largest ``eta`` is checked
+        where the design's bound allows one.
         """
         dot = np.dot  # the BLAS call of ``@`` on these shapes, with less dispatch
         X = design.X
         XT = X.T
+        neg2X = design._neg2_X  # -2 eta to the bit: scaling by -2 is exact
         k = X.shape[1]
         rows = design._row_products
         bounds = design._column_bounds
+        ones = design._ones_column
         log_y, log_scale = terms
         unit, const = _weighting(design, w, log_y)
         xtw = design._unit_xtw if unit else dot(XT, w).tolist()
+        sw = None if ones is None else xtw[ones]
 
         def evaluate(beta):
-            eta = dot(X, beta)
-            wq = np.multiply(eta, -2.0)
+            wq = dot(neg2X, beta)
             wq += log_scale
             np.exp(wq, out=wq)
             if not unit:
                 wq *= w
-            value = const - 2.0 * sum(map(mul, xtw, beta)) - float(np.add.reduce(wq))
+            xtwq = dot(XT, wq).tolist()
+            swq = float(np.add.reduce(wq)) if ones is None else xtwq[ones]
+            s = 1.0
+            if ones is not None and swq > 0.0 and abs(swq - sw) > _ROUNDING * sw:
+                s, beta = sw / swq, [*beta]
+                beta[ones] += 0.5 * math.log(swq / sw)
+            value = const - 2.0 * sum(map(mul, xtw, beta)) - s * swq
             if not (math.isfinite(value) and (sum(map(mul, bounds, map(abs, beta))) < _MAX_LOG_MEAN - 1.0
-                                              or np.maximum.reduce(eta) <= _MAX_LOG_MEAN)):
+                                              or np.maximum.reduce(dot(X, beta)) <= _MAX_LOG_MEAN)):
                 return None
-            grad = [2.0 * (a - b) for a, b in zip(dot(XT, wq).tolist(), xtw)]
+            grad = [2.0 * (s * a - b) for a, b in zip(xtwq, xtw)]
             if not all(map(math.isfinite, grad)):
                 return None
-            return value, grad, eta, wq
+            return value, grad, beta, (wq, s)
 
-        def information(wq):
-            # design.gram(wq), with the kept row products in hand
-            return (4.0 * dot(wq, rows)).reshape(k, k)
+        def information(state):  # design.gram(4 s wq), with the kept row products in hand
+            return ((4.0 * state[1]) * dot(state[0], rows)).reshape(k, k)
 
         return evaluate, information
 
@@ -168,9 +184,9 @@ class IdentityLink:
 
     def objective(self, design, w, terms):
         """The fused evaluation, as for the log link, on ``log mu`` and
-        ``quad = pi/4 (y/mu)^2`` with ``mu = eta``: the gradient is ``X^T (w
-        s)`` and the information ``gram(w h)`` from :meth:`newton_terms`.  A
-        nonpositive ``eta`` makes ``log mu`` and so the value -inf or nan."""
+        ``quad = pi/4 (y/mu)^2`` with ``mu = eta`` at the point ``beta``: the
+        gradient is ``X^T (w s)`` and the information ``gram(w h)`` from
+        :meth:`newton_terms`.  A nonpositive ``eta`` makes the value -inf or nan."""
         dot = np.dot
         X = design.X
         XT = X.T
@@ -188,7 +204,7 @@ class IdentityLink:
             grad = dot(XT, s if unit else w * s).tolist()
             if not all(map(math.isfinite, grad)):
                 return None
-            return value, grad, eta, h
+            return value, grad, beta, h
 
         def information(h):
             return design.gram(h if unit else w * h)
@@ -247,8 +263,9 @@ class DesignMatrix(ReadOnlyArrays):
     designs can still be inspected.  ``X`` is read-only, so what the fits
     derive from it is kept: its SVD, the pseudo-inverse of a design that
     passed the rank check, the row outer products, the unit weights and
-    ``X^T 1``, each column's largest ``|x|``, and the log link's Fisher
-    information, its inverse and standard errors.
+    ``X^T 1``, each column's largest ``|x|``, ``-2 X``, the index of its
+    first column of ones, and the log link's Fisher information, its inverse
+    and standard errors.
     """
 
     X: np.ndarray
@@ -324,6 +341,14 @@ class DesignMatrix(ReadOnlyArrays):
     @cached_property
     def _unit_xtw(self) -> tuple:
         return tuple(np.dot(self.X.T, self.unit_weights).tolist())
+
+    @cached_property
+    def _neg2_X(self) -> np.ndarray:
+        return readonly_array(-2.0 * self.X)
+
+    @cached_property
+    def _ones_column(self) -> int | None:  # the first column of ones (the intercept), or None
+        return next((i for i, col in enumerate(self.X.T) if (col == 1.0).all()), None)
 
     @cached_property
     def _column_bounds(self) -> tuple:
@@ -454,6 +479,7 @@ def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     numpy.linalg.LinAlgError
         If ``a`` is not positive definite (a subclass of ValueError).
     """
+    from scipy.linalg.lapack import dpotrf, dpotrs
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
     c, info = dpotrf(a, lower=0, clean=0)

@@ -290,7 +290,7 @@ def _run(per_rep, cfg: ScenarioConfig, sweep: tuple, workers: int) -> np.ndarray
     """``per_rep`` over every replication, stacked in replication order.
 
     Replications are split into at most ``workers`` contiguous chunks, run
-    serially or one chunk per worker process.  Each replication draws from
+    serially or one worker process per chunk.  Each replication draws from
     its own generator, so the chunking never moves a bit of the result.
     """
     total = cfg.replications
@@ -299,7 +299,7 @@ def _run(per_rep, cfg: ScenarioConfig, sweep: tuple, workers: int) -> np.ndarray
     if workers <= 1 or len(jobs) <= 1:
         parts = [_chunk(*job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             parts = list(pool.map(_chunk, *zip(*jobs)))
     return np.concatenate(parts)
 

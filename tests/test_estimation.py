@@ -3,7 +3,7 @@
 import math
 import pickle
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from rayreg import (
     DesignMatrix,
+    FitResult,
     ModelSpec,
     RobustConfig,
     compute_weights,
@@ -26,9 +27,11 @@ from rayreg import (
 )
 import rayreg.estimation
 import rayreg.optim
+import rayreg.regression
 from rayreg.optim import InfeasibleStartError, _direction, maximize_bfgs
 from rayreg.regression import _MAX_LOG_MEAN
 from rayreg.scenes import make_scene
+from rayreg.simulation import _next_start
 
 from closed_form_oracle import closed_form_fits, coefficients
 
@@ -140,12 +143,15 @@ class TestObjective:
             return steps[-1]
 
         monkeypatch.setattr(rayreg.optim, "_direction", recording_direction)
-        # No step taken: the value, gradient and linear predictor at beta.
+        # No step taken: the value, gradient and linear predictor at beta,
+        # with its intercept profiled out under the log link.
         at = maximize_bfgs(spec, w, beta, max_iter=0)
         assert not infos  # the information waits for a step
         maximize_bfgs(spec, w, beta, max_iter=1)
-        expected = _direction(infos[0], at.grad, spec.design, w, spec.link, at.eta)
+        expected = _direction(infos[0], at.grad, spec.design, w, spec.link, at.x)
         assert np.array_equal(steps[0], expected)
+        assert at.x[1] == beta[1] and (at.x[0] != beta[0]) == (link == "log")
+        beta = at.x
         assert at.fval == pytest.approx(weighted_loglik(spec, beta, w), rel=1e-12)
         assert np.array_equal(spec.link.inverse(at.eta), predict_mean(spec, beta))
         reference = score(spec, beta, w)
@@ -165,6 +171,58 @@ class TestObjective:
                 numeric[i, j] = -(ll(1, 1) - ll(1, -1) - ll(-1, 1) + ll(-1, -1)) / (4 * h * h)
         assert len(infos) == 1
         assert np.allclose(infos[0], numeric, rtol=1e-5, atol=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4), zeros=st.floats(0.0, 0.9),
+           unit=st.booleans())
+    def test_profiled_point_matches_the_definitions(self, seed, k, zeros, unit):
+        # A design with a column of ones somewhere, a response drawn away from
+        # beta, and weights with zeros among them: the evaluation returns the
+        # point with the intercept at its optimum given the rest, and its
+        # value, gradient and information are those of that point.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(k + 2, 80))
+        X = rng.uniform(-2.0, 2.0, (n, k))
+        ones = int(rng.integers(k))
+        X[:, ones] = 1.0
+        design = DesignMatrix(X)
+        beta = rng.uniform(-2.0, 2.0, k)
+        y = distribution.quantile(rng.random(n), np.exp(X @ rng.uniform(-2.0, 2.0, k)))
+        spec = ModelSpec(design=design, link="log", response=y)
+        if unit:
+            w = design.unit_weights
+        else:
+            w = rng.uniform(0.0, 1.0, n) * (rng.random(n) >= zeros)
+        evaluate, information = spec.link.objective(design, w, spec.link.response_terms(y))
+        value, grad, point, state = evaluate(beta.tolist())
+        point = np.array(point)
+        assert np.array_equal(np.delete(point, ones), np.delete(beta, ones))
+        mu = predict_mean(spec, point)
+        quad = math.pi / 4 * (y / mu) ** 2
+        terms = math.log(math.pi / 2) + np.log(y) - 2.0 * np.log(mu) - quad
+        assert abs(value - weighted_loglik(spec, point, w)) <= 1e-12 * float(w @ np.abs(terms))
+        # Each component against the sum of its terms' magnitudes.
+        scale = 2.0 * np.abs(X).T @ (w * (quad + 1.0))
+        assert np.all(np.abs(np.array(grad) - score(spec, point, w)) <= 1e-12 * scale)
+        assert abs(grad[ones]) <= 2.0 * rayreg.regression._ROUNDING * float(np.sum(w))
+        assert np.allclose(information(state), design.gram(4.0 * w * quad), rtol=1e-12,
+                           atol=1e-12 * float(np.max(design.gram(4.0 * w * quad))))
+
+    def test_design_without_ones_keeps_its_fits(self):
+        # No column of ones, so no intercept to profile out: the fits are
+        # those, to the bit, of the evaluation that never moved it.
+        rng = np.random.default_rng(77)
+        n = 300
+        X = np.column_stack([rng.uniform(0.5, 1.5, n), rng.random(n)])
+        y = distribution.quantile(rng.random(n), np.exp(X @ np.array([0.5, 0.15])))
+        y[rng.permutation(n)[:9]] = 10.0
+        mle, wmle = fit_both(ModelSpec.build(X, y))
+        assert mle.beta_hat.tolist() == [0.6708879377344502, 0.27788184685927564]
+        assert (mle.iterations, mle.loglik, mle.grad_norm) == (4, -510.6205007158274,
+                                                                1.8746959540294483e-09)
+        assert wmle.beta_hat.tolist() == [0.4710599383613282, 0.19471809257443595]
+        assert (wmle.iterations, wmle.loglik, wmle.grad_norm) == (5, -354.44824066419494,
+                                                                  2.2737367544323206e-13)
 
     # One observation is infeasible, the others have mean 1.
     @pytest.mark.parametrize("weight", [0.0, 1.0])
@@ -365,6 +423,29 @@ class TestFitWmle:
             counts.append(wmle.iterations)
         assert max(counts) - min(counts) <= 2, counts
 
+    def test_reweighting_stops_at_a_fixed_point(self, monkeypatch):
+        # Rounds reach a round that returns its start; every later round
+        # repeats it to the bit, so a count of 10**9 ends there too, with the
+        # result of 30 rounds.
+        spec = _simulated_spec(0, n=2000, eps=0.02)
+        rounds = []
+
+        def counted(*args):
+            rounds.append(1)
+            assert len(rounds) < 100, "reweighting did not stop"
+            return compute_weights(*args)
+
+        monkeypatch.setattr(rayreg.estimation, "compute_weights", counted)
+        few, many = (fit_wmle(spec, RobustConfig(reweight_iterations=n)) for n in (30, 10**9))
+        for field in fields(FitResult):
+            a, b = getattr(few, field.name), getattr(many, field.name)
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, field.name
+        w = compute_weights(spec, many.mu_hat, RobustConfig().delta)
+        assert np.array_equal(w, many.weights)
+        again = maximize_bfgs(spec, w, many.beta_hat)
+        assert np.array_equal(again.x, many.beta_hat) and again.iterations == many.iterations
+        assert len(rounds) < 2 * 30
+
     def test_iterated_reweighting_runs(self):
         spec = _simulated_spec(49, eps=0.05)
         w1 = fit_wmle(spec, RobustConfig(reweight_iterations=1))
@@ -534,7 +615,8 @@ class TestOptimizerBehavior:
         with np.errstate(over="ignore"):  # as inside the solver
             _, observed = link.newton_terms(mu, math.pi / 4 * (y / mu) ** 2)
             assert not np.isfinite(observed).all()
-            step = _direction(design.gram(w * observed), grad, design, w, link, mu)
+            # beta = (1e-160,): the linear predictor is mu on every row.
+            step = _direction(design.gram(w * observed), grad, design, w, link, mu[:1])
             fisher_finite = np.isfinite(link.fisher_weight(mu)).all()
         if fallback == "fisher":
             assert step[0] == pytest.approx(grad[0] / (4.0 * n), rel=1e-15)
@@ -610,12 +692,22 @@ class TestContinuationStart:
                     assert np.all(np.abs(warm.beta_hat - cold.beta_hat) <= bound)
 
     def test_warm_start_saves_iterations(self):
+        # On the sweep the breakdown study warm-starts: nested outliers at
+        # counts 5 to 40, each count's fits started from those before it.
+        counts = (5, 10, 15, 20, 30, 40)
         steps = {"cold": 0, "warm": 0}
         for seed in range(61, 71):
-            before, after = _neighbours("log", seed)
-            start = tuple(fit.beta_hat for fit in fit_both(before))
-            for kind, fits in (("cold", fit_both(after)), ("warm", fit_both(after, start=start))):
-                steps[kind] += sum(fit.iterations for fit in fits)
+            spec = _simulated_spec(seed, n=500)
+            perm = np.random.default_rng(seed).permutation(spec.n_obs)
+            fits = []
+            for count in counts:
+                y = spec.response.copy()
+                y[perm[:count]] = 10.0
+                after = ModelSpec(design=spec.design, link="log", response=y)
+                warm = fit_both(after, start=_next_start(counts, fits))
+                fits.append(np.array([fit.beta_hat for fit in warm]))
+                for kind, pair in (("cold", fit_both(after)), ("warm", warm)):
+                    steps[kind] += sum(fit.iterations for fit in pair)
         assert steps["warm"] < steps["cold"], steps
 
     @pytest.mark.parametrize("bad", ["nan", "infeasible", "shape"])

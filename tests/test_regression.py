@@ -157,13 +157,13 @@ class TestDesignMatrix:
 
     def test_pickled_arrays_stay_read_only(self):
         # A fit fills the design's kept arrays: singular values,
-        # pseudo-inverse, row outer products, the unit weights, and the log
-        # link's Fisher information, its inverse and its standard errors.
+        # pseudo-inverse, row outer products, the unit weights, -2 X, and the
+        # log link's Fisher information, its inverse and its standard errors.
         rng = np.random.default_rng(4)
         X = np.column_stack([np.ones(40), rng.random(40)])
         spec = ModelSpec.build(X, distribution.quantile(rng.random(40), 1.0))
         fit = fit_mle(spec)
-        for obj, n_arrays in ((spec.design, 8), (spec, 1), (fit, 5)):
+        for obj, n_arrays in ((spec.design, 9), (spec, 1), (fit, 5)):
             clone = pickle.loads(pickle.dumps(obj))
             arrays = {k: v for k, v in vars(clone).items() if isinstance(v, np.ndarray)}
             assert len(arrays) == n_arrays, sorted(arrays)

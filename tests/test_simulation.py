@@ -1,6 +1,7 @@
 """Monte Carlo harness: seeding, contamination, pairing, determinism."""
 
 import math
+import multiprocessing.process
 from dataclasses import replace
 
 import numpy as np
@@ -301,6 +302,20 @@ class TestWorkerInvariance:
     @pytest.mark.parametrize("experiment", sorted(_EXPERIMENTS))
     def test_uneven_chunks_do_not_change_results(self, serial, experiment, workers):
         assert _EXPERIMENTS[experiment](self.CFG, workers) == serial[experiment]
+
+    def test_no_more_worker_processes_than_chunks(self, monkeypatch):
+        # Four workers asked for, two replications: two chunks, so at most
+        # two processes start.
+        started = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def counting_start(process):
+            started.append(process.name)
+            return start(process)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+        sensitivity_curve(_cfg(n_obs=60, replications=2), [1.0, 10.0], workers=4)
+        assert 1 <= len(started) <= 2, started
 
 
 class TestFormatting:
