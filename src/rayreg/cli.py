@@ -60,6 +60,8 @@ _DETECTOR_KEYS = {
     "merge_distance_m": "merge_distance",
     "pixel_size_m": "pixel_size_m",
 }
+# clusters.json keys: the Cluster fields in order, as asdict gives them without its deep copy.
+_CLUSTER_FIELDS = tuple(f.name for f in dataclasses.fields(detection.Cluster))
 
 # Defaults of a simulation config file: the ScenarioConfig fields, whose seed
 # it reads from "seed".
@@ -528,7 +530,7 @@ def _cmd_detect(config, out_dir: Path, inputs: dict) -> list:
     image_io.write_mask_csv(result.mask, out_dir / "mask.csv")
     payload = {
         "method": result.fit.method,
-        "clusters": [dataclasses.asdict(c) for c in result.clusters],
+        "clusters": [{name: getattr(c, name) for name in _CLUSTER_FIELDS} for c in result.clusters],
         "n_clusters": len(result.clusters),
         "n_flagged_pixels": result.n_flagged,
         "fit": _fit_payload(result.fit, _PFA),
@@ -661,7 +663,9 @@ def _add_tabular(parser):
     parser.add_argument("--pfa", type=float, default=_PFA, help="false-alarm probability for tests")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(
         prog="rayreg",
         description="Robust Rayleigh regression: fitting, testing, simulation, detection.",

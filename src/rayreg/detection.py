@@ -13,10 +13,14 @@ computed in place on one zero-framed bool buffer by passes over shifted
 slices, each pass at most doubling the window: a side of ``s`` takes
 about ``log2(s)`` passes per axis.  The opening's dilation and the final
 one are done as a single dilation.
+
+Thresholding works on cuts on ``y / mu`` that depend only on the control
+limit and the sidedness; each process finds them once and keeps them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -106,8 +110,8 @@ def threshold_residuals(residuals, limit: float, two_sided: bool = True) -> np.n
     A residual exactly at the limit stays in control (the in-control band
     is the closed interval).
     """
-    if limit <= 0:
-        raise ValueError("control limit must be positive")
+    if not 0.0 < limit < math.inf:
+        raise ValueError(f"control limit must be positive and finite, got {limit}")
     residuals = np.asarray(residuals, dtype=np.float64)
     if two_sided:
         return np.abs(residuals) > limit
@@ -133,6 +137,7 @@ def _first_ratio(pred) -> float:
     return float(np.int64(hi).view(np.float64))
 
 
+@functools.lru_cache(maxsize=32)
 def _ratio_cuts(limit: float, two_sided: bool) -> tuple:
     """Cuts on ``z = y / mu`` equivalent to thresholding the residual.
 
@@ -153,6 +158,7 @@ def _ratio_cuts(limit: float, two_sided: bool) -> tuple:
     return upper, lower
 
 
+@functools.lru_cache(maxsize=32)
 def _guard_band(cut: float) -> tuple:
     """Half-open ``[start, stop)`` of the float ratios ``z`` with
     ``abs(z - cut) <= _GUARD * cut`` as float64 evaluates it: the ratios
@@ -174,7 +180,8 @@ def flag_out_of_control(
     without the full-image design or the residual field: the residual
     depends on a pixel only through ``y / mu``, and each side of the band
     is one cut on that ratio.  Ratios within a relative 1e-9 of a cut are
-    decided by the residual itself.
+    decided by the residual itself.  The cuts and bands (some 70 bisection
+    steps) are cached per process for each ``(limit, two_sided)``.
 
     Each of these guard bands is a float interval (:func:`_guard_band`), so
     a block takes two masks: ``wide``, the ratios past a band's inner end,
@@ -183,12 +190,12 @@ def flag_out_of_control(
     no pixel is in a band and ``wide`` is the answer; otherwise the
     ``wide & ~narrow`` pixels go through the residual.
 
-    Raises ``ValueError`` unless the fitted mean is strictly positive and
-    finite over the whole image.
+    Raises ``ValueError`` unless the limit is positive and finite and the
+    fitted mean is strictly positive and finite over the whole image.
     """
-    if limit <= 0:
-        raise ValueError("control limit must be positive")
-    upper, lower = _ratio_cuts(limit, two_sided)
+    if not 0.0 < limit < math.inf:
+        raise ValueError(f"control limit must be positive and finite, got {limit}")
+    upper, lower = _ratio_cuts(float(limit), bool(two_sided))
     (upper_in, upper_out), (lower_out, lower_in) = _guard_band(upper), _guard_band(lower)
     inverse = get_link(link).inverse
     beta = np.asarray(beta, dtype=np.float64)
@@ -337,27 +344,28 @@ def extract_clusters(mask, merge_distance: float = 0.0, pixel_size_m: float = 1.
         (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n_comp, n_comp)
     )
     _, group = connected_components(graph, directed=False)
-    # Groups in order of their lowest component, members ascending.
-    order = np.argsort(group, kind="stable")
-    starts = np.flatnonzero(np.diff(group[order], prepend=-1))
-    groups = np.split(order, starts[1:])
-    groups.sort(key=lambda members: members[0])
-
-    clusters = []
-    for members in groups:
+    lone = np.bincount(group)[group] == 1
+    # A lone component's centroid is (w * c) / w, bit for bit what the sums
+    # below give for one member, so all of them take one pass.
+    w = sizes[lone, None]
+    found = [(i, Cluster(row, col, int(n))) for i, (row, col), n in zip(
+        np.flatnonzero(lone).tolist(), (w * centroids[lone] / w).tolist(), w.ravel().tolist())]
+    merged = np.flatnonzero(~lone)
+    merged = merged[np.argsort(group[merged], kind="stable")]  # by group, members ascending
+    ends = np.flatnonzero(np.diff(group[merged], prepend=-1, append=-1)).tolist()
+    for members in (merged[a:b] for a, b in zip(ends, ends[1:])):
         w = sizes[members]
         c = centroids[members]
         total = float(np.sum(w))
-        clusters.append(
-            Cluster(
-                centroid_row=float(np.sum(w * c[:, 0]) / total),
-                centroid_col=float(np.sum(w * c[:, 1]) / total),
-                n_pixels=int(total),
-                n_components=len(members),
-            )
-        )
-    clusters.sort(key=lambda cl: (cl.centroid_row, cl.centroid_col))
-    return tuple(clusters)
+        found.append((members[0], Cluster(
+            centroid_row=float(np.sum(w * c[:, 0]) / total),
+            centroid_col=float(np.sum(w * c[:, 1]) / total),
+            n_pixels=int(total),
+            n_components=len(members),
+        )))
+    # By centroid, exact ties in the order of their lowest component.
+    found.sort(key=lambda entry: (entry[1].centroid_row, entry[1].centroid_col, entry[0]))
+    return tuple(cl for _, cl in found)
 
 
 def score_detections(clusters, truth, radius_m: float, pixel_size_m: float = 1.0) -> tuple:

@@ -133,11 +133,13 @@ def read_image(path, digest=None) -> np.ndarray:
 
 
 def write_mask_pgm(mask, path) -> None:
+    """Nonzero pixels as 255, the rest as 0: one pass, negating the bool
+    mask's bytes (1 wraps to 255) into a C-ordered raster."""
     mask = np.asarray(mask)
     if mask.ndim != 2:
         raise ValueError("mask must be 2-D")
     rows, cols = mask.shape
-    payload = np.where(mask.astype(bool, copy=False), np.uint8(255), np.uint8(0))
+    payload = np.negative(mask.astype(bool, copy=False).view(np.uint8), order="C")
     with open(path, "wb") as fh:
         fh.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
         fh.write(payload)
@@ -164,13 +166,12 @@ def read_mask_pgm(path) -> np.ndarray:
 
 
 def write_mask_csv(mask, path) -> None:
-    """Nonzero pixels as ``1``, the rest as ``0``, built as one byte buffer."""
+    """Nonzero pixels as ``1``, the rest as ``0``, built in one pass: each
+    pixel is the little-endian uint16 ``0x2C30 + m``, the bytes ``"0,"`` or
+    ``"1,"``, and each row's last comma then becomes a newline."""
     mask = np.asarray(mask)
     if mask.ndim != 2:
         raise ValueError("mask must be 2-D")
-    rows, cols = mask.shape
-    buf = np.full((rows, 2 * cols), ord(","), dtype=np.uint8)
-    buf[:, 0::2] = mask.astype(bool, copy=False)
-    buf[:, 0::2] += ord("0")
-    buf[:, -1] = ord("\n")
+    buf = np.add(mask.astype(bool, copy=False).view(np.uint8), np.uint16(0x2C30), dtype="<u2", order="C")
+    buf.view(np.uint8)[:, -1] = ord("\n")
     Path(path).write_bytes(buf)

@@ -261,7 +261,7 @@ def _sensitivities(cfg, values, design, mu, rcfg, rep) -> np.ndarray:
     The baseline deletes row ``j``; a NaN marks a diverged fit, and a
     diverged baseline makes the whole replication NaN.  The first value's
     fits start from the baseline's, and later values' from the values
-    before (:func:`_next_start`).
+    before (:func:`_next_start`, in the squared value).
     """
     rng = rng_for(cfg.master_seed, _REPLICATION_STREAM, rep)
     y = distribution.quantile(rng.random(cfg.n_obs), mu)
@@ -270,12 +270,14 @@ def _sensitivities(cfg, values, design, mu, rcfg, rep) -> np.ndarray:
     base = _fits(ModelSpec(design=base_design, link=cfg.link, response=np.delete(y, j)), rcfg)
     if np.isnan(base[:, 0]).any():
         return np.full((len(values), 2), np.nan)
+    # The outlier's score term, 2(pi/4)(v/mu_j)^2 - 2, moves the fits about linearly in v^2.
+    squares = [v * v for v in values]
     fits = []
     for value in values:
         y_cont = y.copy()
         y_cont[j] = value
         spec = ModelSpec(design=design, link=cfg.link, response=y_cont)
-        fits.append(_fits(spec, rcfg, _next_start(values, fits, base)))
+        fits.append(_fits(spec, rcfg, _next_start(squares, fits, base)))
     return np.mean(np.abs(cfg.n_obs * (np.reshape(fits, (len(values), *base.shape)) - base)), axis=2)
 
 

@@ -1,7 +1,8 @@
 """Straightforward detection stages, used as references for the fast ones.
 
 Each function here is the plain form of a stage in ``rayreg.detection`` or
-``rayreg.image_io``: the Python-level mask CSV writer, the all-pairs
+``rayreg.image_io``: the Python-level mask CSV writer, the ``np.where``
+PGM writer, the all-pairs
 union-find cluster merge, thresholding through the full-image design
 and the residual field, and detection scoring over a double loop of
 candidate pairs.  numpy and scipy only, so the production code is
@@ -24,6 +25,14 @@ def write_mask_csv(mask, path):
         for row in mask:
             fh.write(",".join(str(int(v)) for v in row))
             fh.write("\n")
+
+
+def write_mask_pgm(mask, path):
+    mask = np.asarray(mask)
+    payload = np.where(mask.astype(bool), np.uint8(255), np.uint8(0))
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{mask.shape[1]} {mask.shape[0]}\n255\n".encode("ascii"))
+        fh.write(payload.tobytes())
 
 
 def extract_clusters(mask, merge_distance=0.0, pixel_size_m=1.0):

@@ -388,6 +388,32 @@ class TestSimulateCommands:
         assert len(lines) == 3
 
 
+def test_calls_in_one_process_parse_as_fresh_processes(region_csv, scene_dir, tmp_path):
+    # main builds its parser once per process and reuses it.
+    commands = {
+        "fit": ["fit", "--data", str(region_csv), "--response", "amplitude",
+                "--dummy", "region", "--reference", "A", "--method", "both"],
+        "detect": ["detect", *_scene_args(scene_dir), "--method", "mle", "--control-limit", "2.5"],
+    }
+    path = [str(Path(rayreg.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    for name, argv in commands.items():
+        assert main([*argv, "--out-dir", str(tmp_path / "same" / name)]) == 0
+        subprocess.run([sys.executable, "-m", "rayreg.cli", *argv, "--out-dir", str(tmp_path / "fresh" / name)],
+                       env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)), timeout=120, check=True)
+        same = sorted(p.name for p in (tmp_path / "same" / name).iterdir())
+        assert same == sorted(p.name for p in (tmp_path / "fresh" / name).iterdir())
+        for artifact in same:
+            a, b = (tmp_path / side / name / artifact for side in ("same", "fresh"))
+            if artifact == "manifest.json":
+                a, b = ({k: v for k, v in _read_json(p).items() if k != "created_utc"} for p in (a, b))
+            else:
+                a, b = a.read_bytes(), b.read_bytes()
+            assert a == b, artifact
+    with pytest.raises(SystemExit) as exc:
+        main(["detect", "--interest", "x.rrm"])
+    assert exc.value.code == 1
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv, command",

@@ -63,6 +63,17 @@ class TestThreshold:
         counts = [threshold_residuals(field, L).sum() for L in (1.0, 2.0, 3.0, 4.0)]
         assert counts == sorted(counts, reverse=True)
 
+    @pytest.mark.parametrize("limit", [0.0, -1.0, math.nan, math.inf])
+    def test_limit_must_be_positive_and_finite(self, limit):
+        # One pixel far out: a NaN or infinite limit used to flag nothing.
+        interest = np.ones((4, 4))
+        interest[1, 2] = 50.0
+        assert flag_out_of_control(interest, [np.zeros((4, 4))], [0.0, 0.0], 3.0).sum() == 1
+        with pytest.raises(ValueError, match="positive and finite"):
+            flag_out_of_control(interest, [np.zeros((4, 4))], [0.0, 0.0], limit)
+        with pytest.raises(ValueError, match="positive and finite"):
+            threshold_residuals(np.zeros((2, 2)), limit)
+
 
 class TestMorphology:
     @pytest.mark.parametrize("size", [1, 3, 5])
@@ -279,6 +290,24 @@ class TestClustersMatchReference:
         assert clusters == detect_reference.extract_clusters(mask, 8.0)
         assert [c[3] for c in clusters] == [8, 1] and clusters[0][:2] == clusters[1][:2]
 
+    @pytest.mark.parametrize("members", [2, 7, 8, 9, 17])
+    def test_lone_components_among_merged_groups(self, members):
+        # Rows of blobs 3 apart merge into groups of ``members`` components
+        # (numpy sums 8 or more pairwise), with lone blobs of unequal sizes
+        # between and around them.
+        rng = np.random.default_rng(members)
+        mask = np.zeros((60, 3 * members + 40), bool)
+        for r in (5, 30, 55):
+            for k in range(members):
+                mask[r, 3 * k + 1 : 3 * k + 1 + rng.integers(1, 3)] = True
+        for r, c in rng.integers(0, mask.shape, size=(25, 2)):
+            if not mask[max(r - 9, 0) : r + 10, max(c - 9, 0) : c + 10].any():
+                mask[r : r + rng.integers(1, 3), c : c + rng.integers(1, 4)] = True
+        clusters = _as_tuples(extract_clusters(mask, merge_distance=3.5))
+        assert clusters == detect_reference.extract_clusters(mask, 3.5)
+        counts = sorted(c[3] for c in clusters)
+        assert counts.count(members) >= 3 and counts[0] == 1
+
 
 class TestThresholdMatchesReference:
     """Ratio-space flagging equals thresholding the residual field."""
@@ -327,6 +356,25 @@ class TestThresholdMatchesReference:
 
     def test_guard_band_of_nan_cut(self):
         assert all(np.isnan(_guard_band(float("nan"))))
+
+    @pytest.mark.parametrize("two_sided", [True, False])
+    def test_cached_cuts_are_the_computed_ones(self, two_sided):
+        for limit in (3.0, 2.0, 7.9, 8.5, 3.0):
+            cuts = _ratio_cuts(limit, two_sided)
+            assert cuts is _ratio_cuts(limit, two_sided)
+            np.testing.assert_array_equal(cuts, _ratio_cuts.__wrapped__(limit, two_sided))
+            for cut in cuts:
+                np.testing.assert_array_equal(_guard_band(cut), _guard_band.__wrapped__(cut))
+
+    def test_limits_in_turn_each_flag_their_own_set(self):
+        rng = np.random.default_rng(8)
+        covariates = [rng.random((80, 80))]
+        beta = [0.2, 0.5]
+        interest = rng.rayleigh(1.0, (80, 80)) * np.exp(0.2 + 0.5 * covariates[0])
+        for limit, two_sided in [(3.0, True), (1.5, True), (1.5, False), (3.0, True)]:
+            got = flag_out_of_control(interest, covariates, beta, limit, two_sided)
+            want = detect_reference.flag_out_of_control(interest, covariates, beta, limit, two_sided)
+            assert np.array_equal(got, want) and got.any()
 
     @given(
         seed=st.integers(0, 2**32 - 1),

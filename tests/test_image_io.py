@@ -5,10 +5,21 @@ import hashlib
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import detect_reference
 from rayreg import image_io
+
+
+# Masks as callers hand them over: bool, or 0/1 in another dtype, and views
+# in another memory order or with strides.
+_MASKS = st.builds(
+    lambda mask, dtype, view: view(mask.astype(dtype)),
+    arrays(bool, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40)),
+    st.sampled_from([bool, np.uint8, np.int64, np.float64]),
+    st.sampled_from([lambda m: m, np.transpose, np.asfortranarray, lambda m: m[::-1, ::2]]),
+)
 
 
 @pytest.fixture
@@ -155,14 +166,28 @@ class TestPgm:
         image_io.write_mask_csv(mask, p)
         assert p.read_text() == "1,0\n"
 
-    @given(mask=arrays(bool, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40)))
+    @given(mask=_MASKS)
     @example(mask=np.ones((1, 1), bool))
     @example(mask=np.zeros((1, 1), bool))
     @example(mask=np.array([[True, False, True, True, False]]))
+    @example(mask=np.array([[1], [0], [1]], np.uint8))
     @settings(deadline=None, max_examples=80,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_mask_csv_matches_reference_writer(self, mask, tmp_path):
         fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
         image_io.write_mask_csv(mask, fast)
         detect_reference.write_mask_csv(mask, slow)
+        assert fast.read_bytes() == slow.read_bytes()
+
+    @given(mask=_MASKS)
+    @example(mask=np.ones((1, 1), bool))
+    @example(mask=np.array([[0, 1, 1]], np.int64))
+    @example(mask=np.array([[True], [False], [True]]))
+    @example(mask=(np.arange(12).reshape(3, 4) % 3 == 0).T)
+    @settings(deadline=None, max_examples=80,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mask_pgm_matches_reference_writer(self, mask, tmp_path):
+        fast, slow = tmp_path / "fast.pgm", tmp_path / "slow.pgm"
+        image_io.write_mask_pgm(mask, fast)
+        detect_reference.write_mask_pgm(mask, slow)
         assert fast.read_bytes() == slow.read_bytes()
