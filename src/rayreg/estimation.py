@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import distribution
 from .inference import fisher_information
 from .optim import InfeasibleStartError, maximize_bfgs
-from .regression import (LogLink, ModelSpec, NonpositiveMeanError, ReadOnlyArrays, predict_mean,
-                         spd_solve)
+from .regression import (ModelSpec, NonpositiveMeanError, ReadOnlyArrays, predict_mean,
+                         readonly_array, spd_solve)
 
 __all__ = [
     "RobustConfig",
@@ -65,11 +66,14 @@ class RobustConfig:
 
 @dataclass(frozen=True)
 class FitResult(ReadOnlyArrays):
-    """Estimates, robustness weights, and convergence diagnostics."""
+    """Estimates, robustness weights, and convergence diagnostics.
+
+    The covariance and standard errors are formed from ``fisher_info`` on
+    first read and kept: the Monte Carlo studies read only ``beta_hat``.
+    """
 
     method: str  # 'MLE' or 'WMLE'
     beta_hat: np.ndarray
-    std_errors: np.ndarray
     fisher_info: np.ndarray
     weights: np.ndarray
     mu_hat: np.ndarray
@@ -81,8 +85,25 @@ class FitResult(ReadOnlyArrays):
 
     def __post_init__(self):
         # Float64 arrays, fresh from the fit or kept by the design: frozen in place.
-        for name in ("beta_hat", "std_errors", "fisher_info", "weights", "mu_hat"):
+        for name in ("beta_hat", "fisher_info", "weights", "mu_hat"):
             getattr(self, name).setflags(write=False)
+
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        """The large-sample covariance, the inverse of ``fisher_info`` by
+        :func:`spd_solve`; raises ValueError if that is not positive definite
+        or not finite."""
+        try:
+            return readonly_array(spd_solve(self.fisher_info, np.eye(len(self.fisher_info))))
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("Fisher information is not positive definite") from exc
+        except ValueError as exc:  # spd_solve refuses a non-finite matrix
+            raise ValueError("Fisher information is not finite at the optimum") from exc
+
+    @cached_property
+    def std_errors(self) -> np.ndarray:
+        """Square roots of the covariance's diagonal."""
+        return readonly_array(np.sqrt(self.covariance.diagonal()))
 
     @property
     def n_downweighted(self) -> int:
@@ -169,22 +190,19 @@ def _initial_beta(spec: ModelSpec) -> np.ndarray:
     return beta_flat
 
 
-def _maximize(spec, weights, cfg, method, cold, warm=None, terms=None) -> FitResult:
+def _maximize(spec, weights, cfg, method, cold, warm=None) -> FitResult:
     """One maximization, from ``warm`` where that is a finite β of this model
-    at which the objective is finite, and otherwise from ``cold()``.
-    ``terms`` are the response's constants for the solver."""
+    at which the objective is finite, and otherwise from ``cold()``."""
     optres = None
     if warm is not None and warm.shape == (spec.n_params,) and all(map(math.isfinite, warm.tolist())):
         try:
-            optres = maximize_bfgs(spec, weights, warm, max_iter=cfg.max_iter,
-                                   grad_tol=cfg.grad_tol, terms=terms)
+            optres = maximize_bfgs(spec, weights, warm, max_iter=cfg.max_iter, grad_tol=cfg.grad_tol)
         except InfeasibleStartError:
             pass
     if optres is None:
         start = cold()
         try:
-            optres = maximize_bfgs(spec, weights, start, max_iter=cfg.max_iter,
-                                   grad_tol=cfg.grad_tol, terms=terms)
+            optres = maximize_bfgs(spec, weights, start, max_iter=cfg.max_iter, grad_tol=cfg.grad_tol)
         except InfeasibleStartError:  # name the first response whose (y/mu)^2 overflows
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 mu = spec.link.inverse(spec.design.X @ start)
@@ -195,27 +213,10 @@ def _maximize(spec, weights, cfg, method, cold, warm=None, terms=None) -> FitRes
             raise InfeasibleStartError(f"response {float(spec.response[row])!r} at row {row} "
                                        "overflows the log-likelihood at the starting point", row) from None
     mu_hat = spec.link.inverse(optres.eta)
-    # fisher_information's own checks pass at a feasible point, so a
-    # ValueError below is the solve's.
-    try:
-        if isinstance(spec.link, LogLink):
-            # The information is the design's, and so are the standard errors.
-            info = fisher_information(spec, mu_hat)
-            std_errors = spec.design.log_std_errors
-        else:
-            # A mean near the smallest double overflows the link's weights.
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                info = fisher_information(spec, mu_hat)
-            std_errors = np.sqrt(spd_solve(info, np.eye(spec.n_params)).diagonal())
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("Fisher information is not positive definite at the optimum") from exc
-    except ValueError as exc:  # spd_solve refuses a non-finite matrix
-        raise ValueError("Fisher information is not finite at the optimum") from exc
     return FitResult(
         method=method,
         beta_hat=optres.x,
-        std_errors=std_errors,
-        fisher_info=info,
+        fisher_info=fisher_information(spec, mu_hat),
         weights=weights,
         mu_hat=mu_hat,
         loglik=optres.fval,
@@ -236,9 +237,9 @@ def fit_mle(spec: ModelSpec, cfg: RobustConfig | None = None) -> FitResult:
     return _fit_mle(spec, cfg or RobustConfig())
 
 
-def _fit_mle(spec, cfg, warm=None, terms=None) -> FitResult:
+def _fit_mle(spec, cfg, warm=None) -> FitResult:
     spec.design.assert_full_rank()
-    return _maximize(spec, spec.design.unit_weights, cfg, "MLE", lambda: _initial_beta(spec), warm, terms)
+    return _maximize(spec, spec.design.unit_weights, cfg, "MLE", lambda: _initial_beta(spec), warm)
 
 
 def fit_wmle(spec: ModelSpec, cfg: RobustConfig | None = None) -> FitResult:
@@ -272,13 +273,11 @@ def fit_both(spec: ModelSpec, cfg: RobustConfig | None = None, start=None):
     mle_start, wmle_start = (None, None) if start is None else (
         np.asarray(b, dtype=np.float64) for b in start
     )
-    # The response's constants serve every maximization of this response.
-    terms = spec.link.response_terms(spec.response)
-    mle = _fit_mle(spec, cfg, mle_start, terms)
+    mle = _fit_mle(spec, cfg, mle_start)
     fit = mle
     for rounds in range(cfg.reweight_iterations):
         w = compute_weights(spec, fit.mu_hat, cfg.delta)
-        last, fit = fit, _maximize(spec, w, cfg, "WMLE", fit.beta_hat.copy, wmle_start, terms)
+        last, fit = fit, _maximize(spec, w, cfg, "WMLE", fit.beta_hat.copy, wmle_start)
         if rounds and np.array_equal(fit.beta_hat, last.beta_hat):
             break  # a fixed point: every later round repeats this one to the bit
         wmle_start = None  # later rounds start from the round before

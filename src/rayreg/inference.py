@@ -3,7 +3,7 @@
 The weighted and unweighted estimators share the same asymptotic
 covariance, so a single Fisher matrix serves both.  Under the log link
 the matrix reduces to ``4 * X.T @ X`` and does not depend on the fitted
-mean at all.
+mean at all.  Its inverse is the fit's ``covariance``, formed on first read.
 """
 
 from __future__ import annotations
@@ -51,7 +51,9 @@ def fisher_information(spec: ModelSpec, mu) -> np.ndarray:
     """Expected information ``X.T @ diag(4/mu^2 * (dmu/deta)^2) @ X``.
 
     Under the log link every weight is 4, and this is the design's kept
-    :attr:`~rayreg.regression.DesignMatrix.log_information`."""
+    :attr:`~rayreg.regression.DesignMatrix.log_information`.  A mean near
+    the smallest double overflows the identity link's weight without a
+    warning; the fit's ``covariance`` refuses the matrix when it is read."""
     mu = np.asarray(mu, dtype=np.float64)
     if mu.shape != (spec.n_obs,):
         raise ValueError(f"mu must have shape ({spec.n_obs},), got {mu.shape}")
@@ -60,15 +62,9 @@ def fisher_information(spec: ModelSpec, mu) -> np.ndarray:
     if isinstance(spec.link, LogLink):
         return spec.design.log_information
     X = spec.design.X
-    w = spec.link.fisher_weight(mu)
-    return X.T @ (w[:, None] * X)
-
-
-def _inverse_information(fisher_info: np.ndarray) -> np.ndarray:
-    try:
-        return spd_solve(fisher_info, np.eye(fisher_info.shape[0]))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("Fisher information is not positive definite") from exc
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w = spec.link.fisher_weight(mu)
+        return X.T @ (w[:, None] * X)
 
 
 def wald_test(fit, interest, beta_null, pfa: float = 0.05) -> WaldReport:
@@ -82,7 +78,9 @@ def wald_test(fit, interest, beta_null, pfa: float = 0.05) -> WaldReport:
     ------
     ValueError
         If the fit did not converge (a Wald statistic from an unconverged
-        fit is meaningless), or on malformed inputs.
+        fit is meaningless), if its Fisher information has no covariance
+        (see :attr:`~rayreg.estimation.FitResult.covariance`), or on
+        malformed inputs.
     """
     from scipy.special import chdtrc, gammaincinv
     if not 0.0 < pfa < 1.0:
@@ -106,8 +104,7 @@ def wald_test(fit, interest, beta_null, pfa: float = 0.05) -> WaldReport:
         raise ValueError("beta_null must match the interest set length")
 
     idx = np.asarray(interest)
-    cov = _inverse_information(fit.fisher_info)
-    block = cov[np.ix_(idx, idx)]
+    block = fit.covariance[np.ix_(idx, idx)]
     diff = fit.beta_hat[idx] - beta_null
     try:
         t_w = float(diff @ spd_solve(block, diff))

@@ -65,8 +65,6 @@ def maximize_bfgs(
     *,
     max_iter: int = 500,
     grad_tol: float = 1e-6,
-    trace: list | None = None,
-    terms=None,
 ) -> OptimResult:
     """Maximize the log-likelihood of ``spec`` under ``weights`` from
     ``start`` by damped Newton steps.
@@ -83,20 +81,13 @@ def maximize_bfgs(
     when no halving is accepted.  The information and its solve are
     computed only at the points the solver steps from.  Every point, the
     start too, is the one the link's evaluation returns (module docstring).
-
-    ``terms`` are the response's constants, ``spec.link.response_terms``
-    of the response, which a caller maximizing several weightings of one
-    response computes once.  When ``trace`` is a list, the objective value
-    of every accepted step is appended to it (ascent diagnostics).  Raises
-    :class:`InfeasibleStartError` where the objective is not finite at
-    ``start``.
+    Raises :class:`InfeasibleStartError` where the objective is not finite
+    at ``start``.
     """
     design, link, w = spec.design, spec.link, weights
-    if terms is None:
-        terms = link.response_terms(spec.response)
     # Infeasible trial points raise numpy's floating-point warnings.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        evaluate, information = link.objective(design, w, terms)
+        evaluate, information = link.objective(design, w, spec.response_terms)
         point = evaluate(np.array(start, dtype=np.float64).tolist())
         if point is None:
             raise InfeasibleStartError("objective is not finite at the starting point")
@@ -121,8 +112,6 @@ def maximize_bfgs(
                 break
             (f, g, x, state), grad_norm = point, norm_new
             iterations += 1
-            if trace is not None:
-                trace.append(f)
 
     return OptimResult(
         x=np.array(x),

@@ -86,9 +86,9 @@ class LogLink:
 
     def response_terms(self, y):
         """``log y`` and ``log(pi/4 y^2)``: the response's constants in the
-        log-likelihood and in ``quad``, shared by the maximizations of one
-        fit.  ``quad`` is formed from the log, so it is finite wherever its
-        value is, for any positive double ``y``."""
+        log-likelihood and in ``quad``, which :class:`ModelSpec` keeps.
+        ``quad`` is formed from the log, so it is finite wherever its value
+        is, for any positive double ``y``."""
         log_y = np.log(y)
         return log_y, 2.0 * log_y + _LOG_QUARTER_PI
 
@@ -264,8 +264,7 @@ class DesignMatrix(ReadOnlyArrays):
     derive from it is kept: its SVD, the pseudo-inverse of a design that
     passed the rank check, the row outer products, the unit weights and
     ``X^T 1``, each column's largest ``|x|``, ``-2 X``, the index of its
-    first column of ones, and the log link's Fisher information, its inverse
-    and standard errors.
+    first column of ones, and the log link's Fisher information.
     """
 
     X: np.ndarray
@@ -361,18 +360,6 @@ class DesignMatrix(ReadOnlyArrays):
         this design: that link's expected weight is 4 on every row."""
         return readonly_array(self.X.T @ (4.0 * self.X))
 
-    @cached_property
-    def log_covariance(self) -> np.ndarray:
-        """The inverse of :attr:`log_information` by :func:`spd_solve`;
-        raises :class:`numpy.linalg.LinAlgError` if that is not positive
-        definite."""
-        return readonly_array(spd_solve(self.log_information, np.eye(self.n_params)))
-
-    @cached_property
-    def log_std_errors(self) -> np.ndarray:
-        """The standard errors of every log-link fit on this design."""
-        return readonly_array(np.sqrt(self.log_covariance.diagonal()))
-
 
 @dataclass(frozen=True)
 class ModelSpec(ReadOnlyArrays):
@@ -413,6 +400,12 @@ class ModelSpec(ReadOnlyArrays):
     @property
     def n_params(self) -> int:
         return self.design.n_params
+
+    @cached_property
+    def response_terms(self) -> tuple:
+        """The link's ``response_terms`` of the read-only response, kept for
+        every maximization of it."""
+        return tuple(readonly_array(t) for t in self.link.response_terms(self.response))
 
 
 def predict_mean(spec: ModelSpec, beta) -> np.ndarray:

@@ -88,6 +88,21 @@ def test_import_leaves_scipy_stats_out():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["breakdown", "--counts", "0,3"],
+                                     ["sensitivity", "--values", "2,10"]])
+def test_monte_carlo_leaves_scipy_out(command, sim_config, tmp_path):
+    # The Monte Carlo studies read only the estimates, so no covariance is
+    # formed and no scipy module is imported while they run.
+    path = [str(Path(rayreg.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    argv = [*command, "--config", str(sim_config), "--out-dir", str(tmp_path / "out")]
+    code = ("import sys, rayreg.cli; assert rayreg.cli.main(sys.argv[1:]) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+                          check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 class TestFitCommand:
     def test_dummy_design_fit(self, region_csv, tmp_path):
         out = tmp_path / "out"

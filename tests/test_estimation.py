@@ -370,6 +370,51 @@ class TestFitMle:
         assert fit.converged
         assert fit.beta_hat == pytest.approx([2.0, 0.8], abs=0.35)
 
+    def test_identity_link_start_blends_towards_the_flat_fit(self, monkeypatch):
+        # A signal that drops to near zero halfway: the least-squares line
+        # crosses zero before the last rows, so the start is blended halfway
+        # towards the flat fit at the response mean, and the fit converges
+        # from there.
+        x = np.linspace(0.0, 1.0, 60)
+        y = np.where(x < 0.5, 5.0 - 9.0 * x, 0.05) * (1.0 + 0.1 * np.sin(np.arange(60)))
+        spec = ModelSpec.build(np.column_stack([np.ones(60), x]), y, link="identity")
+        pinv = spec.design.pinv
+        beta_ls = pinv @ y
+        with pytest.raises(rayreg.regression.NonpositiveMeanError, match="at index 46 "):
+            predict_mean(spec, beta_ls)
+        beta_flat = pinv @ np.full(60, np.mean(y))
+        start = rayreg.estimation._initial_beta(spec)
+        assert np.array_equal(start, 0.5 * beta_ls + 0.5 * beta_flat)
+        assert np.all(predict_mean(spec, start) > 0.0)
+        starts = []
+
+        def recording_maximize(spec, weights, start, **kwargs):
+            starts.append(np.array(start))
+            return maximize_bfgs(spec, weights, start, **kwargs)
+
+        monkeypatch.setattr(rayreg.estimation, "maximize_bfgs", recording_maximize)
+        mle, wmle = fit_both(spec)
+        assert np.array_equal(starts[0], start)
+        assert mle.converged and wmle.converged
+        away = fit_both(spec, start=(beta_flat, beta_flat))[0]
+        np.testing.assert_allclose(mle.beta_hat, away.beta_hat, rtol=1e-6)
+
+    def test_information_overflow_is_refused_on_read(self):
+        # Responses of 1e-300 put the identity link's fitted means where its
+        # expected weights overflow: the fits return their estimates, and
+        # the covariance refuses the information when it is read.
+        X = np.column_stack([np.ones(40), np.arange(40.0) % 4])
+        spec = ModelSpec.build(X, np.full(40, 1e-300), link="identity")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mle, wmle = fit_both(spec)
+        for fit in (mle, wmle):
+            assert np.all(np.isfinite(fit.beta_hat))
+            assert not np.all(np.isfinite(fit.fisher_info))
+            for name in ("covariance", "std_errors"):
+                with pytest.raises(ValueError, match="^Fisher information is not finite at the optimum$"):
+                    getattr(fit, name)
+
 
 class TestFitWmle:
     def test_zero_reweight_rounds_bitwise_equal(self):
@@ -533,10 +578,14 @@ class TestOptimizerBehavior:
         assert len(solves) == mle.iterations + wmle.iterations
 
     def test_objective_ascends_over_accepted_steps(self):
+        # The solver is deterministic, so the runs stopped after 0, 1, ...
+        # steps trace one run's accepted steps.
         spec = _simulated_spec(51, eps=0.05)
-        trace = []
-        res = maximize_bfgs(spec, np.ones(spec.n_obs), np.zeros(2), trace=trace)
-        assert res.converged
+        res = maximize_bfgs(spec, np.ones(spec.n_obs), np.zeros(2))
+        assert res.converged and res.iterations > 1
+        trace = [maximize_bfgs(spec, np.ones(spec.n_obs), np.zeros(2), max_iter=i).fval
+                 for i in range(res.iterations + 1)]
+        assert trace[-1] == res.fval
         assert all(b >= a for a, b in zip(trace, trace[1:]))
 
     def test_permutation_invariance(self):

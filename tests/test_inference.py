@@ -29,7 +29,6 @@ from rayreg import (
 )
 from rayreg.inference import (
     RESIDUAL_CLAMP_EPS,
-    _inverse_information,
     quantile_residuals_from_mean,
     spd_solve,
 )
@@ -109,11 +108,13 @@ class TestFisherInformation:
         info = fisher_information(spec, fit.mu_hat)
         assert info is design.log_information and fit.fisher_info is info
         assert not info.flags.writeable
-        # The kept inverse is the solve each fit made before it was kept.
-        cov = design.log_covariance
-        assert not cov.flags.writeable
+        # The fit forms its covariance on first read and keeps it.
+        assert "covariance" not in vars(fit) and "std_errors" not in vars(fit)
+        cov = fit.covariance
+        assert not cov.flags.writeable and fit.covariance is cov
         assert np.array_equal(cov, spd_solve(info, np.eye(2)))
         assert np.array_equal(fit.std_errors, np.sqrt(np.diag(cov)))
+        assert not fit.std_errors.flags.writeable and fit.std_errors is fit.std_errors
         wmle = fit_both(spec)[1]
         assert wmle.fisher_info is info
 
@@ -164,10 +165,11 @@ class TestWaldTest:
     def test_reference_case_p_value(self):
         # One coefficient estimated at 0.1168 with standard error 0.0521.
         se = 0.0521
-        fit = FitResult(method="MLE", beta_hat=np.array([0.1168]), std_errors=np.array([se]),
+        fit = FitResult(method="MLE", beta_hat=np.array([0.1168]),
                         fisher_info=np.array([[1.0 / se**2]]), weights=np.ones(2),
                         mu_hat=np.ones(2), loglik=0.0, converged=True, iterations=1,
                         grad_norm=0.0, column_names=("x",))
+        assert fit.std_errors[0] == pytest.approx(se, rel=1e-14)
         report = wald_test(fit, (0,), np.zeros(1))
         assert report.statistic == pytest.approx((0.1168 / se) ** 2, rel=1e-12)
         assert report.p_value == pytest.approx(P_REFERENCE_CASE, rel=1e-10)
@@ -239,11 +241,30 @@ class TestWaldTest:
 
     def test_indefinite_information_refused(self):
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(ValueError, match=r"^Fisher information is not positive definite$"):
-            _inverse_information(indefinite)
         _, fit = _fitted(10)
         with pytest.raises(ValueError, match=r"^Fisher information is not positive definite$"):
             wald_test(replace(fit, fisher_info=indefinite), (1,), np.zeros(1))
+
+    @pytest.mark.parametrize("info, message", [
+        ([[1.0, 2.0], [2.0, 1.0]], "Fisher information is not positive definite"),
+        ([[np.inf, 0.0], [0.0, 1.0]], "Fisher information is not finite at the optimum"),
+        ([[1.0, np.nan], [np.nan, 1.0]], "Fisher information is not finite at the optimum"),
+    ])
+    def test_covariance_refused_on_first_read(self, info, message):
+        # A fit holds any information; the covariance, the standard errors
+        # and the Wald test refuse one that has no inverse, each time.
+        _, fit = _fitted(10)
+        bad = FitResult(method="MLE", beta_hat=fit.beta_hat, fisher_info=np.array(info),
+                        weights=fit.weights, mu_hat=fit.mu_hat, loglik=fit.loglik,
+                        converged=True, iterations=fit.iterations, grad_norm=fit.grad_norm,
+                        column_names=fit.column_names)
+        assert np.array_equal(bad.beta_hat, fit.beta_hat)
+        for _ in range(2):
+            for read in (lambda: bad.covariance, lambda: bad.std_errors,
+                         lambda: wald_test(bad, (1,), np.zeros(1))):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    read()
+        assert "covariance" not in vars(bad) and "std_errors" not in vars(bad)
 
     def test_invariance_under_covariate_scaling(self):
         # Rescaling a covariate by c and its coefficient by 1/c is the same

@@ -156,20 +156,32 @@ class TestDesignMatrix:
         assert fits[0].beta_hat.tobytes() == fits[1].beta_hat.tobytes()
 
     def test_pickled_arrays_stay_read_only(self):
-        # A fit fills the design's kept arrays: singular values,
-        # pseudo-inverse, row outer products, the unit weights, -2 X, and the
-        # log link's Fisher information, its inverse and its standard errors.
+        # A fit fills the design's kept arrays: X, singular values,
+        # pseudo-inverse, row outer products, the unit weights, -2 X and the
+        # log link's Fisher information.  The fit holds four arrays, and six
+        # once its covariance and standard errors are read.
         rng = np.random.default_rng(4)
         X = np.column_stack([np.ones(40), rng.random(40)])
         spec = ModelSpec.build(X, distribution.quantile(rng.random(40), 1.0))
         fit = fit_mle(spec)
-        for obj, n_arrays in ((spec.design, 9), (spec, 1), (fit, 5)):
+
+        def check(obj, n_arrays):
             clone = pickle.loads(pickle.dumps(obj))
             arrays = {k: v for k, v in vars(clone).items() if isinstance(v, np.ndarray)}
             assert len(arrays) == n_arrays, sorted(arrays)
             for name, arr in arrays.items():
                 assert np.array_equal(arr, getattr(obj, name))
                 assert not arr.flags.writeable, (type(obj).__name__, name)
+            return clone
+
+        check(spec.design, 7)
+        check(fit, 4)
+        fit.std_errors
+        check(fit, 6)
+        # The spec's response terms, a tuple of arrays, are frozen again too.
+        clone = check(spec, 1)
+        for kept, held in zip(spec.response_terms, vars(clone)["response_terms"]):
+            assert np.array_equal(kept, held) and not held.flags.writeable
 
     def test_pickled_svd_factors_stay_read_only(self):
         # The rank check keeps the SVD's factors as one tuple, and the

@@ -253,7 +253,7 @@ class TestContinuationStarts:
             # the baseline starts cold in both runs: so each sensitivity
             # N (beta - beta_base), and their mean, can move by N times that.
             # Well outside the band the WMLE's MASC is only ~0.06 here.
-            cov = scenario_design(self.CFG).log_covariance
+            cov = np.linalg.inv(scenario_design(self.CFG).log_information)
             atol = 2.0 * self.CFG.n_obs * self.CFG.grad_tol * np.abs(cov).sum(axis=1).mean()
         for name in fields:
             np.testing.assert_allclose(getattr(warm, name), getattr(cold, name), rtol=1e-6,
