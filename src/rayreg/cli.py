@@ -1,12 +1,12 @@
 """Command-line front end.
 
-Eight commands: ``fit``, ``wald``, ``residuals`` (tabular data),
-``simulate``, ``breakdown``, ``sensitivity`` (Monte Carlo studies),
-``detect``, ``synth-scene`` (images), plus ``rerun`` which replays any
-previous run from its manifest.  Every run writes a ``manifest.json``
-holding the fully resolved configuration, master seed, library version,
-and input digests; re-running from the manifest reproduces every
-artifact byte for byte (timestamps live only in the manifest).
+Eight commands, each one ``_COMMANDS`` entry (handler, help, options):
+``fit``, ``wald``, ``residuals`` (tabular data), ``simulate``, ``breakdown``,
+``sensitivity`` (Monte Carlo studies), ``detect``, ``synth-scene`` (images);
+``rerun`` replays any of them from its manifest.  Every run writes a
+``manifest.json`` holding the resolved configuration, master seed, library
+version, input digests and the artifacts written, in order; re-running from
+it reproduces every artifact byte for byte (timestamps live only there).
 """
 
 from __future__ import annotations
@@ -76,8 +76,13 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
+def _write(out_dir: Path, name: str, content, writer=None) -> str:
+    """Write ``content`` to ``out_dir / name``, as UTF-8 text or by ``writer(content, path)``."""
+    if writer is None:
+        (out_dir / name).write_text(content, encoding="utf-8")
+    else:
+        writer(content, out_dir / name)
+    return name
 
 
 def _read_input(inputs: dict, path) -> bytes:
@@ -209,9 +214,11 @@ def _robust_from_config(config) -> RobustConfig:
     return RobustConfig(delta=config["delta"], reweight_iterations=config["reweight_iterations"])
 
 
-def _requested_fits(config, inputs: dict) -> tuple:
+def _requested_fits(config, inputs: dict, one_fit_command=None) -> tuple:
     """The data file's model, and the fits that ``--method`` reports, MLE
     first; the robust pass runs only where its fit is reported."""
+    if one_fit_command and config["method"] not in ("mle", "wmle"):
+        raise CliError(f"{one_fit_command} reports one fit; --method must be mle or wmle")
     spec, lines = _build_spec_from_config(config, inputs)
     cfg = _robust_from_config(config)
     try:
@@ -270,42 +277,33 @@ def _fit_csv(payloads) -> str:
     return "\n".join(lines) + "\n"
 
 
+# fit's --format -> (its artifact, the writer of the fits' payloads)
+_FIT_REPORTS = {
+    "json": ("fit.json", lambda payloads: _json_dumps({"fits": payloads})),
+    "csv": ("fit.csv", _fit_csv),
+    "text": ("fit.txt", lambda payloads: "\n".join(_fit_text(p) for p in payloads)),
+}
+
+
 # ---------------------------------------------------------------------------
 # command handlers: config dict + out_dir + the run's input map (filled by
-# _read_input and _read_image) -> list of written artifact names
+# _read_input and _read_image) -> the names _write returned, in write order
 
 
 def _cmd_fit(config, out_dir: Path, inputs: dict) -> list:
-    method = config["method"]
-    if method not in ("mle", "wmle", "both"):
+    if config["method"] not in ("mle", "wmle", "both"):
         raise CliError("--method must be mle, wmle, or both")
-    fmt = config["format"]
-    if fmt not in ("json", "text", "csv"):
+    if config["format"] not in _FIT_REPORTS:
         raise CliError("--format must be json, text, or csv")
+    name, report = _FIT_REPORTS[config["format"]]
     _, fits = _requested_fits(config, inputs)
-    if method == "mle" and config["delta_explicit"]:
+    if config["method"] == "mle" and config["delta_explicit"]:
         warnings.warn("--delta is ignored for --method mle", stacklevel=2)
-    payloads = [_fit_payload(f, config["pfa"]) for f in fits]
-    if fmt == "json":
-        name, text = "fit.json", _json_dumps({"fits": payloads})
-    elif fmt == "text":
-        name, text = "fit.txt", "\n".join(_fit_text(p) for p in payloads)
-    else:
-        name, text = "fit.csv", _fit_csv(payloads)
-    _write_text(out_dir / name, text)
-    return [name]
-
-
-def _one_fit(command, config, inputs: dict) -> tuple:
-    """The spec and the one fit, MLE or WMLE, that ``command`` reports."""
-    if config["method"] not in ("mle", "wmle"):
-        raise CliError(f"{command} reports one fit; --method must be mle or wmle")
-    spec, fits = _requested_fits(config, inputs)
-    return spec, fits[0]
+    return [_write(out_dir, name, report([_fit_payload(f, config["pfa"]) for f in fits]))]
 
 
 def _cmd_wald(config, out_dir: Path, inputs: dict) -> list:
-    _, fit = _one_fit("wald", config, inputs)
+    _, (fit,) = _requested_fits(config, inputs, "wald")
     names = list(fit.column_names)
     interest = []
     for tok in config["interest"]:
@@ -321,15 +319,13 @@ def _cmd_wald(config, out_dir: Path, inputs: dict) -> list:
         raise CliError("--null must list one value per tested coefficient")
     report = inference.wald_test(fit, interest, np.asarray(null, dtype=float), pfa=config["pfa"])
     payload = {"fit": _fit_payload(fit, config["pfa"]), "wald": dataclasses.asdict(report)}
-    _write_text(out_dir / "wald.json", _json_dumps(payload))
-    return ["wald.json"]
+    return [_write(out_dir, "wald.json", _json_dumps(payload))]
 
 
 def _cmd_residuals(config, out_dir: Path, inputs: dict) -> list:
-    spec, fit = _one_fit("residuals", config, inputs)
+    spec, (fit,) = _requested_fits(config, inputs, "residuals")
     res, clamped = inference.quantile_residuals(spec, fit, return_clamped=True)
     lines = ["residual"] + [repr(float(r)) for r in res]
-    _write_text(out_dir / "residuals.csv", "\n".join(lines) + "\n")
     summary = {
         "n": int(res.size),
         "mean": float(np.mean(res)),
@@ -338,8 +334,8 @@ def _cmd_residuals(config, out_dir: Path, inputs: dict) -> list:
         "clamped_indices": [int(i) for i in clamped[:100]],
         "method": fit.method,
     }
-    _write_text(out_dir / "residuals.json", _json_dumps(summary))
-    return ["residuals.csv", "residuals.json"]
+    return [_write(out_dir, "residuals.csv", "\n".join(lines) + "\n"),
+            _write(out_dir, "residuals.json", _json_dumps(summary))]
 
 
 # -- simulation config handling
@@ -436,9 +432,8 @@ def _scenarios_from_config(config, inputs: dict, single_n=False) -> list:
 def _cmd_simulate(config, out_dir: Path, inputs: dict) -> list:
     cells = _scenarios_from_config(config, inputs)
     reports = simulation.run_table(cells, workers=config["threads"])
-    _write_text(out_dir / "table.json", _json_dumps({"cells": [r.as_dict() for r in reports]}))
-    _write_text(out_dir / "table.txt", simulation.format_table(reports))
-    return ["table.json", "table.txt"]
+    return [_write(out_dir, "table.json", _json_dumps({"cells": [r.as_dict() for r in reports]})),
+            _write(out_dir, "table.txt", simulation.format_table(reports))]
 
 
 def _parse_range(text, kind=float) -> list:
@@ -478,11 +473,10 @@ def _cmd_curve(name, flag, kind, config, out_dir: Path, inputs: dict) -> list:
     scenario = _scenarios_from_config(config, inputs, single_n=True)[0]
     curve_fn = getattr(simulation, f"{name}_curve")  # per call, so a replacement on the module runs
     curve = curve_fn(scenario, _parse_range(config[flag], kind), workers=config["threads"])
-    _write_text(out_dir / f"{name}.csv", curve.to_csv())
     payload = dataclasses.asdict(curve)
     del payload["config"]
-    _write_text(out_dir / f"{name}.json", _json_dumps(payload))
-    return [f"{name}.csv", f"{name}.json"]
+    return [_write(out_dir, f"{name}.csv", curve.to_csv()),
+            _write(out_dir, f"{name}.json", _json_dumps(payload))]
 
 
 def _load_truth(path, inputs: dict) -> tuple:
@@ -506,12 +500,9 @@ def _cmd_detect(config, out_dir: Path, inputs: dict) -> list:
         **{name: config[key] for key, name in _DETECTOR_KEYS.items()},
         two_sided=not config["upper_tail_only"],
     )
-    truth = None
-    radius = config["truth_radius_m"]
-    if config["truth"]:
-        truth, truth_radius = _load_truth(config["truth"], inputs)
-        if radius is None:
-            radius = truth_radius
+    truth, radius = _load_truth(config["truth"], inputs) if config["truth"] else (None, None)
+    if config["truth_radius_m"] is not None:  # --truth-radius overrides the file's radius_m
+        radius = config["truth_radius_m"]
     try:
         result = detection.detect(
             interest,
@@ -526,8 +517,6 @@ def _cmd_detect(config, out_dir: Path, inputs: dict) -> list:
         )
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    image_io.write_mask_pgm(result.mask, out_dir / "mask.pgm")
-    image_io.write_mask_csv(result.mask, out_dir / "mask.csv")
     payload = {
         "method": result.fit.method,
         "clusters": [{name: getattr(c, name) for name in _CLUSTER_FIELDS} for c in result.clusters],
@@ -535,8 +524,9 @@ def _cmd_detect(config, out_dir: Path, inputs: dict) -> list:
         "n_flagged_pixels": result.n_flagged,
         "fit": _fit_payload(result.fit, _PFA),
     }
-    _write_text(out_dir / "clusters.json", _json_dumps(payload))
-    outputs = ["mask.pgm", "mask.csv", "clusters.json"]
+    outputs = [_write(out_dir, "mask.pgm", result.mask, image_io.write_mask_pgm),
+               _write(out_dir, "mask.csv", result.mask, image_io.write_mask_csv),
+               _write(out_dir, "clusters.json", _json_dumps(payload))]
     if truth is not None:
         score = {
             "hits": result.hits,
@@ -545,58 +535,42 @@ def _cmd_detect(config, out_dir: Path, inputs: dict) -> list:
             "n_truth": len(truth),
             "radius_m": radius,
         }
-        _write_text(out_dir / "score.json", _json_dumps(score))
-        outputs.append("score.json")
+        outputs.append(_write(out_dir, "score.json", _json_dumps(score)))
     return outputs
 
 
 def _cmd_synth_scene(config, out_dir: Path, inputs: dict) -> list:
     scene = scenes.make_scene(**{name: config[name] for name in _SCENE})
-    image_io.write_image_rrm(scene.interest, out_dir / "interest.rrm")
-    image_io.write_image_rrm(scene.covariate, out_dir / "covariate.rrm")
-    _write_text(
-        out_dir / "truth.json",
-        _json_dumps({"targets": scene.truth_list, "radius_m": 10.0}),
-    )
-    _write_text(
-        out_dir / "scene.json",
-        _json_dumps(
-            {
-                "seed": scene.seed,
-                "training_region": list(scene.training_region),
-                "params": scene.params,
-            }
-        ),
-    )
-    return ["interest.rrm", "covariate.rrm", "truth.json", "scene.json"]
+    layout = {
+        "seed": scene.seed,
+        "training_region": list(scene.training_region),
+        "params": scene.params,
+    }
+    return [
+        _write(out_dir, "interest.rrm", scene.interest, image_io.write_image_rrm),
+        _write(out_dir, "covariate.rrm", scene.covariate, image_io.write_image_rrm),
+        _write(out_dir, "truth.json", _json_dumps({"targets": scene.truth_list, "radius_m": 10.0})),
+        _write(out_dir, "scene.json", _json_dumps(layout)),
+    ]
 
 
-_HANDLERS = {
-    "fit": _cmd_fit,
-    "wald": _cmd_wald,
-    "residuals": _cmd_residuals,
-    "simulate": _cmd_simulate,
-    "breakdown": functools.partial(_cmd_curve, "breakdown", "counts", int),
-    "sensitivity": functools.partial(_cmd_curve, "sensitivity", "values", float),
-    "detect": _cmd_detect,
-    "synth-scene": _cmd_synth_scene,
-}
-
-# Numeric options that no library check refuses on every path (no Wald test
-# runs on an intercept-only fit; no score without --truth; a round count past
-# the float range passes RobustConfig's "< inf" and runs for ever).  A
+# Numeric options, or lists of them, that no library check refuses on every
+# path (no Wald test runs on an intercept-only fit; no score without --truth; a
+# round count past the float range passes RobustConfig's "< inf" and runs for
+# ever; a null value reaches only the solve, whose error names no option).  A
 # non-finite value would reach manifest.json, and JSON has no NaN or infinity.
-_FINITE_KEYS = ("pfa", "truth_radius_m", "reweight_iterations")
+_FINITE_KEYS = ("pfa", "truth_radius_m", "reweight_iterations", "null")
 
 
 def _execute(command, config, out_dir: Path) -> int:
     for key in _FINITE_KEYS:
         value = config.get(key)
-        if value is not None and not _is_number(value):
-            raise CliError(f"{key} must be a finite number, got {reprlib.repr(value)}")
+        for item in value if isinstance(value, list) else [value]:
+            if item is not None and not _is_number(item):
+                raise CliError(f"{key} must be a finite number, got {reprlib.repr(item)}")
     out_dir.mkdir(parents=True, exist_ok=True)
     inputs = {}  # every input file the handler read -> sha256 of the bytes it read
-    outputs = _HANDLERS[command](config, out_dir, inputs)
+    outputs = _COMMANDS[command][0](config, out_dir, inputs)
     manifest = {
         "command": command,
         "config": config,
@@ -606,7 +580,7 @@ def _execute(command, config, out_dir: Path) -> int:
         "outputs": outputs,
         "created_utc": _utcnow(),
     }
-    _write_text(out_dir / "manifest.json", _json_dumps(manifest))
+    _write(out_dir, "manifest.json", _json_dumps(manifest))
     return 0
 
 
@@ -630,107 +604,97 @@ def _comma_list(kind):
     return parse
 
 
-# Each option's dest is its manifest config key; a metavar keeps the --help
-# text of an option whose dest differs from its flag.
-def _add_common(parser):
-    parser.add_argument(
-        "--seed", type=int, default=_SCENARIO["master_seed"], help="master seed recorded in the manifest"
-    )
-    parser.add_argument("--threads", type=int, default=1, help="worker process cap for replications")
-    parser.add_argument("--out-dir", default=".", help="directory for artifacts and the manifest")
-    parser.add_argument(
-        "--format",
-        choices=("json", "csv", "text"),
-        default="json",
-        help="fit-report format; commands with pinned artifact formats ignore it",
-    )
+def _option(key, **kwargs) -> tuple:
+    """``--key`` with ``-`` for ``_``; a key in metres keeps its ``_m`` out of the flag."""
+    flag = key.removesuffix("_m")
+    if flag != key:
+        kwargs.update(dest=key, metavar=flag.upper())
+    return f"--{flag.replace('_', '-')}", kwargs
 
 
-def _add_tabular(parser):
-    parser.add_argument("--data", required=True, help="headered CSV data file")
-    parser.add_argument("--response", required=True, help="response column name")
-    parser.add_argument("--covariates", type=_comma_list(str), default=None,
-                        help="comma-separated covariate columns")
-    parser.add_argument("--no-intercept", dest="intercept", action="store_false")
-    parser.add_argument("--dummy", default=None, help="label column for treatment coding")
-    parser.add_argument("--reference", default=None, help="reference level for --dummy")
-    parser.add_argument("--link", choices=("log", "identity"), default=_SCENARIO["link"])
-    parser.add_argument("--method", choices=("mle", "wmle", "both"), default="wmle")
-    parser.add_argument(
-        "--delta", type=float, default=None, help=f"tail weight parameter (default {_ROBUST['delta']})"
-    )
-    parser.add_argument("--reweight-iterations", type=int, default=_ROBUST["reweight_iterations"])
-    parser.add_argument("--pfa", type=float, default=_PFA, help="false-alarm probability for tests")
+# Option groups of (flag, add_argument keywords) pairs; each dest is a manifest config key.
+_COMMON = (
+    ("--seed", dict(type=int, default=_SCENARIO["master_seed"],
+                    help="master seed recorded in the manifest")),
+    ("--threads", dict(type=int, default=1, help="worker process cap for replications")),
+    ("--out-dir", dict(default=".", help="directory for artifacts and the manifest")),
+    ("--format", dict(choices=tuple(_FIT_REPORTS), default="json",
+                      help="fit-report format; commands with pinned artifact formats ignore it")),
+)
+_TABULAR = (
+    ("--data", dict(required=True, help="headered CSV data file")),
+    ("--response", dict(required=True, help="response column name")),
+    ("--covariates", dict(type=_comma_list(str), help="comma-separated covariate columns")),
+    ("--no-intercept", dict(dest="intercept", action="store_false")),
+    ("--dummy", dict(help="label column for treatment coding")),
+    ("--reference", dict(help="reference level for --dummy")),
+    ("--link", dict(choices=("log", "identity"), default=_SCENARIO["link"])),
+    ("--method", dict(choices=("mle", "wmle", "both"), default="wmle")),
+    ("--delta", dict(type=float, help=f"tail weight parameter (default {_ROBUST['delta']})")),
+    ("--reweight-iterations", dict(type=int, default=_ROBUST["reweight_iterations"])),
+    ("--pfa", dict(type=float, default=_PFA, help="false-alarm probability for tests")),
+)
+_WALD = (
+    ("--interest", dict(type=_comma_list(str), required=True,
+                        help="comma-separated coefficient names or indices")),
+    ("--null", dict(type=_comma_list(float), help="comma-separated null values (default zeros)")),
+)
+_SIMULATION = (
+    ("--config", dict(dest="config_file", metavar="CONFIG", required=True,
+                      help="scenario config JSON file")),
+)
+_SWEEP_HELP = "list or start:stop[:step] range"
+_DETECT = (
+    ("--interest", dict(required=True, help="interest image (.csv or RRM1 binary)")),
+    ("--covariates", dict(type=_comma_list(str), required=True,
+                          help="comma-separated covariate image paths")),
+    ("--training", dict(type=_comma_list(int), required=True,
+                        help="training window r0,c0,r1,c1 (half-open)")),
+    ("--method", dict(choices=("mle", "wmle"), default="wmle")),
+    ("--link", dict(choices=("log", "identity"), default=_SCENARIO["link"])),
+    ("--delta", dict(type=float, default=_ROBUST["delta"])),
+    ("--reweight-iterations", dict(type=int, default=_ROBUST["reweight_iterations"])),
+    *(_option(key, type=type(_DETECTOR[name]), default=_DETECTOR[name])
+      for key, name in _DETECTOR_KEYS.items()),
+    ("--upper-tail-only", dict(action="store_true",
+                               help="flag only residuals above +L (default is two-sided)")),
+    ("--truth", dict(help="ground-truth JSON for scoring")),
+    _option("truth_radius_m", type=float, help="match radius in meters"),
+)
+
+# command -> (handler, --help text, its options after the common ones); rerun
+# replays any of them from a manifest.
+_COMMANDS = {
+    "fit": (_cmd_fit, "fit the regression on tabular data", _TABULAR),
+    "wald": (_cmd_wald, "fit and run one Wald test", _TABULAR + _WALD),
+    "residuals": (_cmd_residuals, "fit and emit quantile residuals", _TABULAR),
+    "simulate": (_cmd_simulate, "Monte Carlo simulate study from a JSON config", _SIMULATION),
+    "breakdown": (functools.partial(_cmd_curve, "breakdown", "counts", int),
+                  "Monte Carlo breakdown study from a JSON config",
+                  _SIMULATION + (("--counts", dict(default="1:100", help=_SWEEP_HELP)),)),
+    "sensitivity": (functools.partial(_cmd_curve, "sensitivity", "values", float),
+                    "Monte Carlo sensitivity study from a JSON config",
+                    _SIMULATION + (("--values", dict(default="1:20", help=_SWEEP_HELP)),)),
+    "detect": (_cmd_detect, "residual control-chart detection on an image", _DETECT),
+    "synth-scene": (_cmd_synth_scene, "generate the seeded synthetic scene",
+                    tuple(_option(name, type=type(default), default=default)
+                          for name, default in _SCENE.items() if name != "seed")),
+}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process; parsing leaves it unchanged."""
+    """The CLI's parser, built from ``_COMMANDS`` once per process; parsing leaves it unchanged."""
     parser = _Parser(
         prog="rayreg",
         description="Robust Rayleigh regression: fitting, testing, simulation, detection.",
     )
     parser.add_argument("--version", action="version", version=f"rayreg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fit", help="fit the regression on tabular data")
-    _add_common(p)
-    _add_tabular(p)
-
-    p = sub.add_parser("wald", help="fit and run one Wald test")
-    _add_common(p)
-    _add_tabular(p)
-    p.add_argument("--interest", type=_comma_list(str), required=True,
-                   help="comma-separated coefficient names or indices")
-    p.add_argument("--null", type=_comma_list(float), default=None,
-                   help="comma-separated null values (default zeros)")
-
-    p = sub.add_parser("residuals", help="fit and emit quantile residuals")
-    _add_common(p)
-    _add_tabular(p)
-
-    for name, extra in (
-        ("simulate", ()),
-        ("breakdown", ("counts", "1:100")),
-        ("sensitivity", ("values", "1:20")),
-    ):
-        p = sub.add_parser(name, help=f"Monte Carlo {name} study from a JSON config")
-        _add_common(p)
-        p.add_argument("--config", dest="config_file", metavar="CONFIG", required=True,
-                       help="scenario config JSON file")
-        if extra:
-            p.add_argument(f"--{extra[0]}", default=extra[1], help="list or start:stop[:step] range")
-
-    p = sub.add_parser("detect", help="residual control-chart detection on an image")
-    _add_common(p)
-    p.add_argument("--interest", required=True, help="interest image (.csv or RRM1 binary)")
-    p.add_argument("--covariates", type=_comma_list(str), required=True,
-                   help="comma-separated covariate image paths")
-    p.add_argument("--training", type=_comma_list(int), required=True,
-                   help="training window r0,c0,r1,c1 (half-open)")
-    p.add_argument("--method", choices=("mle", "wmle"), default="wmle")
-    p.add_argument("--link", choices=("log", "identity"), default=_SCENARIO["link"])
-    p.add_argument("--delta", type=float, default=_ROBUST["delta"])
-    p.add_argument("--reweight-iterations", type=int, default=_ROBUST["reweight_iterations"])
-    p.add_argument("--control-limit", type=float, default=_DETECTOR["control_limit"])
-    p.add_argument("--opening-se", type=int, default=_DETECTOR["opening_size"])
-    p.add_argument("--dilation-se", type=int, default=_DETECTOR["dilation_size"])
-    p.add_argument("--merge-distance", dest="merge_distance_m", metavar="MERGE_DISTANCE",
-                   type=float, default=_DETECTOR["merge_distance"])
-    p.add_argument("--pixel-size", dest="pixel_size_m", metavar="PIXEL_SIZE",
-                   type=float, default=_DETECTOR["pixel_size_m"])
-    p.add_argument("--upper-tail-only", action="store_true",
-                   help="flag only residuals above +L (default is two-sided)")
-    p.add_argument("--truth", default=None, help="ground-truth JSON for scoring")
-    p.add_argument("--truth-radius", dest="truth_radius_m", metavar="TRUTH_RADIUS",
-                   type=float, default=None, help="match radius in meters")
-
-    p = sub.add_parser("synth-scene", help="generate the seeded synthetic scene")
-    _add_common(p)
-    for name, default in _SCENE.items():
-        if name != "seed":
-            p.add_argument(f"--{name.replace('_', '-')}", type=type(default), default=default)
-
+    for command, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag, kwargs in _COMMON + options:
+            p.add_argument(flag, **kwargs)
     p = sub.add_parser("rerun", help="replay a previous run from its manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", default=".")
@@ -748,7 +712,7 @@ def main(argv=None) -> int:
             if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
                 raise CliError(f"{manifest_path}: manifest has no 'config' object")
             command = manifest.get("command")
-            if command not in _HANDLERS:
+            if not isinstance(command, str) or command not in _COMMANDS:
                 raise CliError(f"manifest names unknown command {command!r}")
             try:
                 return _execute(command, manifest["config"], Path(args.out_dir))

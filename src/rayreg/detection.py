@@ -419,7 +419,10 @@ def _check_image(arr, name: str) -> np.ndarray:
 
 
 def _check_region(region, shape) -> tuple:
-    r0, c0, r1, c1 = (int(v) for v in region)
+    bounds = tuple(int(v) for v in region)
+    if len(bounds) != 4:
+        raise ValueError(f"training region must be four values (row0, col0, row1, col1), got {region}")
+    r0, c0, r1, c1 = bounds
     rows, cols = shape
     if not (0 <= r0 < r1 <= rows and 0 <= c0 < c1 <= cols):
         raise ValueError(f"training region {region} does not fit image shape {shape}")

@@ -318,6 +318,28 @@ class TestOneFitCommands:
         assert main(argv + ["--out-dir", str(tmp_path / "both")]) == 0
         assert (tmp_path / "mle" / artifact).read_bytes() == (tmp_path / "both" / artifact).read_bytes()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_null_names_the_option(self, value, region_csv, tmp_path, capsys):
+        argv = ["wald", "--data", str(region_csv), "--response", "amplitude",
+                "--dummy", "region", "--reference", "A", "--interest", "is_B,is_C"]
+        refused = tmp_path / "refused"
+        capsys.readouterr()
+        assert main(argv + ["--null", f"0,{value}", "--out-dir", str(refused)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: null must be a finite number, got {value}"]
+        assert not refused.exists()
+        # A rerun manifest edited to hold the value (JSON's NaN or Infinity) is refused alike.
+        out = tmp_path / "out"
+        assert main(argv + ["--out-dir", str(out)]) == 0
+        manifest = _read_json(out / "manifest.json")
+        manifest["config"]["null"] = [0.0, float(value)]
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", "--manifest", str(edited), "--out-dir", str(tmp_path / "re")]) == 1
+        assert capsys.readouterr().err.splitlines() == err
+        assert not (tmp_path / "re").exists()
+
     def test_information_overflow_is_one_error_line(self, tmp_path):
         # Responses of 1e-300 put the identity link's fitted means where
         # its expected weights 4 / mu^2 overflow.
@@ -978,6 +1000,18 @@ class TestDetectCommands:
         assert rc == 1
         assert "at least" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("training, given", [("75,0,100", "(75, 0, 100)"),
+                                                 ("75,0,100,100,5", "(75, 0, 100, 100, 5)")])
+    def test_training_of_other_than_four_values_refused(self, training, given, scene_dir, tmp_path,
+                                                        capsys):
+        argv = ["detect", "--interest", str(scene_dir / "interest.rrm"),
+                "--covariates", str(scene_dir / "covariate.rrm"), "--training", training]
+        capsys.readouterr()
+        assert main(argv + ["--out-dir", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: training region must be four values (row0, col0, row1, col1), got {given}"]
+        assert not list((tmp_path / "x").iterdir())
+
     def test_each_input_read_once_and_digested(self, scene_dir, tmp_path, monkeypatch):
         # Four inputs, images in both formats; the manifest's digests are of
         # the bytes the run parsed, so no file is opened a second time.
@@ -1078,6 +1112,48 @@ class TestManifestConfig:
         assert {k: config[k] for k in values} == values
 
 
+class TestManifestOutputs:
+    """The manifest's outputs are the files the run wrote, in the order it wrote them."""
+
+    @pytest.mark.parametrize(
+        "command",
+        ["fit", "wald", "residuals", "simulate", "breakdown", "sensitivity", "detect", "synth-scene"],
+    )
+    def test_outputs_are_the_files_written(self, command, region_csv, sim_config, scene_dir, tmp_path,
+                                           monkeypatch):
+        tabular = ["--data", str(region_csv), "--response", "amplitude",
+                   "--dummy", "region", "--reference", "A"]
+        argv = {
+            "fit": tabular + ["--format", "text"],
+            "wald": tabular + ["--interest", "is_B"],
+            "residuals": tabular,
+            "simulate": ["--config", str(sim_config)],
+            "breakdown": ["--config", str(sim_config), "--counts", "0,3"],
+            "sensitivity": ["--config", str(sim_config), "--values", "2"],
+            "detect": _scene_args(scene_dir) + ["--truth", str(scene_dir / "truth.json")],
+            "synth-scene": ["--rows", "100", "--cols", "100", "--blob-grid", "2", "--training-rows", "25"],
+        }[command]
+        out = tmp_path / "out"
+        written = []
+        real_open = io.open
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            path = Path(file)
+            if "w" in mode and path.parent == out and path.name not in written:
+                written.append(path.name)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", recording_open)
+        monkeypatch.setattr(builtins, "open", recording_open)
+        rc = main([command, *argv, "--out-dir", str(out)])
+        monkeypatch.undo()
+        assert rc == 0
+        outputs = _read_json(out / "manifest.json")["outputs"]
+        assert written[-1] == "manifest.json"
+        assert outputs == written[:-1]
+        assert sorted(outputs) == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+
+
 class TestRerun:
     def _strip_timestamp(self, path):
         doc = _read_json(path)
@@ -1156,6 +1232,12 @@ class TestRerun:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "config" in err[0]
+
+    def test_rerun_refuses_a_command_that_is_not_a_name(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"command": ["fit"], "config": {}}))
+        assert main(["rerun", "--manifest", str(manifest), "--out-dir", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: manifest names unknown command ['fit']"]
 
     def test_rerun_missing_manifest(self, tmp_path, capsys):
         rc = main(["rerun", "--manifest", str(tmp_path / "nope.json")])

@@ -507,6 +507,14 @@ class TestDetect:
         with pytest.raises(ValueError, match="at least"):
             detect(img, [], (0, 0, 1, 5))
 
+    @pytest.mark.parametrize("region", [(0, 0, 20), (0, 0, 20, 40, 1), ()])
+    def test_training_region_of_other_than_four_values_refused(self, region):
+        img = np.full((40, 40), 2.5)
+        message = f"training region must be four values (row0, col0, row1, col1), got {region}"
+        with pytest.raises(ValueError) as exc:
+            detect(img, [], region)
+        assert str(exc.value) == message
+
     def test_zero_training_pixel_reported_with_position(self):
         img = np.full((40, 40), 2.5)
         img[3, 7] = 0.0
