@@ -72,8 +72,18 @@ class CliError(Exception):
     pass
 
 
+def _strict(obj):
+    """``obj`` with each NaN or infinity, which JSON lacks, as None: a Monte
+    Carlo moment over no converged replication is NaN."""
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(_strict(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _write(out_dir: Path, name: str, content, writer=None) -> str:
@@ -121,10 +131,6 @@ def _parse_json(data: bytes, path):
         raise CliError(f"{path}: invalid JSON: {exc}") from None
     except RecursionError:
         raise CliError(f"{path}: invalid JSON: nested too deeply") from None
-
-
-def _utcnow() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +223,9 @@ def _robust_from_config(config) -> RobustConfig:
 def _requested_fits(config, inputs: dict, one_fit_command=None) -> tuple:
     """The data file's model, and the fits that ``--method`` reports, MLE
     first; the robust pass runs only where its fit is reported."""
+    if "delta_explicit" not in config:  # not a rerun: --delta is None unless given; mle ignores it
+        config["delta_explicit"] = config["delta"] is not None
+        config["delta"] = config["delta"] if config["delta_explicit"] else _ROBUST["delta"]
     if one_fit_command and config["method"] not in ("mle", "wmle"):
         raise CliError(f"{one_fit_command} reports one fit; --method must be mle or wmle")
     spec, lines = _build_spec_from_config(config, inputs)
@@ -287,7 +296,8 @@ _FIT_REPORTS = {
 
 # ---------------------------------------------------------------------------
 # command handlers: config dict + out_dir + the run's input map (filled by
-# _read_input and _read_image) -> the names _write returned, in write order
+# _read_input and _read_image) -> the names _write returned, in write order.
+# A handler completes its own config, which the manifest records as it leaves it.
 
 
 def _cmd_fit(config, out_dir: Path, inputs: dict) -> list:
@@ -473,10 +483,8 @@ def _cmd_curve(name, flag, kind, config, out_dir: Path, inputs: dict) -> list:
     scenario = _scenarios_from_config(config, inputs, single_n=True)[0]
     curve_fn = getattr(simulation, f"{name}_curve")  # per call, so a replacement on the module runs
     curve = curve_fn(scenario, _parse_range(config[flag], kind), workers=config["threads"])
-    payload = dataclasses.asdict(curve)
-    del payload["config"]
     return [_write(out_dir, f"{name}.csv", curve.to_csv()),
-            _write(out_dir, f"{name}.json", _json_dumps(payload))]
+            _write(out_dir, f"{name}.json", _json_dumps(dataclasses.asdict(curve)))]
 
 
 def _load_truth(path, inputs: dict) -> tuple:
@@ -494,6 +502,7 @@ def _load_truth(path, inputs: dict) -> tuple:
 
 
 def _cmd_detect(config, out_dir: Path, inputs: dict) -> list:
+    config.pop("format", None)  # its artifact formats are pinned
     interest = _read_image(inputs, config["interest"])
     covariates = [_read_image(inputs, p) for p in config["covariates"]]
     cfg = detection.DetectorConfig(
@@ -540,6 +549,7 @@ def _cmd_detect(config, out_dir: Path, inputs: dict) -> list:
 
 
 def _cmd_synth_scene(config, out_dir: Path, inputs: dict) -> list:
+    config.pop("format", None)  # its artifact formats are pinned
     scene = scenes.make_scene(**{name: config[name] for name in _SCENE})
     layout = {
         "seed": scene.seed,
@@ -563,6 +573,11 @@ _FINITE_KEYS = ("pfa", "truth_radius_m", "reweight_iterations", "null")
 
 
 def _execute(command, config, out_dir: Path) -> int:
+    # A rerun's config may hold a string where its option parses a list; it would iterate by character.
+    for flag, kwargs in _COMMON + _COMMANDS[command][2]:
+        key = kwargs.get("dest", flag[2:].replace("-", "_"))
+        if isinstance(kwargs.get("type"), _CommaList) and not isinstance(config.get(key), (list, type(None))):
+            raise CliError(f"{key} must be a list, got {reprlib.repr(config[key])}")
     for key in _FINITE_KEYS:
         value = config.get(key)
         for item in value if isinstance(value, list) else [value]:
@@ -578,7 +593,7 @@ def _execute(command, config, out_dir: Path) -> int:
         "library_version": __version__,
         "inputs": inputs,
         "outputs": outputs,
-        "created_utc": _utcnow(),
+        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     _write(out_dir, "manifest.json", _json_dumps(manifest))
     return 0
@@ -596,12 +611,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {self.prog}: {message} (see {self.prog} --help)\n")
 
 
-def _comma_list(kind):
+class _CommaList:
     """An argparse type: 'a,b,c' -> [kind('a'), kind('b'), kind('c')]."""
-    def parse(text):
-        return [kind(tok.strip()) for tok in text.split(",")]
-    parse.__name__ = f"comma-separated {kind.__name__}"  # argparse names it in errors
-    return parse
+
+    def __init__(self, kind):
+        self.kind = kind
+        self.__name__ = f"comma-separated {kind.__name__}"  # argparse names it in errors
+
+    def __call__(self, text):
+        return [self.kind(tok.strip()) for tok in text.split(",")]
 
 
 def _option(key, **kwargs) -> tuple:
@@ -624,7 +642,7 @@ _COMMON = (
 _TABULAR = (
     ("--data", dict(required=True, help="headered CSV data file")),
     ("--response", dict(required=True, help="response column name")),
-    ("--covariates", dict(type=_comma_list(str), help="comma-separated covariate columns")),
+    ("--covariates", dict(type=_CommaList(str), help="comma-separated covariate columns")),
     ("--no-intercept", dict(dest="intercept", action="store_false")),
     ("--dummy", dict(help="label column for treatment coding")),
     ("--reference", dict(help="reference level for --dummy")),
@@ -635,9 +653,9 @@ _TABULAR = (
     ("--pfa", dict(type=float, default=_PFA, help="false-alarm probability for tests")),
 )
 _WALD = (
-    ("--interest", dict(type=_comma_list(str), required=True,
+    ("--interest", dict(type=_CommaList(str), required=True,
                         help="comma-separated coefficient names or indices")),
-    ("--null", dict(type=_comma_list(float), help="comma-separated null values (default zeros)")),
+    ("--null", dict(type=_CommaList(float), help="comma-separated null values (default zeros)")),
 )
 _SIMULATION = (
     ("--config", dict(dest="config_file", metavar="CONFIG", required=True,
@@ -646,9 +664,9 @@ _SIMULATION = (
 _SWEEP_HELP = "list or start:stop[:step] range"
 _DETECT = (
     ("--interest", dict(required=True, help="interest image (.csv or RRM1 binary)")),
-    ("--covariates", dict(type=_comma_list(str), required=True,
+    ("--covariates", dict(type=_CommaList(str), required=True,
                           help="comma-separated covariate image paths")),
-    ("--training", dict(type=_comma_list(int), required=True,
+    ("--training", dict(type=_CommaList(int), required=True,
                         help="training window r0,c0,r1,c1 (half-open)")),
     ("--method", dict(choices=("mle", "wmle"), default="wmle")),
     ("--link", dict(choices=("log", "identity"), default=_SCENARIO["link"])),
@@ -722,13 +740,6 @@ def main(argv=None) -> int:
                 raise CliError(f"{manifest_path}: manifest config has a mistyped value: {exc}") from None
         config = vars(args)
         command, out_dir = config.pop("command"), Path(config.pop("out_dir"))
-        if command in ("detect", "synth-scene"):
-            del config["format"]  # their artifact formats are pinned
-        # The tabular --delta is None unless given, so fit can warn that mle ignores it.
-        if command in ("fit", "wald", "residuals"):
-            config["delta_explicit"] = config["delta"] is not None
-            if not config["delta_explicit"]:
-                config["delta"] = _ROBUST["delta"]
         return _execute(command, config, out_dir)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,9 @@
 """Large-sample inference: Fisher information, Wald tests, quantile residuals.
 
-The weighted and unweighted estimators share the same asymptotic
-covariance, so a single Fisher matrix serves both.  Under the log link
+A single Fisher matrix serves the weighted and unweighted estimators.  At
+``delta = 0.001`` they share an asymptotic covariance to within Monte Carlo
+error (clean WMLE Wald size 0.047 at pfa 0.05), but not as ``delta`` grows:
+the size is 0.0565 at ``delta = 0.01`` and 0.0703 at 0.05.  Under the log link
 the matrix reduces to ``4 * X.T @ X`` and does not depend on the fitted
 mean at all.  Its inverse is the fit's ``covariance``, formed on first read.
 """

@@ -5,7 +5,7 @@ the direction, the slope and every trial point are lists, and only the
 length-N work runs in numpy, in the link's fused evaluation
 (``link.objective``), one per trial point.  The value and gradient come
 from one pass over the data (what does not depend on ``beta``, such as
-the plain fit's ``X^T 1``, ``-2 X`` and the bound on ``|eta|`` that spares
+the plain fit's ``X^T 1`` and the bound on ``|eta|`` that spares
 the overflow check, is formed once or kept on the design), and the
 observed information, a k x k array, is formed only at the points the
 solver steps from.  The evaluation returns the point it evaluated, and

@@ -11,7 +11,7 @@ that exercises the general link machinery (and its positivity guard).
 
 Fits evaluate the likelihood on the linear predictor ``eta = X beta``,
 through each link's fused evaluation (``objective``): under the log link
-``quad = pi/4 (y/mu)^2`` is ``exp(log(pi/4 y^2) + (-2 X) beta)`` and ``log mu``
+``quad = pi/4 (y/mu)^2`` is ``exp(log(pi/4 y^2) + X (-2 beta))`` and ``log mu``
 is ``eta``, whose weighted sum is ``(X^T w) beta``, so a trial point costs one
 ``exp`` and two products with the design.  On a design with a column of ones
 it also moves the intercept to its optimum given the rest, in closed form
@@ -102,8 +102,8 @@ class LogLink:
         observed information as a k x k array.  With ``wq = w pi/4 y^2
         exp(-2 eta)`` the value is ``c - 2 (X^T w) beta - sum(wq)``, the
         gradient ``2 X^T wq - 2 X^T w`` and the information ``4 gram(wq)``, so
-        ``X^T w`` and ``c`` are formed once and a point costs one product with
-        ``-2 X``, one ``exp`` and one with ``X^T``.  The point is ``beta`` unless the design
+        ``X^T w`` and ``c`` are formed once and a point costs ``X (-2 beta)``, one
+        ``exp`` and one product with ``X^T``.  The point is ``beta`` unless the design
         has a column of ones whose entry of ``X^T wq``, ``sum(wq)``, is off
         ``sum(w)`` by more than rounding: the intercept then moves to its
         optimum given the rest, by ``log(sum(wq) / sum(w)) / 2``, which scales
@@ -114,7 +114,6 @@ class LogLink:
         dot = np.dot  # the BLAS call of ``@`` on these shapes, with less dispatch
         X = design.X
         XT = X.T
-        neg2X = design._neg2_X  # -2 eta to the bit: scaling by -2 is exact
         k = X.shape[1]
         rows = design._row_products
         bounds = design._column_bounds
@@ -125,7 +124,7 @@ class LogLink:
         sw = None if ones is None else xtw[ones]
 
         def evaluate(beta):
-            wq = dot(neg2X, beta)
+            wq = dot(X, [-2.0 * b for b in beta])  # -2 eta to the bit: scaling by -2 is exact
             wq += log_scale
             np.exp(wq, out=wq)
             if not unit:
@@ -263,7 +262,7 @@ class DesignMatrix(ReadOnlyArrays):
     designs can still be inspected.  ``X`` is read-only, so what the fits
     derive from it is kept: its SVD, the pseudo-inverse of a design that
     passed the rank check, the row outer products, the unit weights and
-    ``X^T 1``, each column's largest ``|x|``, ``-2 X``, the index of its
+    ``X^T 1``, each column's largest ``|x|``, the index of its
     first column of ones, and the log link's Fisher information.
     """
 
@@ -340,10 +339,6 @@ class DesignMatrix(ReadOnlyArrays):
     @cached_property
     def _unit_xtw(self) -> tuple:
         return tuple(np.dot(self.X.T, self.unit_weights).tolist())
-
-    @cached_property
-    def _neg2_X(self) -> np.ndarray:
-        return readonly_array(-2.0 * self.X)
 
     @cached_property
     def _ones_column(self) -> int | None:  # the first column of ones (the intercept), or None

@@ -36,7 +36,6 @@ class SyntheticScene:
     truth: tuple
     training_region: tuple
     seed: int
-    blob_amplitude: float
     params: dict = field(repr=False, default_factory=dict)
 
     @property
@@ -115,7 +114,6 @@ def make_scene(
         truth=tuple(truth),
         training_region=training_region,
         seed=seed,
-        blob_amplitude=blob_amplitude,
         params={
             "rows": rows,
             "cols": cols,

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -94,12 +94,12 @@ class ScenarioConfig:
     epsilon: float = 0.0
     outlier_value: float = 10.0
     replications: int = 1000
-    delta: float = 0.001
+    delta: float = RobustConfig.delta
     master_seed: int = 0
     link: str = "log"
-    reweight_iterations: int = 1
-    max_iter: int = 500
-    grad_tol: float = 1e-6
+    reweight_iterations: int = RobustConfig.reweight_iterations
+    max_iter: int = RobustConfig.max_iter
+    grad_tol: float = RobustConfig.grad_tol
 
     def __post_init__(self):
         object.__setattr__(self, "beta_true", tuple(float(b) for b in self.beta_true))
@@ -125,12 +125,7 @@ class ScenarioConfig:
         return int(math.floor(self.epsilon * self.n_obs))
 
     def robust_config(self) -> RobustConfig:
-        return RobustConfig(
-            delta=self.delta,
-            reweight_iterations=self.reweight_iterations,
-            max_iter=self.max_iter,
-            grad_tol=self.grad_tol,
-        )
+        return RobustConfig(**{f.name: getattr(self, f.name) for f in fields(RobustConfig)})
 
 
 def scenario_design(cfg: ScenarioConfig) -> DesignMatrix:
@@ -199,10 +194,10 @@ class ScenarioReport:
 
 
 def _summarize(estimator, beta_true, estimates) -> MonteCarloReport:
-    """Aggregate replication estimates; NaN rows mark diverged fits."""
+    """Aggregate replication estimates; NaN rows mark diverged fits (all: NaN moments)."""
     beta = np.asarray(beta_true)
     ok = ~np.isnan(estimates[:, 0])
-    used = estimates[ok]
+    used = estimates[ok] if ok.any() else estimates[:1]  # one NaN row: NaN moments, no warning
     mean = used.mean(axis=0)
     rb = 100.0 * (mean - beta) / beta
     mse = np.mean((used - beta) ** 2, axis=0)
@@ -335,7 +330,6 @@ class BreakdownCurve:
     mle_total_rb: tuple
     wmle_total_rb: tuple
     convergence_failures: int
-    config: ScenarioConfig = field(repr=False, default=None)
 
     def to_csv(self) -> str:
         lines = ["outliers,mle_total_rb,wmle_total_rb"]
@@ -366,7 +360,6 @@ def breakdown_curve(cfg: ScenarioConfig, outlier_counts, workers: int = 1) -> Br
         mle_total_rb=tuple(r.absolute_total_rb for r in reports[0]),
         wmle_total_rb=tuple(r.absolute_total_rb for r in reports[1]),
         convergence_failures=sum(r.convergence_failures for row in reports for r in row),
-        config=cfg,
     )
 
 
@@ -378,7 +371,6 @@ class SensitivityCurve:
     mle_masc: tuple
     wmle_masc: tuple
     convergence_failures: int
-    config: ScenarioConfig = field(repr=False, default=None)
 
     def to_csv(self) -> str:
         lines = ["outlier_value,mle_masc,wmle_masc"]
@@ -403,17 +395,18 @@ def sensitivity_curve(cfg: ScenarioConfig, outlier_values, workers: int = 1) -> 
     sc = _run(_sensitivities, cfg, values, workers)
     failures = int(np.sum(np.isnan(sc)))
     # numpy adds a contiguous axis pairwise and a strided one in sequence,
-    # so the mean over replications runs along a contiguous axis.
+    # so the mean over replications runs along a contiguous axis: nanmean's
+    # sum and count, without its warning where no replication converged (0/0).
     with np.errstate(invalid="ignore"):
         mle_masc, wmle_masc = (
-            np.nanmean(np.ascontiguousarray(sc[:, :, e].T), axis=1) for e in (0, 1)
+            np.nansum(sc_e, axis=1) / np.count_nonzero(~np.isnan(sc_e), axis=1)
+            for sc_e in (np.ascontiguousarray(sc[:, :, e].T) for e in (0, 1))
         )
     return SensitivityCurve(
         values=values,
         mle_masc=tuple(float(v) for v in mle_masc),
         wmle_masc=tuple(float(v) for v in wmle_masc),
         convergence_failures=failures,
-        config=cfg,
     )
 
 

@@ -424,6 +424,39 @@ class TestSimulateCommands:
         assert lines[0] == "outlier_value,mle_masc,wmle_masc"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("command, sweep", [("simulate", []), ("breakdown", ["--counts", "0,3"]),
+                                                ("sensitivity", ["--values", "1:3"])])
+    def test_cell_without_a_converged_fit_writes_strict_json(self, command, sweep, tmp_path, capsys):
+        # One solver step at a gradient tolerance no fit meets: every fit
+        # diverges, the sensitivity baselines too, so every moment is over
+        # no replication.  It is null in the JSON, and numpy's warnings about
+        # empty means stay out of stderr.
+        cfg = tmp_path / "diverged.json"
+        cfg.write_text(json.dumps({"beta_true": [0.5, 0.15], "N": 60, "epsilon": 0.05,
+                                   "replications": 50, "max_iter": 1, "grad_tol": 1e-15}))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(cfg), *sweep, "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+
+        def refuse(token):
+            raise ValueError(f"non-finite JSON token {token}")
+
+        docs = {p.name: json.loads(p.read_text(), parse_constant=refuse) for p in out.glob("*.json")}
+        assert sorted(docs) == sorted(["manifest.json", f"{'table' if command == 'simulate' else command}.json"])
+        if command == "simulate":
+            (cell,) = docs["table.json"]["cells"]
+            for est in ("mle", "wmle"):
+                assert cell[est]["n_used"] == 0 and cell[est]["convergence_failures"] == 50
+                assert cell[est]["mean"] == [None, None] and cell[est]["absolute_total_rb"] is None
+        else:
+            curve = docs[f"{command}.json"]
+            moments = [v for key, v in curve.items() if key.startswith(("mle_", "wmle_"))]
+            assert len(moments) == 2 and all(m == [None] * len(m) for m in moments)
+            assert curve["convergence_failures"] > 0
+
 
 def test_calls_in_one_process_parse_as_fresh_processes(region_csv, scene_dir, tmp_path):
     # main builds its parser once per process and reuses it.
@@ -1232,6 +1265,33 @@ class TestRerun:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "config" in err[0]
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("detect", "covariates", "COVARIATE"), ("detect", "training", "75,0,100,100"),
+        ("wald", "interest", "is_B"), ("wald", "null", "0"), ("fit", "covariates", "amplitude"),
+    ])
+    def test_rerun_refuses_a_string_for_a_list(self, command, key, value, region_csv, scene_dir,
+                                               tmp_path, capsys):
+        # A string would iterate by character: a covariate path as one-letter
+        # paths, or "is_B" as a one-coefficient list that happens to work.
+        argv = {
+            "detect": _scene_args(scene_dir),
+            "wald": ["--data", str(region_csv), "--response", "amplitude", "--dummy", "region",
+                     "--reference", "A", "--interest", "is_B"],
+            "fit": ["--data", str(region_csv), "--response", "amplitude", "--covariates", "amplitude"],
+        }[command]
+        first = tmp_path / "a"
+        assert main([command, *argv, "--out-dir", str(first)]) == 0
+        manifest = _read_json(first / "manifest.json")
+        manifest["config"][key] = value.replace("COVARIATE", str(scene_dir / "covariate.rrm"))
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        second = tmp_path / "b"
+        assert main(["rerun", "--manifest", str(edited), "--out-dir", str(second)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key} must be a list, got ")
+        assert not second.exists()
 
     def test_rerun_refuses_a_command_that_is_not_a_name(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"

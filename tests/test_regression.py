@@ -157,8 +157,8 @@ class TestDesignMatrix:
 
     def test_pickled_arrays_stay_read_only(self):
         # A fit fills the design's kept arrays: X, singular values,
-        # pseudo-inverse, row outer products, the unit weights, -2 X and the
-        # log link's Fisher information.  The fit holds four arrays, and six
+        # pseudo-inverse, row outer products, the unit weights and the log
+        # link's Fisher information.  The fit holds four arrays, and six
         # once its covariance and standard errors are read.
         rng = np.random.default_rng(4)
         X = np.column_stack([np.ones(40), rng.random(40)])
@@ -174,7 +174,7 @@ class TestDesignMatrix:
                 assert not arr.flags.writeable, (type(obj).__name__, name)
             return clone
 
-        check(spec.design, 7)
+        check(spec.design, 6)
         check(fit, 4)
         fit.std_errors
         check(fit, 6)
