@@ -223,9 +223,9 @@ def _robust_from_config(config) -> RobustConfig:
 def _requested_fits(config, inputs: dict, one_fit_command=None) -> tuple:
     """The data file's model, and the fits that ``--method`` reports, MLE
     first; the robust pass runs only where its fit is reported."""
-    if "delta_explicit" not in config:  # not a rerun: --delta is None unless given; mle ignores it
-        config["delta_explicit"] = config["delta"] is not None
-        config["delta"] = config["delta"] if config["delta_explicit"] else _ROBUST["delta"]
+    config.setdefault("delta_explicit", config["delta"] is not None)  # a rerun keeps its record
+    if config["delta"] is None:  # --delta not given; mle ignores it
+        config["delta"] = _ROBUST["delta"]
     if one_fit_command and config["method"] not in ("mle", "wmle"):
         raise CliError(f"{one_fit_command} reports one fit; --method must be mle or wmle")
     spec, lines = _build_spec_from_config(config, inputs)
@@ -351,27 +351,47 @@ def _cmd_residuals(config, out_dir: Path, inputs: dict) -> list:
 # -- simulation config handling
 
 
-def _schema_error(path, message):
-    raise CliError(f"config error at {path}: {message}")
-
-
 def _is_number(value) -> bool:
     """A JSON number whose float is finite; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max  # no float conversion to overflow
 
 
-_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string"}
+_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string", bool: "true or false"}
+
+
+def _check_value(where, value, kind, array=None, nullable=False):
+    """Refuse ``value`` unless it is a ``kind`` (a finite number for int and
+    float, a JSON integer for int), None where ``nullable``, or a non-empty list
+    of them where ``array`` is "list" (must be) or "grid" (may be).  The error
+    names ``where``, whose ``{}`` takes ``[i]`` for item i of a list; only a file
+    holds a wrong type, so that error calls the value a config value."""
+    if value is None and nullable:
+        return
+    if array == "list" or array and isinstance(value, list):
+        if not isinstance(value, list):
+            raise CliError(f"{where.format('')} must be a list, got the config value {reprlib.repr(value)}")
+        if not value:
+            raise CliError(f"{where.format('')} must be a non-empty list")
+        for i, item in enumerate(value):
+            _check_value(where.format(f"[{i}]"), item, kind)
+        return
+    where = where.format("")
+    # A JSON integer is a number too; a bool, an int to Python, is only a bool.
+    expected = (int, float) if kind is float else kind
+    if not isinstance(value, expected) or isinstance(value, bool) is not (kind is bool):
+        raise CliError(f"{where} must be {_TYPE_NAMES[kind]}, got the config value {reprlib.repr(value)}")
+    if kind in (int, float) and not _is_number(value):
+        raise CliError(f"{where} must be a finite number, got {reprlib.repr(value)}")
+
 
 # The JSON type of each simulation config key, that of its default where it
-# has one, and whether it is an array: "list" must be one, "grid" may be one
-# (the N x epsilon grid).  Ranges are left to ScenarioConfig and RobustConfig.
-_SIM_SCHEMA = {k: (type(v), None) for k, v in _SIM_DEFAULTS.items()} | {
-    "beta_true": (float, "list"), "N": (int, "grid"), "epsilon": (float, "grid"), "seed": (int, None)
+# has one, whether it is an array ("list" must be one, "grid", the N x epsilon
+# grid, may be one) and whether it may be null (a null seed means --seed).
+# Ranges are left to ScenarioConfig and RobustConfig.
+_SIM_SCHEMA = {k: (type(v), None, False) for k, v in _SIM_DEFAULTS.items()} | {
+    "beta_true": (float, "list", False), "N": (int, "grid", False),
+    "epsilon": (float, "grid", False), "seed": (int, None, True),
 }
 
 
@@ -382,29 +402,14 @@ def _load_sim_config(config, inputs: dict) -> dict:
         raise CliError(f"config file not found: {path}")
     raw = _parse_json(_read_input(inputs, config["config_file"]), path)
     if not isinstance(raw, dict):
-        _schema_error("$", "top level must be an object")
+        raise CliError("config error at $: top level must be an object")
     for key in ("beta_true", "N"):
         if key not in raw:
-            _schema_error(f"$.{key}", "required field is missing")
+            raise CliError(f"config error at $.{key}: required field is missing")
     for key, value in raw.items():
         if key not in _SIM_SCHEMA:
-            _schema_error(f"$.{key}", "unknown field")
-        kind, array = _SIM_SCHEMA[key]
-        if array and isinstance(value, list):
-            if not value:
-                _schema_error(f"$.{key}", "expected a non-empty array")
-            items = [(f"$.{key}[{i}]", v) for i, v in enumerate(value)]
-        elif array == "list":
-            _schema_error(f"$.{key}", f"expected a non-empty array, got {value!r}")
-        else:
-            items = [(f"$.{key}", value)]
-        for where, v in items:
-            if kind is str:
-                ok = isinstance(v, str)
-            else:
-                ok = _is_number(v) and (kind is float or isinstance(v, int))
-            if not (ok or key == "seed" and v is None):
-                _schema_error(where, f"expected {_TYPE_NAMES[kind]}, got {reprlib.repr(v)}")
+            raise CliError(f"config error at $.{key}: unknown field")
+        _check_value(f"config error at $.{key}{{}}:", value, *_SIM_SCHEMA[key])
     return _SIM_DEFAULTS | raw
 
 
@@ -564,25 +569,17 @@ def _cmd_synth_scene(config, out_dir: Path, inputs: dict) -> list:
     ]
 
 
-# Numeric options, or lists of them, that no library check refuses on every
-# path (no Wald test runs on an intercept-only fit; no score without --truth; a
-# round count past the float range passes RobustConfig's "< inf" and runs for
-# ever; a null value reaches only the solve, whose error names no option).  A
-# non-finite value would reach manifest.json, and JSON has no NaN or infinity.
-_FINITE_KEYS = ("pfa", "truth_radius_m", "reweight_iterations", "null")
-
-
 def _execute(command, config, out_dir: Path) -> int:
-    # A rerun's config may hold a string where its option parses a list; it would iterate by character.
+    # Each config value, from argv or a manifest, against its option: a store
+    # action's is a bool, a _CommaList's a list, and a None default may stay
+    # None.  out_dir is no config key; detect and synth-scene drop format.
     for flag, kwargs in _COMMON + _COMMANDS[command][2]:
         key = kwargs.get("dest", flag[2:].replace("-", "_"))
-        if isinstance(kwargs.get("type"), _CommaList) and not isinstance(config.get(key), (list, type(None))):
-            raise CliError(f"{key} must be a list, got {reprlib.repr(config[key])}")
-    for key in _FINITE_KEYS:
-        value = config.get(key)
-        for item in value if isinstance(value, list) else [value]:
-            if item is not None and not _is_number(item):
-                raise CliError(f"{key} must be a finite number, got {reprlib.repr(item)}")
+        kind = bool if "action" in kwargs else kwargs.get("type", str)
+        if key in config:
+            _check_value(key, config[key], getattr(kind, "kind", kind),
+                         "list" if isinstance(kind, _CommaList) else None,
+                         kwargs.get("default") is None and not kwargs.get("required"))
     out_dir.mkdir(parents=True, exist_ok=True)
     inputs = {}  # every input file the handler read -> sha256 of the bytes it read
     outputs = _COMMANDS[command][0](config, out_dir, inputs)
@@ -736,8 +733,6 @@ def main(argv=None) -> int:
                 return _execute(command, manifest["config"], Path(args.out_dir))
             except KeyError as exc:
                 raise CliError(f"{manifest_path}: manifest config has no key {exc}") from None
-            except TypeError as exc:
-                raise CliError(f"{manifest_path}: manifest config has a mistyped value: {exc}") from None
         config = vars(args)
         command, out_dir = config.pop("command"), Path(config.pop("out_dir"))
         return _execute(command, config, out_dir)

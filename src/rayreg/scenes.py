@@ -75,6 +75,9 @@ def make_scene(
         raise ValueError("training_contamination must lie in [0, 0.5)")
     if training_rows < 20 or training_rows >= rows // 2:
         raise ValueError("training_rows must lie in [20, rows/2)")
+    for name, value in (("mu_low", mu_low), ("mu_high", mu_high), ("blob_amplitude", blob_amplitude)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     ramp = np.linspace(0.0, 1.0, cols)
     covariate = np.tile(ramp, (rows, 1))

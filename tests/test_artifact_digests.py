@@ -26,3 +26,20 @@ def test_two_runs_compare_equal_and_a_flipped_byte_is_named(tmp_path, capsys):
     assert artifact_digests.compare(a, b) == ["sensitivity/sensitivity.json"]
     assert artifact_digests.main(["compare", str(a), str(b)]) == 1
     assert capsys.readouterr().out.splitlines() == ["differs: sensitivity/sensitivity.json"]
+
+
+def test_compare_reports_the_largest_numeric_move(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root, loglik, residual in ((a, -120.0, "0.25"), (b, -120.00006, "0.2500000000000001")):
+        (root / "wald").mkdir(parents=True)
+        (root / "wald" / "wald.json").write_text(
+            '{"fit": {"loglik": %r, "converged": true, "method": "wmle"}, "n": 90}' % loglik)
+        (root / "residuals").mkdir()
+        (root / "residuals" / "residuals.csv").write_text(f"residual\n1.5\n{residual}\n")
+        (root / "residuals" / "residuals.json").write_text('{"method": "%s"}' % root.name)
+    assert artifact_digests.main(["compare", str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: residuals/residuals.csv (largest relative move 4.4e-16 at line 3 field 1)",
+        "differs: residuals/residuals.json (no numeric field moved)",
+        "differs: wald/wald.json (largest relative move 5.0e-07 at $.fit.loglik)",
+    ]

@@ -523,10 +523,36 @@ class TestMalformedInputs:
             ["detect", "{scene}", "--truth", "{truth}", "--truth-radius", "nan"],
             ["detect", "{scene}", "--truth-radius", "nan"],
             ["fit", "--data", "{regions}", "--response", "amplitude", "--pfa", "nan"],
+            ["synth-scene", "--rows", "120", "--cols", "120", "--training-rows", "25",
+             "--mu-low", "-1"],
+            ["synth-scene", "--rows", "120", "--cols", "120", "--training-rows", "25",
+             "--blob-amplitude", "-5"],
+            ["fit", "--data", "{regions}", "--response", "amplitude", "--dummy", "region"],
+            ["fit", "--data", "{regions}", "--response", "amplitude", "--dummy", "zone",
+             "--reference", "A"],
+            ["fit", "--data", "{regions}", "--response", "amplitude", "--dummy", "region",
+             "--reference", "Z"],
+            ["fit", "--data", "{regions}", "--response", "amplitude", "--no-intercept"],
+            ["wald", "--data", "{regions}", "--response", "amplitude", "--dummy", "region",
+             "--reference", "A", "--interest", "is_Z"],
+            ["wald", "--data", "{regions}", "--response", "amplitude", "--dummy", "region",
+             "--reference", "A", "--interest", "is_B", "--null", "0,0"],
+            ["simulate", "--config", "json:[0.5, 0.15]"],
+            ["simulate", "--config", 'json:{"beta_true": [0.5, 0.15]}'],
+            ["breakdown", "--config", 'json:{"beta_true": [0.5, 0.15], "N": [40, 60]}'],
+            ["simulate", "--config", "{missing}"],
+            ["sensitivity", "--config", "{sim}", "--values", "1:2:3:4"],
+            ["sensitivity", "--config", "{sim}", "--values", "1:5:0"],
+            ["breakdown", "--config", "{sim}", "--counts", ","],
         ],
         ids=["config-dir", "data-dir", "interest-dir", "truth-dir", "out-dir-is-file",
              "control-limit-nan", "control-limit-inf", "merge-distance-nan", "pixel-size-nan",
-             "truth-radius-nan", "truth-radius-nan-no-truth", "pfa-nan-intercept-only"],
+             "truth-radius-nan", "truth-radius-nan-no-truth", "pfa-nan-intercept-only",
+             "scene-mu-low-negative", "scene-blob-amplitude-negative", "dummy-without-reference",
+             "dummy-column-missing", "reference-not-a-label", "no-intercept-no-covariates",
+             "wald-unknown-coefficient", "wald-null-length", "sim-config-not-an-object",
+             "sim-config-without-n", "breakdown-two-n", "sim-config-missing", "range-four-parts",
+             "range-zero-step", "empty-value-list"],
     )
     def test_one_error_line_and_exit_1(
         self, argv, scene_dir, sim_config, region_csv, tmp_path, capsys
@@ -534,14 +560,21 @@ class TestMalformedInputs:
         a_file = tmp_path / "a_file"
         a_file.write_text("")
         paths = {"{dir}": str(tmp_path), "{sim}": str(sim_config), "{file}": str(a_file),
-                 "{truth}": str(scene_dir / "truth.json"), "{regions}": str(region_csv)}
+                 "{truth}": str(scene_dir / "truth.json"), "{regions}": str(region_csv),
+                 "{missing}": str(tmp_path / "missing.json")}
         resolved = []
         for arg in argv:
+            if arg.startswith("json:"):  # a document, given as the path of a file holding it
+                doc = tmp_path / "doc.json"
+                doc.write_text(arg.removeprefix("json:"))
+                arg = str(doc)
             resolved += _scene_args(scene_dir) if arg == "{scene}" else [paths.get(arg, arg)]
         if "--out-dir" not in resolved:
             resolved += ["--out-dir", str(tmp_path / "out")]
         capsys.readouterr()
-        assert main(resolved) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would be a second stderr line
+            assert main(resolved) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
@@ -1291,6 +1324,35 @@ class TestRerun:
         assert main(["rerun", "--manifest", str(edited), "--out-dir", str(second)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {key} must be a list, got ")
+        assert not second.exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("detect", "upper_tail_only", "false"), ("fit", "intercept", "false"),
+        ("detect", "training", [75.5, 0, 100, 100]), ("detect", "training", ["a", 0, 100, 100]),
+        ("fit", "covariates", [5]), ("detect", "opening_se", 3.0),
+        ("simulate", "threads", 2.5), ("simulate", "seed", None),
+    ])
+    def test_rerun_refuses_a_value_its_option_cannot_give(self, command, key, value, region_csv,
+                                                          scene_dir, sim_config, tmp_path, capsys):
+        # Values a file can hold and argv cannot: the string "false" is true to
+        # Python, and a float or a null is no training bound, worker count or seed.
+        argv = {
+            "detect": _scene_args(scene_dir),
+            "fit": ["--data", str(region_csv), "--response", "amplitude", "--covariates",
+                    "amplitude", "--no-intercept"],
+            "simulate": ["--config", str(sim_config)],
+        }[command]
+        first = tmp_path / "a"
+        assert main([command, *argv, "--out-dir", str(first)]) == 0
+        manifest = _read_json(first / "manifest.json")
+        manifest["config"][key] = value
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        second = tmp_path / "b"
+        assert main(["rerun", "--manifest", str(edited), "--out-dir", str(second)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key} must be "), err
         assert not second.exists()
 
     def test_rerun_refuses_a_command_that_is_not_a_name(self, tmp_path, capsys):

@@ -12,8 +12,11 @@ out.  ``--src`` picks the ``src`` directory that rayreg is imported from: this
 checkout's by default, or another commit's checkout when comparing two commits.
 
 ``compare`` names every file whose digest differs between two run
-directories, or that only one of them holds.  It exits 1 if there is one, and
-0 if every artifact and manifest is identical.
+directories, or that only one of them holds.  For a JSON or CSV file that both
+hold and parse, it adds the largest relative move over the numeric fields the
+two share, and where it is: a move of about 1e-16 is rounding, and a larger
+one a real change.  It exits 1 if any file differs, and 0 if every artifact and
+manifest is identical.
 
 The set: ``fit`` in json, text and csv, for both links, once with a covariate
 and once with a three-level dummy; ``wald``; ``residuals``; ``simulate
@@ -25,7 +28,9 @@ and once with a three-level dummy; ``wald``; ``residuals``; ``simulate
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -129,6 +134,52 @@ def compare(a: Path, b: Path) -> list:
     return sorted(name for name in da.keys() | db.keys() if da.get(name) != db.get(name))
 
 
+def _numeric_fields(path: Path):
+    """Each finite number of a JSON or CSV file, keyed by where it is (a JSON
+    path, or a CSV line and field); None if the file is neither or does not parse."""
+    fields = {}
+
+    def walk(obj, where):
+        if isinstance(obj, dict):
+            for key, value in obj.items():
+                walk(value, f"{where}.{key}")
+        elif isinstance(obj, list):
+            for i, value in enumerate(obj):
+                walk(value, f"{where}[{i}]")
+        elif isinstance(obj, (int, float)) and not isinstance(obj, bool) and math.isfinite(obj):
+            fields[where] = float(obj)
+
+    try:
+        if path.suffix == ".json":
+            walk(json.loads(path.read_text(encoding="utf-8")), "$")
+        elif path.suffix == ".csv":
+            for lineno, row in enumerate(csv.reader(io.StringIO(path.read_text(encoding="utf-8"))), 1):
+                for j, cell in enumerate(row, 1):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue
+                    if math.isfinite(value):
+                        fields[f"line {lineno} field {j}"] = value
+        else:
+            return None
+    except (OSError, ValueError):  # a missing, undecodable or malformed file
+        return None
+    return fields
+
+
+def largest_move(a: Path, b: Path):
+    """(relative move, where) of the numeric field that moved most between
+    two versions of a JSON or CSV file, or None if either has no numbers to
+    compare; a move is |x - y| / max(|x|, |y|)."""
+    fa, fb = _numeric_fields(a), _numeric_fields(b)
+    if fa is None or fb is None:
+        return None
+    moves = [(abs(fa[k] - fb[k]) / max(abs(fa[k]), abs(fb[k])), k)
+             for k in sorted(fa.keys() & fb.keys()) if fa[k] != fb[k]]
+    return max(moves, key=lambda m: m[0], default=(0.0, None))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="mode", required=True)
@@ -147,7 +198,13 @@ def main(argv=None) -> int:
         return 0
     differing = compare(args.a, args.b)
     for name in differing:
-        print(f"differs: {name}")
+        move = largest_move(args.a / name, args.b / name)
+        if move is None:
+            print(f"differs: {name}")
+        elif move[1] is None:
+            print(f"differs: {name} (no numeric field moved)")
+        else:
+            print(f"differs: {name} (largest relative move {move[0]:.1e} at {move[1]})")
     if not differing:
         print(f"identical: all {len(digests(args.a))} files")
     return 1 if differing else 0
