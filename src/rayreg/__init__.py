@@ -13,7 +13,6 @@ image_io     : CSV / raw binary / PGM image interchange
 cli          : command-line front end
 """
 
-from .distribution import RayleighMean
 from .estimation import (
     FitResult,
     RobustConfig,
@@ -45,7 +44,6 @@ from .regression import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "RayleighMean",
     "DesignMatrix",
     "ModelSpec",
     "LogLink",

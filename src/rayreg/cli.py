@@ -95,10 +95,13 @@ def _write(out_dir: Path, name: str, content, writer=None) -> str:
     return name
 
 
-def _read_input(inputs: dict, path) -> bytes:
-    """The bytes of an input file; their sha256 goes into the run's
-    ``inputs`` map under the path as given."""
-    data = Path(path).read_bytes()
+def _read_input(inputs: dict, path, kind: str) -> bytes:
+    """The bytes of the ``kind`` input file (data, config or truth); their
+    sha256 goes into the run's ``inputs`` map under the path as given."""
+    file = Path(path)
+    if not file.exists():
+        raise CliError(f"{kind} file not found: {file}")
+    data = file.read_bytes()
     inputs[str(path)] = "sha256:" + hashlib.sha256(data).hexdigest()
     return data
 
@@ -140,10 +143,8 @@ def _parse_json(data: bytes, path):
 def _load_table(given, inputs: dict) -> tuple:
     """Headered CSV -> (column names, list of row dicts with raw strings)."""
     path = Path(given)
-    if not path.exists():
-        raise CliError(f"data file not found: {path}")
     # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
-    text = _decode(_read_input(inputs, given), path, "utf-8-sig")
+    text = _decode(_read_input(inputs, given, "data"), path, "utf-8-sig")
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
@@ -398,9 +399,7 @@ _SIM_SCHEMA = {k: (type(v), None, False) for k, v in _SIM_DEFAULTS.items()} | {
 def _load_sim_config(config, inputs: dict) -> dict:
     """The config file over the ScenarioConfig defaults, with JSON types checked."""
     path = Path(config["config_file"])
-    if not path.exists():
-        raise CliError(f"config file not found: {path}")
-    raw = _parse_json(_read_input(inputs, config["config_file"]), path)
+    raw = _parse_json(_read_input(inputs, config["config_file"], "config"), path)
     if not isinstance(raw, dict):
         raise CliError("config error at $: top level must be an object")
     for key in ("beta_true", "N"):
@@ -494,7 +493,7 @@ def _cmd_curve(name, flag, kind, config, out_dir: Path, inputs: dict) -> list:
 
 def _load_truth(path, inputs: dict) -> tuple:
     """Targets and optional match radius from a truth JSON file."""
-    doc = _parse_json(_read_input(inputs, path), path)
+    doc = _parse_json(_read_input(inputs, path, "truth"), path)
     targets = doc.get("targets") if isinstance(doc, dict) else None
     if not isinstance(targets, list) or not all(
         isinstance(t, list) and len(t) == 2 and all(_is_number(v) for v in t) for t in targets

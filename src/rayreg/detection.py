@@ -343,29 +343,19 @@ def extract_clusters(mask, merge_distance: float = 0.0, pixel_size_m: float = 1.
     graph = coo_matrix(
         (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n_comp, n_comp)
     )
-    _, group = connected_components(graph, directed=False)
-    lone = np.bincount(group)[group] == 1
-    # A lone component's centroid is (w * c) / w, bit for bit what the sums
-    # below give for one member, so all of them take one pass.
-    w = sizes[lone, None]
-    found = [(i, Cluster(row, col, int(n))) for i, (row, col), n in zip(
-        np.flatnonzero(lone).tolist(), (w * centroids[lone] / w).tolist(), w.ravel().tolist())]
-    merged = np.flatnonzero(~lone)
-    merged = merged[np.argsort(group[merged], kind="stable")]  # by group, members ascending
-    ends = np.flatnonzero(np.diff(group[merged], prepend=-1, append=-1)).tolist()
-    for members in (merged[a:b] for a, b in zip(ends, ends[1:])):
-        w = sizes[members]
-        c = centroids[members]
-        total = float(np.sum(w))
-        found.append((members[0], Cluster(
-            centroid_row=float(np.sum(w * c[:, 0]) / total),
-            centroid_col=float(np.sum(w * c[:, 1]) / total),
-            n_pixels=int(total),
-            n_components=len(members),
-        )))
+    n_groups, group = connected_components(graph, directed=False)
+    # One segment per cluster, its components ascending, each summed as
+    # np.sum sums it: a lone component's centroid comes out as (w * c) / w.
+    order = np.argsort(group, kind="stable")
+    counts = np.bincount(group, minlength=n_groups)
+    starts = np.cumsum(counts) - counts
+    w = sizes[order]
+    total = np.add.reduceat(w, starts)
+    row, col = (np.add.reduceat(w * centroids[order, j], starts) / total for j in (0, 1))
     # By centroid, exact ties in the order of their lowest component.
-    found.sort(key=lambda entry: (entry[1].centroid_row, entry[1].centroid_col, entry[0]))
-    return tuple(cl for _, cl in found)
+    rank = np.lexsort((order[starts], col, row))
+    return tuple(Cluster(r, c, int(n), k) for r, c, n, k in zip(
+        row[rank].tolist(), col[rank].tolist(), total[rank].tolist(), counts[rank].tolist()))
 
 
 def score_detections(clusters, truth, radius_m: float, pixel_size_m: float = 1.0) -> tuple:

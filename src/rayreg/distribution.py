@@ -17,13 +17,10 @@ distributions on a fitted mean field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "RayleighMean",
-    "VARIANCE_RATIO",
     "pdf",
     "logpdf",
     "cdf",
@@ -33,9 +30,6 @@ __all__ = [
 
 _LOG_HALF_PI = math.log(math.pi / 2.0)
 _QUARTER_PI = math.pi / 4.0
-
-#: Var(Y) / E(Y)^2 for every mean-parameterized Rayleigh distribution.
-VARIANCE_RATIO = 4.0 / math.pi - 1.0
 
 
 # The range checks are single reductions; ``initial`` lets an empty array
@@ -134,41 +128,3 @@ def sample(mu, rng, size=None):
         size = mu.shape
     u = rng.random(size)
     return quantile(u, mu)
-
-
-@dataclass(frozen=True)
-class RayleighMean:
-    """One Rayleigh distribution identified by its mean.
-
-    Immutable; safe to share across threads.
-    """
-
-    mu: float
-
-    def __post_init__(self):
-        if not (isinstance(self.mu, (int, float)) and math.isfinite(self.mu) and self.mu > 0):
-            raise ValueError(f"mu must be a positive finite number, got {self.mu!r}")
-        object.__setattr__(self, "mu", float(self.mu))
-
-    @property
-    def mean(self) -> float:
-        return self.mu
-
-    @property
-    def variance(self) -> float:
-        return self.mu * self.mu * VARIANCE_RATIO
-
-    def pdf(self, y):
-        return pdf(y, self.mu)
-
-    def logpdf(self, y):
-        return logpdf(y, self.mu)
-
-    def cdf(self, y):
-        return cdf(y, self.mu)
-
-    def quantile(self, u):
-        return quantile(u, self.mu)
-
-    def sample(self, rng, size=None):
-        return sample(self.mu, rng, size=size)

@@ -36,8 +36,6 @@ __all__ = [
     "fit_both",
 ]
 
-_LOG_HALF_PI = math.log(math.pi / 2.0)
-_QUARTER_PI = math.pi / 4.0
 
 @dataclass(frozen=True)
 class RobustConfig:
@@ -123,9 +121,7 @@ def _check_weights(spec: ModelSpec, weights) -> np.ndarray:
 def weighted_loglik(spec: ModelSpec, beta, weights=None) -> float:
     """Weighted log-likelihood ``sum_n w[n] log f(y[n]; mu[n])``, with ``mu =
     g^{-1}(X beta)``; with unit weights, the ordinary one."""
-    mu = predict_mean(spec, beta)
-    y = spec.response
-    terms = _LOG_HALF_PI + np.log(y) - 2.0 * np.log(mu) - _QUARTER_PI * (y / mu) ** 2
+    terms = distribution.logpdf(spec.response, predict_mean(spec, beta))
     if weights is None:
         return float(np.sum(terms))
     w = _check_weights(spec, weights)
@@ -136,7 +132,7 @@ def score(spec: ModelSpec, beta, weights=None) -> np.ndarray:
     """Gradient of :func:`weighted_loglik` with respect to ``beta``."""
     mu = predict_mean(spec, beta)
     link = spec.link
-    s, _ = link.newton_terms(link.link(mu), _QUARTER_PI * (spec.response / mu) ** 2)
+    s, _ = link.newton_terms(link.link(mu), distribution._QUARTER_PI * (spec.response / mu) ** 2)
     if weights is None:
         return spec.design.X.T @ s
     w = _check_weights(spec, weights)

@@ -132,14 +132,19 @@ def read_image(path, digest=None) -> np.ndarray:
     return read_image_rrm(path, digest)
 
 
-def write_mask_pgm(mask, path) -> None:
-    """Nonzero pixels as 255, the rest as 0: one pass, negating the bool
-    mask's bytes (1 wraps to 255) into a C-ordered raster."""
+def _mask_bytes(mask) -> np.ndarray:
+    """A 2-D mask as one byte per pixel, 1 where it is nonzero and 0 elsewhere."""
     mask = np.asarray(mask)
     if mask.ndim != 2:
         raise ValueError("mask must be 2-D")
-    rows, cols = mask.shape
-    payload = np.negative(mask.astype(bool, copy=False).view(np.uint8), order="C")
+    return mask.astype(bool, copy=False).view(np.uint8)
+
+
+def write_mask_pgm(mask, path) -> None:
+    """Nonzero pixels as 255, the rest as 0: one pass, negating the bool
+    mask's bytes (1 wraps to 255) into a C-ordered raster."""
+    payload = np.negative(_mask_bytes(mask), order="C")
+    rows, cols = payload.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
         fh.write(payload)
@@ -169,9 +174,6 @@ def write_mask_csv(mask, path) -> None:
     """Nonzero pixels as ``1``, the rest as ``0``, built in one pass: each
     pixel is the little-endian uint16 ``0x2C30 + m``, the bytes ``"0,"`` or
     ``"1,"``, and each row's last comma then becomes a newline."""
-    mask = np.asarray(mask)
-    if mask.ndim != 2:
-        raise ValueError("mask must be 2-D")
-    buf = np.add(mask.astype(bool, copy=False).view(np.uint8), np.uint16(0x2C30), dtype="<u2", order="C")
+    buf = np.add(_mask_bytes(mask), np.uint16(0x2C30), dtype="<u2", order="C")
     buf.view(np.uint8)[:, -1] = ord("\n")
     Path(path).write_bytes(buf)

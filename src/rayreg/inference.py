@@ -26,7 +26,6 @@ __all__ = [
     "quantile_residuals",
     "quantile_residuals_from_mean",
     "RESIDUAL_CLAMP_EPS",
-    "spd_solve",
 ]
 
 #: Probability clamp for residuals at numerically extreme pixels.  Keeps the

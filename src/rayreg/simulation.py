@@ -290,8 +290,10 @@ def _run(per_rep, cfg: ScenarioConfig, sweep: tuple, workers: int) -> np.ndarray
     serially or one worker process per chunk.  Each replication draws from
     its own generator, so the chunking never moves a bit of the result.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     total = cfg.replications
-    per = max(1, math.ceil(total / max(1, workers)))
+    per = max(1, math.ceil(total / workers))
     jobs = [(per_rep, cfg, sweep, lo, min(lo + per, total)) for lo in range(0, total, per)]
     if workers <= 1 or len(jobs) <= 1:
         parts = [_chunk(*job) for job in jobs]
@@ -322,6 +324,11 @@ def run_table(cfgs, workers: int = 1) -> list[ScenarioReport]:
     return [_run_cell(cfg, workers) for cfg in cfgs]
 
 
+def _curve_csv(header: str, *columns) -> str:
+    """A header line, then one line per point, each value as ``repr`` writes it."""
+    return "\n".join([header, *(",".join(map(repr, row)) for row in zip(*columns))]) + "\n"
+
+
 @dataclass(frozen=True)
 class BreakdownCurve:
     """Total |RB%| of each estimator as a function of the outlier count."""
@@ -332,10 +339,8 @@ class BreakdownCurve:
     convergence_failures: int
 
     def to_csv(self) -> str:
-        lines = ["outliers,mle_total_rb,wmle_total_rb"]
-        for c, m, w in zip(self.counts, self.mle_total_rb, self.wmle_total_rb):
-            lines.append(f"{c},{m!r},{w!r}")
-        return "\n".join(lines) + "\n"
+        return _curve_csv("outliers,mle_total_rb,wmle_total_rb", self.counts,
+                          self.mle_total_rb, self.wmle_total_rb)
 
 
 def breakdown_curve(cfg: ScenarioConfig, outlier_counts, workers: int = 1) -> BreakdownCurve:
@@ -373,10 +378,8 @@ class SensitivityCurve:
     convergence_failures: int
 
     def to_csv(self) -> str:
-        lines = ["outlier_value,mle_masc,wmle_masc"]
-        for v, m, w in zip(self.values, self.mle_masc, self.wmle_masc):
-            lines.append(f"{v!r},{m!r},{w!r}")
-        return "\n".join(lines) + "\n"
+        return _curve_csv("outlier_value,mle_masc,wmle_masc", self.values, self.mle_masc,
+                          self.wmle_masc)
 
 
 def sensitivity_curve(cfg: ScenarioConfig, outlier_values, workers: int = 1) -> SensitivityCurve:

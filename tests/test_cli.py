@@ -139,6 +139,21 @@ class TestFitCommand:
             fits.append((out / "fit.json").read_bytes())
         assert fits[0] == fits[1]
 
+    def test_blank_rows_fit_like_none(self, region_csv, tmp_path):
+        # Empty and whitespace-only lines between the rows, and at the end.
+        lines = region_csv.read_text().splitlines(keepends=True)
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text("".join([lines[0], "\n", *lines[1:3], " \t\n", ",  ,\n", *lines[3:],
+                                   "\n", "  \n"]))
+        artifacts = []
+        for data in (region_csv, spaced):
+            out = tmp_path / data.stem
+            assert main(["fit", "--data", str(data), "--response", "amplitude",
+                         "--dummy", "region", "--reference", "A", "--method", "both",
+                         "--format", "csv", "--out-dir", str(out)]) == 0
+            artifacts.append({f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"})
+        assert artifacts[0] == artifacts[1] and artifacts[0]
+
     def test_explicit_covariates_text_format(self, tmp_path):
         rng = np.random.default_rng(3)
         x = rng.random(100)
@@ -544,6 +559,13 @@ class TestMalformedInputs:
             ["sensitivity", "--config", "{sim}", "--values", "1:2:3:4"],
             ["sensitivity", "--config", "{sim}", "--values", "1:5:0"],
             ["breakdown", "--config", "{sim}", "--counts", ","],
+            ["simulate", "--config", "{sim}", "--threads", "0"],
+            ["breakdown", "--config", "{sim}", "--counts", "0:2", "--threads", "-3"],
+            ["sensitivity", "--config", "{sim}", "--values", "1:2", "--threads", "-1"],
+            ["synth-scene", "--rows", "99", "--cols", "120", "--training-rows", "25"],
+            ["synth-scene", "--rows", "120", "--cols", "120", "--training-rows", "25",
+             "--training-contamination", "0.5"],
+            ["synth-scene", "--rows", "120", "--cols", "120", "--training-rows", "60"],
         ],
         ids=["config-dir", "data-dir", "interest-dir", "truth-dir", "out-dir-is-file",
              "control-limit-nan", "control-limit-inf", "merge-distance-nan", "pixel-size-nan",
@@ -552,7 +574,9 @@ class TestMalformedInputs:
              "dummy-column-missing", "reference-not-a-label", "no-intercept-no-covariates",
              "wald-unknown-coefficient", "wald-null-length", "sim-config-not-an-object",
              "sim-config-without-n", "breakdown-two-n", "sim-config-missing", "range-four-parts",
-             "range-zero-step", "empty-value-list"],
+             "range-zero-step", "empty-value-list", "simulate-threads-0",
+             "breakdown-threads-negative", "sensitivity-threads-negative", "scene-too-small",
+             "scene-contamination-half", "scene-training-rows-half"],
     )
     def test_one_error_line_and_exit_1(
         self, argv, scene_dir, sim_config, region_csv, tmp_path, capsys
@@ -1354,6 +1378,22 @@ class TestRerun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {key} must be "), err
         assert not second.exists()
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_rerun_refuses_threads_below_one(self, threads, sim_config, tmp_path, capsys):
+        # A worker cap below one used to run serially and be recorded as given.
+        first = tmp_path / "a"
+        assert main(["simulate", "--config", str(sim_config), "--out-dir", str(first)]) == 0
+        manifest = _read_json(first / "manifest.json")
+        manifest["config"]["threads"] = threads
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        second = tmp_path / "b"
+        assert main(["rerun", "--manifest", str(edited), "--out-dir", str(second)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: workers must be at least 1, got {threads}"]
+        assert not (second / "manifest.json").exists()
 
     def test_rerun_refuses_a_command_that_is_not_a_name(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"

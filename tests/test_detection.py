@@ -124,6 +124,13 @@ class TestMorphology:
         with pytest.raises(ValueError):
             erode(np.zeros((4, 4), bool), 2)
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+    @pytest.mark.parametrize("op", [lambda m: erode(m, 3), lambda m: dilate(m, 3), extract_clusters],
+                             ids=["erode", "dilate", "extract_clusters"])
+    def test_mask_of_other_than_two_dimensions_refused(self, op, shape):
+        with pytest.raises(ValueError, match="mask must be 2-D"):
+            op(np.ones(shape, bool))
+
     @given(
         mask=arrays(bool, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12)),
         size=st.sampled_from([1, 3, 5, 7]),
@@ -308,6 +315,23 @@ class TestClustersMatchReference:
         counts = sorted(c[3] for c in clusters)
         assert counts.count(members) >= 3 and counts[0] == 1
 
+    @pytest.mark.parametrize("members", [9, 12, 17, 40])
+    def test_one_merged_cluster_of_many_components(self, members):
+        # Two-row components of 2 to 12 pixels, 8 columns apart on three
+        # rows, merge into one cluster beside a lone pixel: segments of 9 or
+        # more terms, which numpy sums pairwise.  The centroids lie off the
+        # grid, and for some components of 7 or 11 pixels size * centroid
+        # misses the whole pixel sum it came from by an ulp.
+        mask = np.zeros((24, 8 * members + 2), bool)
+        for k in range(members):
+            r, c = 3 + k % 3, 8 * k
+            mask[r, c : c + 1 + k % 7] = True
+            mask[r + 1, c + k % 2 : c + 1 + (3 * k) % 7] = True
+        mask[-1, -1] = True
+        clusters = _as_tuples(extract_clusters(mask, merge_distance=12.0))
+        assert clusters == detect_reference.extract_clusters(mask, 12.0)
+        assert sorted(c[3] for c in clusters) == [1, members]
+
 
 class TestThresholdMatchesReference:
     """Ratio-space flagging equals thresholding the residual field."""
@@ -486,6 +510,11 @@ class TestScoring:
             detect_reference.score_detections(clusters, truths, radius_m, pixel_size_m)
         )
 
+    @pytest.mark.parametrize("radius_m", [-1.0, math.inf, math.nan])
+    def test_radius_must_be_nonnegative_and_finite(self, radius_m):
+        with pytest.raises(ValueError, match="radius must be nonnegative and finite"):
+            score_detections((Cluster(0.0, 0.0, 1),), [(0, 0)], radius_m)
+
     def test_pixel_size_scales_distances(self):
         clusters = (Cluster(0.0, 6.0, 1),)
         assert score_detections(clusters, [(0, 0)], radius_m=10.0, pixel_size_m=1.0)[0] == 1
@@ -528,6 +557,16 @@ class TestDetect:
         with pytest.raises(ValueError, match=r"^training pixel at \(row, col\) \(13, 27\) has "
                                              r"amplitude 1e\+200, which overflows"):
             detect(img, [], (10, 0, 30, 40))
+
+    @pytest.mark.parametrize("interest, kwargs, message", [
+        (np.full(1600, 2.5), {}, r"interest image must be a 2-D array, got shape \(1600,\)"),
+        (np.full((40, 40, 1), 2.5), {}, "interest image must be a 2-D array"),
+        (np.full((40, 40), 2.5), {"method": "bfgs"}, "method must be 'wmle' or 'mle'"),
+        (np.full((40, 40), -2.5), {}, "interest image must be nonnegative"),
+    ], ids=["1-d", "3-d", "unknown-method", "negative-pixels"])
+    def test_malformed_arguments_refused(self, interest, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            detect(interest, [], (0, 0, 20, 40), **kwargs)
 
     def test_shape_mismatch(self):
         img = np.full((40, 40), 2.5)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import kstest
 
-from rayreg import RayleighMean, distribution
+from rayreg import distribution
 
 # High-precision evaluations of the closed forms (30-digit arithmetic).
 PDF_AT_1_1 = 0.716185936340569152781584102534
@@ -21,7 +21,7 @@ MEDIAN_MU1 = 0.93943727869965133377234032841
 class TestPdf:
     def test_vanishes_at_zero(self):
         assert distribution.pdf(0.0, 1.0) == 0.0
-        assert RayleighMean(3.7).pdf(0.0) == 0.0
+        assert distribution.pdf(0.0, 3.7) == 0.0
 
     def test_frozen_value(self):
         assert distribution.pdf(1.0, 1.0) == pytest.approx(PDF_AT_1_1, rel=1e-14)
@@ -126,9 +126,8 @@ class TestCdfQuantile:
 
 class TestSampling:
     def test_deterministic_given_seed(self):
-        d = RayleighMean(2.0)
-        a = d.sample(np.random.default_rng(123), size=50)
-        b = d.sample(np.random.default_rng(123), size=50)
+        a = distribution.sample(2.0, np.random.default_rng(123), size=50)
+        b = distribution.sample(2.0, np.random.default_rng(123), size=50)
         assert np.array_equal(a, b)
 
     def test_law_of_large_numbers(self):
@@ -139,8 +138,7 @@ class TestSampling:
         assert abs(draws.mean() - mu) <= 3.0 * sigma / math.sqrt(n)
 
     def test_kolmogorov_smirnov(self):
-        d = RayleighMean(1.3)
-        draws = d.sample(np.random.default_rng(7), size=10_000)
+        draws = distribution.sample(1.3, np.random.default_rng(7), size=10_000)
         stat = kstest(draws, lambda y: distribution.cdf(y, 1.3))
         assert stat.pvalue > 0.01
 
@@ -150,20 +148,19 @@ class TestSampling:
 
 
 class TestRayleighMean:
+    """The mean-parameterized law as a whole: its moments and its check on mu."""
+
     def test_moments(self):
-        d = RayleighMean(3.0)
-        assert d.mean == 3.0
-        assert d.variance == pytest.approx(9.0 * (4.0 / math.pi - 1.0), rel=1e-15)
+        # Var(Y) = mu^2 (4/pi - 1), as the module docstring states.
+        mu = 3.0
+        second, _ = quad(lambda y: y * y * distribution.pdf(y, mu), 0.0, 60.0 * mu, limit=200)
+        assert second - mu * mu == pytest.approx(mu * mu * (4.0 / math.pi - 1.0), rel=1e-9)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, -math.inf, math.nan])
     def test_rejects_invalid_mu(self, bad):
+        for fn in (distribution.pdf, distribution.logpdf, distribution.cdf, distribution.quantile):
+            for mu in (bad, [1.0, bad], [[bad], [2.0]]):
+                with pytest.raises(ValueError):
+                    fn(0.5, mu)
         with pytest.raises(ValueError):
-            RayleighMean(bad)
-        for mu in (bad, [1.0, bad], [[bad], [2.0]]):
-            with pytest.raises(ValueError):
-                distribution.cdf(0.5, mu)
-
-    def test_immutable(self):
-        d = RayleighMean(1.0)
-        with pytest.raises(AttributeError):
-            d.mu = 2.0
+            distribution.sample(bad, np.random.default_rng(0))

@@ -89,6 +89,14 @@ class TestWeightedLoglik:
         with pytest.raises(ValueError, match="weights"):
             weighted_loglik(spec, [0.4, 0.1], np.full(spec.n_obs, 1.5))
 
+    @pytest.mark.parametrize("fn", [weighted_loglik, score])
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_rejects_weights_of_another_length(self, fn, extra):
+        spec = _simulated_spec(3)
+        weights = np.ones(spec.n_obs + extra)
+        with pytest.raises(ValueError, match=rf"weights must have shape \({spec.n_obs},\)"):
+            fn(spec, [0.4, 0.1], weights)
+
 
 class TestScore:
     def test_zero_at_score_neutral_response(self):
@@ -287,6 +295,12 @@ class TestObjective:
         assert (point is None) == infeasible
 
 class TestComputeWeights:
+    @pytest.mark.parametrize("delta", [0.0, 0.5, -0.1, math.nan])
+    def test_delta_outside_zero_to_one_half_refused(self, delta):
+        spec = ModelSpec.build(np.ones((2, 1)), np.ones(2))
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 0.5\)"):
+            compute_weights(spec, np.ones(2), delta)
+
     def test_middle_branch_is_one(self):
         mu = 1.0
         y_mid = distribution.quantile(0.5, mu)

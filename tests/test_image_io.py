@@ -191,3 +191,16 @@ class TestPgm:
         image_io.write_mask_pgm(mask, fast)
         detect_reference.write_mask_pgm(mask, slow)
         assert fast.read_bytes() == slow.read_bytes()
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+@pytest.mark.parametrize("write, message", [
+    (image_io.write_image_csv, "expected a 2-D image"),
+    (image_io.write_image_rrm, "expected a 2-D image"),
+    (image_io.write_mask_pgm, "mask must be 2-D"),
+    (image_io.write_mask_csv, "mask must be 2-D"),
+], ids=["image-csv", "image-rrm", "mask-pgm", "mask-csv"])
+def test_writers_refuse_other_than_two_dimensions(write, message, shape, tmp_path):
+    with pytest.raises(ValueError, match=message):
+        write(np.ones(shape), tmp_path / "out")
+    assert not (tmp_path / "out").exists()

@@ -27,11 +27,8 @@ from rayreg import (
     quantile_residuals,
     wald_test,
 )
-from rayreg.inference import (
-    RESIDUAL_CLAMP_EPS,
-    quantile_residuals_from_mean,
-    spd_solve,
-)
+from rayreg.inference import RESIDUAL_CLAMP_EPS, quantile_residuals_from_mean
+from rayreg.regression import spd_solve
 
 CHI2_1_95 = 3.841458820694124
 P_REFERENCE_CASE = 0.024971546225560044  # sf of (0.1168/0.0521)^2 on one dof
@@ -93,6 +90,17 @@ class TestSpdSolve:
 
 
 class TestFisherInformation:
+    @pytest.mark.parametrize("mu, message", [
+        (np.ones(239), r"mu must have shape \(240,\), got \(239,\)"),
+        (np.ones((240, 1)), r"mu must have shape \(240,\)"),
+        (np.zeros(240), "mu must be strictly positive"),
+        (np.r_[np.ones(239), -1.0], "mu must be strictly positive"),
+    ], ids=["short", "column", "zero", "negative"])
+    def test_malformed_mean_refused(self, mu, message):
+        spec, _ = _fitted(2)
+        with pytest.raises(ValueError, match=message):
+            fisher_information(spec, mu)
+
     def test_log_link_is_four_xtx(self):
         spec, fit = _fitted(2)
         X = spec.design.X
@@ -229,6 +237,12 @@ class TestWaldTest:
             wald_test(fit, (1, 1), np.zeros(2))
         with pytest.raises(ValueError, match="match"):
             wald_test(fit, (1,), np.zeros(2))
+
+    @pytest.mark.parametrize("interest", [(2,), (-1,), (0, 5)])
+    def test_interest_index_out_of_range_refused(self, interest):
+        _, fit = _fitted(10)
+        with pytest.raises(ValueError, match=r"interest indices must lie in \[0, 2\)"):
+            wald_test(fit, interest, np.zeros(len(interest)))
 
     def test_singular_interest_block_refused(self):
         # This information is positive definite, but its inverse rounds to

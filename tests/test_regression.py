@@ -99,6 +99,18 @@ class TestDesignMatrix:
         with pytest.raises(ValueError, match="more observations"):
             DesignMatrix(np.ones((2, 2)))
 
+    @pytest.mark.parametrize("X, names, message", [
+        (np.ones(5), (), "design matrix must be 2-D"),
+        (np.ones((5, 2, 1)), (), "design matrix must be 2-D"),
+        (np.ones((5, 0)), (), "at least one column"),
+        (np.array([[1.0, 0.5], [1.0, math.nan], [1.0, 2.0]]), (), "non-finite"),
+        (np.array([[1.0, 0.5], [1.0, math.inf], [1.0, 2.0]]), (), "non-finite"),
+        (np.ones((5, 2)) * [1.0, 0.5], ("a", "b", "c"), "expected 2 column names, got 3"),
+    ], ids=["1-d", "3-d", "no-columns", "nan", "inf", "names-length"])
+    def test_malformed_design_refused(self, X, names, message):
+        with pytest.raises(ValueError, match=message):
+            DesignMatrix(X, names)
+
     def test_rank_check_catches_duplicate_column(self):
         x = np.random.default_rng(0).random(20)
         d = DesignMatrix(np.column_stack([np.ones(20), x, x]))
@@ -214,6 +226,11 @@ class TestModelSpec:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
             _spec(np.ones((5, 1)), np.ones(4))
+
+    @pytest.mark.parametrize("response", [np.ones((5, 1)), np.ones((1, 5)), np.float64(1.0)])
+    def test_rejects_a_response_that_is_not_a_vector(self, response):
+        with pytest.raises(ValueError, match="response must be a 1-D vector"):
+            _spec(np.ones((5, 1)), response)
 
 
 class TestPredictMean:

@@ -99,6 +99,7 @@ class TestSimulateSignal:
             {"max_iter": 0},
             {"grad_tol": math.nan},
             {"grad_tol": math.inf},
+            {"beta_true": ()},
         ],
     )
     def test_non_finite_and_robust_fields_refused(self, kwargs):
