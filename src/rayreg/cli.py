@@ -87,7 +87,9 @@ def _json_dumps(obj) -> str:
 
 
 def _write(out_dir: Path, name: str, content, writer=None) -> str:
-    """Write ``content`` to ``out_dir / name``, as UTF-8 text or by ``writer(content, path)``."""
+    """Write ``content`` to ``out_dir / name``, as UTF-8 text or by ``writer(content, path)``.
+    The first write makes ``out_dir``, so a refused run leaves none behind."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     if writer is None:
         (out_dir / name).write_text(content, encoding="utf-8")
     else:
@@ -579,7 +581,6 @@ def _execute(command, config, out_dir: Path) -> int:
             _check_value(key, config[key], getattr(kind, "kind", kind),
                          "list" if isinstance(kind, _CommaList) else None,
                          kwargs.get("default") is None and not kwargs.get("required"))
-    out_dir.mkdir(parents=True, exist_ok=True)
     inputs = {}  # every input file the handler read -> sha256 of the bytes it read
     outputs = _COMMANDS[command][0](config, out_dir, inputs)
     manifest = {

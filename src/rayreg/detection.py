@@ -324,15 +324,28 @@ def extract_clusters(mask, merge_distance: float = 0.0, pixel_size_m: float = 1.
     labels, n_comp = ndimage.label(mask, structure=_EIGHT_CONNECTED)
     if n_comp == 0:
         return ()
-    # Per-label sums in flat-index order, as ndimage.sum_labels and
-    # center_of_mass accumulate them, so the centroids match theirs exactly.
-    flat = np.flatnonzero(mask)  # the labels are nonzero exactly there
-    lab = labels.ravel()[flat]
-    rows, cols = np.divmod(flat, mask.shape[1])
-    sizes = np.bincount(lab, minlength=n_comp + 1)[1:].astype(np.float64)
-    centroids = np.column_stack(
-        [np.bincount(lab, weights=v, minlength=n_comp + 1)[1:] / sizes for v in (rows, cols)]
-    )
+    # Per-label pixel counts and coordinate sums, a block of rows at a time,
+    # each block over the span of labels it holds.  The sums are of integers
+    # below 2**53, exact in any order, so the centroids match
+    # ndimage.center_of_mass's bit for bit.
+    width = mask.shape[1]
+    step = max(1, _BLOCK // width)
+    sizes, row_sums, col_sums = np.zeros((3, n_comp + 1))
+    for r0 in range(0, mask.shape[0], step):
+        at = np.flatnonzero(mask[r0 : r0 + step])  # the labels are nonzero exactly there
+        if at.size == 0:
+            continue
+        lab = labels[r0 : r0 + step].ravel()[at]
+        lo = lab.min()
+        lab -= lo
+        rows, cols = np.divmod(at, width)
+        counts = np.bincount(lab)
+        span = slice(lo, lo + counts.size)
+        sizes[span] += counts
+        row_sums[span] += np.bincount(lab, weights=rows + r0)
+        col_sums[span] += np.bincount(lab, weights=cols)
+    sizes = sizes[1:]
+    centroids = np.column_stack([row_sums[1:] / sizes, col_sums[1:] / sizes])
 
     # Single-linkage merge on centroid distance: the k-d tree proposes pairs
     # within a slightly larger radius, the exact predicate decides.
@@ -403,7 +416,9 @@ def _check_image(arr, name: str) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be a 2-D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    # Reductions, not a bool image: min and max propagate NaN, and
+    # ``initial`` lets an empty image pass.
+    if not (arr.min(initial=math.inf) > -math.inf and arr.max(initial=-math.inf) < math.inf):
         raise ValueError(f"{name} contains non-finite pixels")
     return arr
 
@@ -417,6 +432,41 @@ def _check_region(region, shape) -> tuple:
     if not (0 <= r0 < r1 <= rows and 0 <= c0 < c1 <= cols):
         raise ValueError(f"training region {region} does not fit image shape {shape}")
     return r0, c0, r1, c1
+
+
+def _fit_training(interest, covariates, region, robust, method, link) -> FitResult:
+    """The ``method`` fit on the training window ``region``.  Only that fit
+    leaves: the design, with its kept factorizations, and the other fit are
+    freed before the whole image is flagged."""
+    r0, c0, r1, c1 = region
+    k = 1 + len(covariates)
+    window = np.s_[r0:r1, c0:c1]
+    y_train = interest[window].ravel()
+    if y_train.size < 10 * k:
+        raise ValueError(
+            f"training region holds {y_train.size} pixels; need at least {10 * k} for {k} parameters"
+        )
+    nonpos = np.flatnonzero(y_train <= 0.0)
+    if nonpos.size:
+        width = c1 - c0
+        coords = [(r0 + int(i) // width, c0 + int(i) % width) for i in nonpos[:10]]
+        raise ValueError(
+            f"training region contains {nonpos.size} nonpositive pixel(s), "
+            f"first at (row, col): {coords}"
+        )
+
+    names = ("intercept",) + tuple(f"cov{i + 1}" for i in range(len(covariates)))
+    X_train = np.column_stack([np.ones(y_train.size)] + [c[window].ravel() for c in covariates])
+    spec = ModelSpec(design=DesignMatrix(X_train, names), link=link, response=y_train)
+    try:
+        mle, wmle = fit_both(spec, robust)
+    except InfeasibleStartError as exc:
+        if exc.row is None:
+            raise
+        r, c = divmod(exc.row, c1 - c0)
+        raise ValueError(f"training pixel at (row, col) {(r0 + r, c0 + c)} has amplitude "
+                         f"{float(y_train[exc.row])!r}, which overflows the log-likelihood") from None
+    return wmle if method == "wmle" else mle
 
 
 def detect(
@@ -453,7 +503,7 @@ def detect(
     if method not in ("wmle", "mle"):
         raise ValueError("method must be 'wmle' or 'mle'")
     interest = _check_image(interest, "interest image")
-    if np.any(interest < 0):
+    if interest.min(initial=0.0) < 0.0:
         raise ValueError("interest image must be nonnegative")
     covariates = [_check_image(c, f"covariate {i + 1}") for i, c in enumerate(covariates)]
     for i, cov in enumerate(covariates):
@@ -461,41 +511,15 @@ def detect(
             raise ValueError(
                 f"covariate {i + 1} shape {cov.shape} does not match interest {interest.shape}"
             )
-    r0, c0, r1, c1 = _check_region(training_region, interest.shape)
-
-    k = 1 + len(covariates)
-    window = np.s_[r0:r1, c0:c1]
-    y_train = interest[window].ravel()
-    if y_train.size < 10 * k:
-        raise ValueError(
-            f"training region holds {y_train.size} pixels; need at least {10 * k} for {k} parameters"
-        )
-    nonpos = np.flatnonzero(y_train <= 0.0)
-    if nonpos.size:
-        width = c1 - c0
-        coords = [(r0 + int(i) // width, c0 + int(i) % width) for i in nonpos[:10]]
-        raise ValueError(
-            f"training region contains {nonpos.size} nonpositive pixel(s), "
-            f"first at (row, col): {coords}"
-        )
-
-    names = ("intercept",) + tuple(f"cov{i + 1}" for i in range(len(covariates)))
-    X_train = np.column_stack([np.ones(y_train.size)] + [c[window].ravel() for c in covariates])
-    spec = ModelSpec(design=DesignMatrix(X_train, names), link=link, response=y_train)
-    try:
-        mle, wmle = fit_both(spec, robust)
-    except InfeasibleStartError as exc:
-        if exc.row is None:
-            raise
-        r, c = divmod(exc.row, c1 - c0)
-        raise ValueError(f"training pixel at (row, col) {(r0 + r, c0 + c)} has amplitude "
-                         f"{float(y_train[exc.row])!r}, which overflows the log-likelihood") from None
-    fit = wmle if method == "wmle" else mle
+    region = _check_region(training_region, interest.shape)
+    fit = _fit_training(interest, covariates, region, robust, method, link)
 
     raw = flag_out_of_control(
         interest, covariates, fit.beta_hat, cfg.control_limit, cfg.two_sided, link
     )
+    n_flagged = int(np.count_nonzero(raw))
     mask = postprocess(raw, cfg)
+    del raw
     clusters = extract_clusters(mask, cfg.merge_distance, cfg.pixel_size_m)
 
     hits = false_alarms = missed = None
@@ -508,7 +532,7 @@ def detect(
         mask=mask,
         clusters=clusters,
         fit=fit,
-        n_flagged=int(np.count_nonzero(raw)),
+        n_flagged=n_flagged,
         hits=hits,
         false_alarms=false_alarms,
         missed=missed,

@@ -92,7 +92,7 @@ def write_image_rrm(arr, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", rows, cols))
-        fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(arr, dtype="<f8"))  # the buffer itself, not a copy
 
 
 def read_image_rrm(path, digest=None) -> np.ndarray:

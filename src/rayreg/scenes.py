@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import distribution
+from .detection import _BLOCK
 from .simulation import rng_for
 
 __all__ = ["SyntheticScene", "make_scene"]
@@ -82,10 +83,17 @@ def make_scene(
     ramp = np.linspace(0.0, 1.0, cols)
     covariate = np.tile(ramp, (rows, 1))
     beta = (np.log(mu_low), np.log(mu_high / mu_low))
-    mu = mu_low * np.exp(beta[1] * covariate)
+    mu = mu_low * np.exp(beta[1] * ramp)  # every covariate row is the ramp
 
+    # Drawn and inverted a block of rows at a time.  Consecutive draws
+    # continue one stream, so the pixels, and the salt drawn after them,
+    # are those of one whole-image draw.
     rng = rng_for(seed, _SCENE_STREAM)
-    interest = distribution.quantile(rng.random((rows, cols)), mu)
+    interest = np.empty((rows, cols))
+    step = max(1, _BLOCK // cols)
+    for r in range(0, rows, step):
+        block = interest[r : r + step]
+        block[...] = distribution.quantile(rng.random(block.shape), mu)
 
     train_r0 = rows - training_rows
     training_region = (train_r0, 0, rows, cols)

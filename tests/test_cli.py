@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 import rayreg
 import rayreg.cli
 import rayreg.estimation
+import rayreg.optim
 from rayreg import distribution, image_io, scenes
 from rayreg.cli import _parse_range, main
 
@@ -221,6 +222,20 @@ class TestFitCommand:
             f"error: {path}: line 19: response 'y' value 1e+200 overflows the log-likelihood\n"
         )
 
+    def test_infeasible_start_without_a_row_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # Only an error that names a response is restated with its line.
+        def infeasible(spec, cfg):
+            raise rayreg.optim.InfeasibleStartError("objective is not finite at the start")
+
+        monkeypatch.setattr(rayreg.cli, "fit_both", infeasible)
+        path = tmp_path / "data.csv"
+        path.write_bytes(_DATA_CSV)
+        rc = main(["fit", "--data", str(path), "--response", "y", "--covariates", "x",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: objective is not finite at the start\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "column, cell, kind",
         [("y", "nan", "non-finite"), ("y", "-inf", "non-finite"), ("x", "inf", "non-finite"),
@@ -303,7 +318,7 @@ class TestOneFitCommands:
         assert main(argv + ["--method", "both", "--out-dir", str(refused)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {command} reports one fit; --method must be mle or wmle"]
-        assert not list(refused.iterdir())
+        assert not refused.exists()
         # A rerun manifest edited to ask for both is refused alike.
         out = tmp_path / "out"
         assert main(argv + ["--method", "wmle", "--out-dir", str(out)]) == 0
@@ -601,6 +616,7 @@ class TestMalformedInputs:
             assert main(resolved) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "out").exists()  # a refused run makes no output directory
 
 
     @pytest.mark.parametrize(
@@ -1100,7 +1116,7 @@ class TestDetectCommands:
         assert main(argv + ["--out-dir", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: training region must be four values (row0, col0, row1, col1), got {given}"]
-        assert not list((tmp_path / "x").iterdir())
+        assert not (tmp_path / "x").exists()
 
     def test_each_input_read_once_and_digested(self, scene_dir, tmp_path, monkeypatch):
         # Four inputs, images in both formats; the manifest's digests are of
@@ -1277,6 +1293,20 @@ class TestRerun:
         assert capsys.readouterr().err.splitlines() == [
             "error: --format must be json, text, or csv"]
         assert not second.exists() or not list(second.iterdir())
+
+    def test_fit_rerun_refuses_an_unknown_method(self, region_csv, tmp_path, capsys):
+        first = tmp_path / "a"
+        assert main(["fit", "--data", str(region_csv), "--response", "amplitude",
+                     "--out-dir", str(first)]) == 0
+        manifest = _read_json(first / "manifest.json")
+        manifest["config"]["method"] = "ols"
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        second = tmp_path / "b"
+        assert main(["rerun", "--manifest", str(edited), "--out-dir", str(second)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: --method must be mle, wmle, or both"]
+        assert not second.exists()
 
     def test_simulate_rerun_byte_identical(self, sim_config, tmp_path):
         first = tmp_path / "a"

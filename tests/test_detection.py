@@ -1,6 +1,7 @@
 """Control chart, binary morphology vs brute-force oracle, clusters, scoring."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import detect_reference
+import rayreg.detection
 from rayreg import inference
 from rayreg.detection import (
+    _BLOCK,
     Cluster,
     DetectorConfig,
     _GUARD,
@@ -27,6 +30,7 @@ from rayreg.detection import (
     score_detections,
     threshold_residuals,
 )
+from rayreg.optim import InfeasibleStartError
 from rayreg.scenes import make_scene
 
 from morph_oracle import brute_dilate, brute_erode, brute_opening
@@ -254,13 +258,36 @@ class TestClustersMatchReference:
             st.floats(0.0, 20.0),
         ),
         pixel_size_m=st.sampled_from([1.0, 0.1, 0.3, 2.5]),
+        block=st.sampled_from([_BLOCK, 1, 7, 64, 200]),
     )
-    @settings(deadline=None, max_examples=120)
-    def test_random_masks(self, seed, shape, density, merge_distance, pixel_size_m):
+    @settings(deadline=None, max_examples=150)
+    def test_random_masks(self, seed, shape, density, merge_distance, pixel_size_m, block):
+        # Below the real block size the sums run over blocks of a few rows,
+        # or of one row narrower than the mask, so that components span
+        # several blocks.
         mask = np.random.default_rng(seed).random(shape) < density
-        assert _as_tuples(extract_clusters(mask, merge_distance, pixel_size_m)) == (
-            detect_reference.extract_clusters(mask, merge_distance, pixel_size_m)
-        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rayreg.detection, "_BLOCK", block)
+            clusters = _as_tuples(extract_clusters(mask, merge_distance, pixel_size_m))
+        assert clusters == detect_reference.extract_clusters(mask, merge_distance, pixel_size_m)
+
+    def test_components_across_row_block_edges(self):
+        # 218 rows a block at this width, so four blocks: bars, crosses and
+        # squares straddle each edge, among sparse single pixels.
+        rows, cols = 700, 300
+        step = _BLOCK // cols
+        assert rows > 3 * step
+        mask = np.random.default_rng(9).random((rows, cols)) < 0.0005
+        for k, edge in enumerate(range(step, rows, step)):
+            mask[edge - 30 : edge + 40, 10 + 40 * k] = True  # a vertical bar
+            mask[edge - 3 : edge + 3, 150 + 30 * k : 160 + 30 * k] = True  # a block
+            mask[edge - 5 : edge + 6, 250 - 5 * k] = True
+            mask[edge - 1 : edge + 1, 240 - 5 * k : 262 - 5 * k] = True  # a cross
+        mask[:, 290] = True  # one column through every block
+        for merge_distance in (0.0, 10.0, 40.0):
+            assert _as_tuples(extract_clusters(mask, merge_distance)) == (
+                detect_reference.extract_clusters(mask, merge_distance)
+            )
 
     @pytest.mark.parametrize("pixel_size_m", [1.0, 0.1, 0.3, 2.5])
     @pytest.mark.parametrize("scale", [1, 2, 3])
@@ -557,6 +584,44 @@ class TestDetect:
         with pytest.raises(ValueError, match=r"^training pixel at \(row, col\) \(13, 27\) has "
                                              r"amplitude 1e\+200, which overflows"):
             detect(img, [], (10, 0, 30, 40))
+
+    def test_infeasible_start_without_a_row_passes_through(self, monkeypatch):
+        # Only an error that names a training pixel is restated with its position.
+        def infeasible(spec, robust):
+            raise InfeasibleStartError("objective is not finite at the start")
+
+        monkeypatch.setattr(rayreg.detection, "fit_both", infeasible)
+        img = np.random.default_rng(3).uniform(1.0, 3.0, (40, 40))
+        with pytest.raises(InfeasibleStartError, match="^objective is not finite at the start$"):
+            detect(img, [], (10, 0, 30, 40))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["interest image", "covariate 1"])
+    def test_non_finite_pixels_refused(self, value, where):
+        img, cov = np.full((40, 40), 2.5), np.ones((40, 40))
+        (img if where == "interest image" else cov)[27, 13] = value
+        cov[0, 0] = -1.0  # a covariate may be negative
+        if where == "interest image":
+            img[0, 0] = -1.0  # the finiteness check comes first
+        with pytest.raises(ValueError, match=f"^{where} contains non-finite pixels$"):
+            detect(img, [cov], (0, 0, 20, 40))
+
+    def test_peak_memory_per_pixel(self):
+        # Above its inputs, detection holds the mask and the label image, one
+        # byte and four a pixel; the fit on a 20000-pixel window stays below
+        # that.  Holding the raw flags, the training design, or pixel
+        # coordinates as int64 would each add a byte or more a pixel.
+        scene = make_scene(1000, 1000, seed=0, training_rows=20)
+        args = (scene.interest, [scene.covariate], scene.training_region)
+        for method in ("wmle", "mle"):
+            detect(*args, method=method)  # imports and cached cuts
+            tracemalloc.start()
+            try:
+                detect(*args, method=method)
+            finally:
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+            assert peak < 6 * scene.interest.size, method
 
     @pytest.mark.parametrize("interest, kwargs, message", [
         (np.full(1600, 2.5), {}, r"interest image must be a 2-D array, got shape \(1600,\)"),

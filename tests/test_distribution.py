@@ -146,6 +146,13 @@ class TestSampling:
         draws = distribution.sample(0.05, np.random.default_rng(0), size=1000)
         assert np.all(draws >= 0.0)
 
+    def test_array_mean_without_size_draws_its_shape(self):
+        mu = np.array([[0.5, 1.0, 2.0], [4.0, 8.0, 16.0]])
+        draws = distribution.sample(mu, np.random.default_rng(5))
+        u = np.random.default_rng(5).random(mu.shape)
+        assert draws.shape == mu.shape
+        assert np.array_equal(draws, distribution.quantile(u, mu))
+
 
 class TestRayleighMean:
     """The mean-parameterized law as a whole: its moments and its check on mu."""

@@ -413,6 +413,39 @@ class TestFitMle:
         away = fit_both(spec, start=(beta_flat, beta_flat))[0]
         np.testing.assert_allclose(mle.beta_hat, away.beta_hat, rtol=1e-6)
 
+    def test_identity_link_start_halves_the_blend_again(self):
+        # A steeper drop to near zero: the halfway blend still crosses zero,
+        # and the start is a quarter of the way from the flat fit.
+        x = np.linspace(0.0, 1.0, 60)
+        y = np.where(x < 0.3, 5.0 - 9.0 * x, 0.01) * (1.0 + 0.1 * np.sin(np.arange(60)))
+        spec = ModelSpec.build(np.column_stack([np.ones(60), x]), y, link="identity")
+        pinv = spec.design.pinv
+        beta_ls, beta_flat = pinv @ y, pinv @ np.full(60, np.mean(y))
+        with pytest.raises(rayreg.regression.NonpositiveMeanError):
+            predict_mean(spec, 0.5 * beta_ls + 0.5 * beta_flat)
+        start = rayreg.estimation._initial_beta(spec)
+        assert np.array_equal(start, 0.25 * beta_ls + 0.75 * beta_flat)
+        assert np.all(predict_mean(spec, start) > 0.0)
+
+    def test_identity_link_start_falls_back_to_the_flat_fit(self, monkeypatch):
+        # Were every blend infeasible, the start is the flat fit itself,
+        # after the least-squares fit, the flat fit and sixty blends are tried.
+        x = np.linspace(0.0, 1.0, 60)
+        y = np.where(x < 0.5, 5.0 - 9.0 * x, 0.05) * (1.0 + 0.1 * np.sin(np.arange(60)))
+        spec = ModelSpec.build(np.column_stack([np.ones(60), x]), y, link="identity")
+        tried = []
+
+        def only_the_flat_fit_feasible(spec, beta):
+            tried.append(np.array(beta))
+            if len(tried) != 2:
+                raise rayreg.regression.NonpositiveMeanError("nonpositive mean")
+
+        monkeypatch.setattr(rayreg.estimation, "predict_mean", only_the_flat_fit_feasible)
+        start = rayreg.estimation._initial_beta(spec)
+        assert len(tried) == 62
+        assert np.array_equal(start, spec.design.pinv @ np.full(60, np.mean(y)))
+        assert np.array_equal(start, tried[1])
+
     def test_information_overflow_is_refused_on_read(self):
         # Responses of 1e-300 put the identity link's fitted means where its
         # expected weights overflow: the fits return their estimates, and

@@ -320,6 +320,9 @@ class TestWorkerInvariance:
 
 
 class TestFormatting:
+    def test_no_cells_format_as_no_text(self):
+        assert format_table([]) == ""
+
     def test_text_table_mentions_estimators_and_cells(self):
         text = format_table(run_table([_cfg(replications=10)]))
         assert "WMLE" in text and "MLE" in text

@@ -21,8 +21,9 @@ manifest is identical.
 The set: ``fit`` in json, text and csv, for both links, once with a covariate
 and once with a three-level dummy; ``wald``; ``residuals``; ``simulate
 --threads 2``; ``breakdown``; ``sensitivity``; ``synth-scene``; ``detect
---truth`` with the robust and the plain fit; ``detect --upper-tail-only``; and
-``rerun`` of a fit, a sensitivity and a detect run.
+--truth`` with the robust and the plain fit; ``detect --upper-tail-only``; a
+``synth-scene`` of several row blocks with ``detect --truth`` by both fits;
+and ``rerun`` of a fit, a sensitivity and a detect run.
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ _TABLE_CONFIG = "table.json"
 _CURVE_CONFIG = "curve.json"
 _SCENE = ["--interest", "scene/interest.rrm", "--covariates", "scene/covariate.rrm",
           "--training", "75,0,100,100"]
+# 94 rows make a block of pixels at this width (rayreg.detection._BLOCK), so
+# the scene is drawn and its masks summed in five row blocks, and the target
+# at row 95 straddles the first edge.
+_BLOCKS_SCENE = ["--interest", "scene_blocks/interest.rrm", "--covariates",
+                 "scene_blocks/covariate.rrm", "--training", "350,0,400,690"]
 
 
 def _commands() -> list:
@@ -69,6 +75,10 @@ def _commands() -> list:
         ("detect_wmle", ["detect", *_SCENE, "--truth", "scene/truth.json"]),
         ("detect_mle", ["detect", *_SCENE, "--truth", "scene/truth.json", "--method", "mle"]),
         ("detect_upper", ["detect", *_SCENE, "--upper-tail-only"]),
+        ("scene_blocks", ["synth-scene", "--rows", "400", "--cols", "690", "--seed", "4"]),
+        ("detect_blocks_wmle", ["detect", *_BLOCKS_SCENE, "--truth", "scene_blocks/truth.json"]),
+        ("detect_blocks_mle", ["detect", *_BLOCKS_SCENE, "--truth", "scene_blocks/truth.json",
+                               "--method", "mle"]),
         ("rerun_fit", ["rerun", "--manifest", "fit_log_covariate_json/manifest.json"]),
         ("rerun_sensitivity", ["rerun", "--manifest", "sensitivity/manifest.json"]),
         ("rerun_detect", ["rerun", "--manifest", "detect_wmle/manifest.json"]),
