@@ -19,9 +19,6 @@ from .estimation import (
     compute_weights,
     fit_both,
     fit_mle,
-    fit_wmle,
-    score,
-    weighted_loglik,
 )
 from .inference import (
     WaldReport,
@@ -54,11 +51,8 @@ __all__ = [
     "dummy_design",
     "RobustConfig",
     "FitResult",
-    "weighted_loglik",
-    "score",
     "compute_weights",
     "fit_mle",
-    "fit_wmle",
     "fit_both",
     "WaldReport",
     "fisher_information",

@@ -97,23 +97,38 @@ def _write(out_dir: Path, name: str, content, writer=None) -> str:
     return name
 
 
-def _read_input(inputs: dict, path, kind: str) -> bytes:
-    """The bytes of the ``kind`` input file (data, config or truth); their
-    sha256 goes into the run's ``inputs`` map under the path as given."""
+class _Inputs(dict):
+    """A run's input map: each input file's path as given -> ``sha256:`` and
+    the hex digest of the bytes read.  A rerun's ``recorded`` is its manifest's
+    map, and an input that it does not record, or records otherwise, is refused."""
+
+    recorded = None
+
+    def add(self, path, digest) -> None:
+        key, value = str(path), "sha256:" + digest.hexdigest()
+        if self.recorded is not None and self.recorded.get(key) != value:
+            raise CliError(f"{key}: not an input of the recorded run" if key not in self.recorded
+                           else f"{key}: changed since the recorded run: the manifest records "
+                           f"{self.recorded[key]}, the file now reads {value}")
+        self[key] = value
+
+
+def _read_input(inputs: _Inputs, path, kind: str) -> bytes:
+    """The bytes of the ``kind`` input file (data, config or truth), digested
+    into ``inputs`` under the path as given."""
     file = Path(path)
     if not file.exists():
         raise CliError(f"{kind} file not found: {file}")
     data = file.read_bytes()
-    inputs[str(path)] = "sha256:" + hashlib.sha256(data).hexdigest()
+    inputs.add(path, hashlib.sha256(data))
     return data
 
 
-def _read_image(inputs: dict, path) -> np.ndarray:
-    """An input image, read once; the sha256 of the bytes read goes into
-    ``inputs`` as for :func:`_read_input`."""
+def _read_image(inputs: _Inputs, path) -> np.ndarray:
+    """An input image, read once and digested as by :func:`_read_input`."""
     digest = hashlib.sha256()
     image = image_io.read_image(path, digest=digest)
-    inputs[str(path)] = "sha256:" + digest.hexdigest()
+    inputs.add(path, digest)
     return image
 
 
@@ -570,7 +585,9 @@ def _cmd_synth_scene(config, out_dir: Path, inputs: dict) -> list:
     ]
 
 
-def _execute(command, config, out_dir: Path) -> int:
+def _execute(command, config, out_dir: Path, rerun=None) -> int:
+    """Run ``command`` on ``config``.  A rerun passes ``(manifest path, its
+    inputs)``, and each input read must then be one they record, unchanged."""
     # Each config value, from argv or a manifest, against its option: a store
     # action's is a bool, a _CommaList's a list, and a None default may stay
     # None.  out_dir is no config key; detect and synth-scene drop format.
@@ -581,7 +598,12 @@ def _execute(command, config, out_dir: Path) -> int:
             _check_value(key, config[key], getattr(kind, "kind", kind),
                          "list" if isinstance(kind, _CommaList) else None,
                          kwargs.get("default") is None and not kwargs.get("required"))
-    inputs = {}  # every input file the handler read -> sha256 of the bytes it read
+    inputs = _Inputs()
+    if rerun is not None:
+        path, recorded = rerun
+        if not (isinstance(recorded, dict) and all(isinstance(v, str) for v in recorded.values())):
+            raise CliError(f"{path}: manifest 'inputs' must be an object of strings")
+        inputs.recorded = recorded
     outputs = _COMMANDS[command][0](config, out_dir, inputs)
     manifest = {
         "command": command,
@@ -730,7 +752,8 @@ def main(argv=None) -> int:
             if not isinstance(command, str) or command not in _COMMANDS:
                 raise CliError(f"manifest names unknown command {command!r}")
             try:
-                return _execute(command, manifest["config"], Path(args.out_dir))
+                return _execute(command, manifest["config"], Path(args.out_dir),
+                                (manifest_path, manifest.get("inputs", {})))
             except KeyError as exc:
                 raise CliError(f"{manifest_path}: manifest config has no key {exc}") from None
         config = vars(args)

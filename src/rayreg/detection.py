@@ -39,8 +39,6 @@ __all__ = [
     "flag_out_of_control",
     "erode",
     "dilate",
-    "opening",
-    "closing",
     "postprocess",
     "extract_clusters",
     "score_detections",
@@ -277,19 +275,12 @@ def dilate(mask, size: int) -> np.ndarray:
     return _square_filter(mask, size, np.logical_or)
 
 
-def opening(mask, size: int) -> np.ndarray:
-    return dilate(erode(mask, size), size)
-
-
-def closing(mask, size: int) -> np.ndarray:
-    return erode(dilate(mask, size), size)
-
-
 def postprocess(mask, cfg: DetectorConfig) -> np.ndarray:
     """Opening (speckle removal) then dilation (object consolidation).
 
-    Equal to ``dilate(opening(mask, o), d)`` with ``o = cfg.opening_size``
-    and ``d = cfg.dilation_size``, computed as ``dilate(erode(mask, o),
+    Equal to ``dilate(dilate(erode(mask, o), o), d)``, the opening by an
+    o-square then the dilation by a d-square, with ``o = cfg.opening_size``
+    and ``d = cfg.dilation_size``; computed as ``dilate(erode(mask, o),
     o + d - 1)``: dilating by an o-square and then a d-square is one
     dilation by their sum.  That holds with the zero background as well,
     because a path from a set pixel to an image pixel through the two

@@ -1,14 +1,15 @@
 """Maximum-likelihood and weighted-maximum-likelihood fitting.
 
 Both estimators maximize the weighted Rayleigh log-likelihood
-(:func:`weighted_loglik`) with :func:`rayreg.optim.maximize_bfgs`, from the
-least-squares fit of the link's unbiased transform of the response.  The
-robust estimator downweights observations whose fitted probability falls
-in the extreme ``delta`` tails: weights are computed from a plain
-maximum-likelihood pass and the weighted likelihood is then re-maximized
-from that solution.  With ``reweight_iterations=0`` no reweighting happens
-and the result is numerically identical to the plain fit.  A sweep of
-nearby signals can start each :func:`fit_both` from the fit before it.
+``sum_n w[n] log f(y[n]; mu[n])`` with :func:`rayreg.optim.maximize_bfgs`,
+from the least-squares fit of the link's unbiased transform of the
+response.  The robust estimator downweights observations whose fitted
+probability falls in the extreme ``delta`` tails: weights are computed
+from a plain maximum-likelihood pass and the weighted likelihood is then
+re-maximized from that solution.  With ``reweight_iterations=0`` no
+reweighting happens and the result is numerically identical to the plain
+fit.  A sweep of nearby signals can start each :func:`fit_both` from the
+fit before it.
 """
 
 from __future__ import annotations
@@ -28,11 +29,8 @@ from .regression import (ModelSpec, NonpositiveMeanError, ReadOnlyArrays, predic
 __all__ = [
     "RobustConfig",
     "FitResult",
-    "weighted_loglik",
-    "score",
     "compute_weights",
     "fit_mle",
-    "fit_wmle",
     "fit_both",
 ]
 
@@ -107,36 +105,6 @@ class FitResult(ReadOnlyArrays):
     def n_downweighted(self) -> int:
         """Observations with weight strictly below one."""
         return int(np.count_nonzero(self.weights < 1.0))
-
-
-def _check_weights(spec: ModelSpec, weights) -> np.ndarray:
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (spec.n_obs,):
-        raise ValueError(f"weights must have shape ({spec.n_obs},), got {w.shape}")
-    if np.any(w < 0.0) or np.any(w > 1.0):
-        raise ValueError("weights must lie in [0, 1]")
-    return w
-
-
-def weighted_loglik(spec: ModelSpec, beta, weights=None) -> float:
-    """Weighted log-likelihood ``sum_n w[n] log f(y[n]; mu[n])``, with ``mu =
-    g^{-1}(X beta)``; with unit weights, the ordinary one."""
-    terms = distribution.logpdf(spec.response, predict_mean(spec, beta))
-    if weights is None:
-        return float(np.sum(terms))
-    w = _check_weights(spec, weights)
-    return float(w @ terms)
-
-
-def score(spec: ModelSpec, beta, weights=None) -> np.ndarray:
-    """Gradient of :func:`weighted_loglik` with respect to ``beta``."""
-    mu = predict_mean(spec, beta)
-    link = spec.link
-    s, _ = link.newton_terms(link.link(mu), distribution._QUARTER_PI * (spec.response / mu) ** 2)
-    if weights is None:
-        return spec.design.X.T @ s
-    w = _check_weights(spec, weights)
-    return spec.design.X.T @ (w * s)
 
 
 def compute_weights(spec: ModelSpec, mu_ref, delta: float) -> np.ndarray:
@@ -238,23 +206,16 @@ def _fit_mle(spec, cfg, warm=None) -> FitResult:
     return _maximize(spec, spec.design.unit_weights, cfg, "MLE", lambda: _initial_beta(spec), warm)
 
 
-def fit_wmle(spec: ModelSpec, cfg: RobustConfig | None = None) -> FitResult:
-    """Robust fit: plain fit, tail-based weights, weighted re-maximization.
-
-    Weights come from the latest fitted means and the likelihood is
-    re-maximized from the previous solution, ``cfg.reweight_iterations``
-    times or until a round after the first returns its start, a fixed
-    point.  The default single round freezes weights at the plain fit.
-    """
-    _, wmle = fit_both(spec, cfg)
-    return wmle
-
-
 def fit_both(spec: ModelSpec, cfg: RobustConfig | None = None, start=None):
     """Plain and robust fits sharing one base pass; returns (mle, wmle).
 
-    Useful for paired comparisons where both estimators must see the
-    identical signal without paying for the base fit twice.
+    The robust fit takes the plain fit, tail-based weights and a weighted
+    re-maximization: weights come from the latest fitted means and the
+    likelihood is re-maximized from the previous solution,
+    ``cfg.reweight_iterations`` times or until a round after the first
+    returns its start, a fixed point.  The default single round freezes
+    weights at the plain fit.  Both estimators see the identical signal
+    without paying for the base fit twice.
 
     ``start``, an ``(mle_beta, wmle_beta)`` pair from a neighbouring fit
     (a signal that differs in a few values), is a continuation start: the

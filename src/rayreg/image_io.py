@@ -1,9 +1,10 @@
-"""Image interchange: CSV of reals, raw RRM1 binary, and P5 PGM masks.
+"""Image interchange: images read from CSV or raw RRM1 binary, written as
+RRM1; masks written as P5 PGM or CSV.
 
 Formats are chosen for zero-dependency, bit-exact round trips:
 
-* CSV: one image row per line, comma-separated ``repr`` floats (shortest
-  exact decimal for float64).
+* CSV: one image row per line, comma-separated numbers (``repr`` floats,
+  the shortest exact decimal for float64, read back to the bit).
 * RRM1: 4-byte magic ``RRM1``, two little-endian uint32 (rows, cols),
   then rows*cols little-endian float64, row-major.
 * PGM: binary P5, maxval 255, anomaly pixels written as 255.
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import io
 import os
-import re
 import struct
 from pathlib import Path
 
@@ -23,36 +23,13 @@ import numpy as np
 __all__ = [
     "read_image",
     "read_image_csv",
-    "write_image_csv",
     "read_image_rrm",
     "write_image_rrm",
     "write_mask_pgm",
-    "read_mask_pgm",
     "write_mask_csv",
 ]
 
 _MAGIC = b"RRM1"
-
-# Netpbm P5 header: magic, width, height and maxval, separated by whitespace
-# and ``#`` comments (which run to the end of the line), then exactly one
-# whitespace byte before the raster.
-_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\r\n]*[\r\n])+(\d+)" * 3 + rb"\s")
-_PGM_MAX_DIM = 2**31 - 1  # Netpbm's limit on a width or height
-
-
-def _check_2d(arr) -> np.ndarray:
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D image, got shape {arr.shape}")
-    return arr
-
-
-def write_image_csv(arr, path) -> None:
-    arr = _check_2d(arr)
-    with open(path, "w", encoding="ascii") as fh:
-        for row in arr:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
 
 
 def read_image_csv(path, digest=None) -> np.ndarray:
@@ -87,7 +64,9 @@ def read_image_csv(path, digest=None) -> np.ndarray:
 
 
 def write_image_rrm(arr, path) -> None:
-    arr = _check_2d(arr)
+    arr = np.asarray(arr, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a 2-D image, got shape {arr.shape}")
     rows, cols = arr.shape
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -148,26 +127,6 @@ def write_mask_pgm(mask, path) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
         fh.write(payload)
-
-
-def read_mask_pgm(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    header = _PGM_HEADER.match(data)
-    if header is None:
-        raise ValueError(f"{path}: not a binary P5 PGM")
-    # A number of more than ten digits exceeds every field's limit, and
-    # int() refuses one of thousands.
-    cols, rows, maxval = (int(tok) if len(tok) <= 10 else -1 for tok in header.groups())
-    if maxval != 255:
-        raise ValueError(f"{path}: expected maxval 255")
-    if not (0 <= cols <= _PGM_MAX_DIM and 0 <= rows <= _PGM_MAX_DIM):
-        raise ValueError(f"{path}: PGM dimensions exceed {_PGM_MAX_DIM}")
-    size = rows * cols
-    have = len(data) - header.end()
-    if have < size:
-        raise ValueError(f"{path}: truncated PGM ({have} pixel bytes, expected {size})")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=size, offset=header.end())
-    return pixels.reshape(rows, cols) > 0
 
 
 def write_mask_csv(mask, path) -> None:

@@ -65,7 +65,9 @@ def make_scene(
         covariate image is a horizontal ramp on [0, 1] and the true model
         is log-linear in it.
     blob_amplitude : amplitude written into target pixels and salt pixels.
-    blob_grid : targets form a blob_grid x blob_grid grid of 3x3 squares.
+    blob_grid : targets form a blob_grid x blob_grid grid of 3x3 squares;
+        0 draws none, and a grid whose centres fall under 3 px apart on
+        either axis, where the squares would overlap, is refused.
     training_rows : height of the training strip at the bottom edge.
     training_contamination : fraction of training pixels salted with
         isolated outliers (all placed in the left half of the strip).
@@ -79,6 +81,15 @@ def make_scene(
     for name, value in (("mu_low", mu_low), ("mu_high", mu_high), ("blob_amplitude", blob_amplitude)):
         if not 0 < value < np.inf:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if blob_grid < 0:
+        raise ValueError(f"blob_grid must be nonnegative, got {blob_grid}")
+    # Targets live strictly above the training strip, away from borders.
+    train_r0 = rows - training_rows
+    row_centers = np.linspace(15, train_r0 - 15, blob_grid).round().astype(int)
+    col_centers = np.linspace(20, cols - 20, blob_grid).round().astype(int)
+    gap = min(np.diff(row_centers).min(initial=3), np.diff(col_centers).min(initial=3))
+    if gap < 3:
+        raise ValueError(f"blob_grid {blob_grid} puts target centres {gap} px apart; 3x3 targets need 3")
 
     ramp = np.linspace(0.0, 1.0, cols)
     covariate = np.tile(ramp, (rows, 1))
@@ -95,13 +106,7 @@ def make_scene(
         block = interest[r : r + step]
         block[...] = distribution.quantile(rng.random(block.shape), mu)
 
-    train_r0 = rows - training_rows
     training_region = (train_r0, 0, rows, cols)
-
-    # Targets live strictly above the training strip, away from borders.
-    free_rows = train_r0 - 10
-    row_centers = np.linspace(15, free_rows - 5, blob_grid).round().astype(int)
-    col_centers = np.linspace(20, cols - 20, blob_grid).round().astype(int)
     truth = []
     for r in row_centers:
         for c in col_centers:

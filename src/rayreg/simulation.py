@@ -46,7 +46,6 @@ __all__ = [
     "BreakdownCurve",
     "SensitivityCurve",
     "scenario_design",
-    "simulate_signal",
     "run_table",
     "breakdown_curve",
     "sensitivity_curve",
@@ -142,29 +141,6 @@ def _true_mean(cfg: ScenarioConfig, design: DesignMatrix) -> np.ndarray:
     return get_link(cfg.link).inverse(design.X @ np.asarray(cfg.beta_true))
 
 
-def _clean_signal_and_perm(cfg, rep_index, mu):
-    """Clean inversion sample plus the outlier-position permutation."""
-    rng = rng_for(cfg.master_seed, _REPLICATION_STREAM, rep_index)
-    y = distribution.quantile(rng.random(cfg.n_obs), mu)
-    perm = rng.permutation(cfg.n_obs)
-    return y, perm
-
-
-def simulate_signal(cfg: ScenarioConfig, rep_index: int, design: DesignMatrix | None = None):
-    """One replication's signal: inversion draws with outliers written in.
-
-    Returns ``(y, outlier_positions)``; ``floor(epsilon * N)`` positions
-    are sampled without replacement and overwritten with
-    ``cfg.outlier_value``.  Deterministic in ``(master_seed, rep_index)``.
-    """
-    design = design or scenario_design(cfg)
-    mu = _true_mean(cfg, design)
-    y, perm = _clean_signal_and_perm(cfg, rep_index, mu)
-    positions = perm[: cfg.n_outliers]
-    y[positions] = cfg.outlier_value
-    return y, positions
-
-
 @dataclass(frozen=True)
 class MonteCarloReport:
     """Moments of one estimator over the converged replications of a cell."""
@@ -240,7 +216,9 @@ def _contaminated_fits(cfg, counts, design, mu, rcfg, rep) -> np.ndarray:
     Each count's fits start from those of the counts before it
     (:func:`_next_start`).
     """
-    y_clean, perm = _clean_signal_and_perm(cfg, rep, mu)
+    rng = rng_for(cfg.master_seed, _REPLICATION_STREAM, rep)
+    y_clean = distribution.quantile(rng.random(cfg.n_obs), mu)
+    perm = rng.permutation(cfg.n_obs)  # the outlier positions, nested across counts
     out = []
     for count in counts:
         y = y_clean.copy()

@@ -6,7 +6,8 @@ PGM writer, the all-pairs
 union-find cluster merge, thresholding through the full-image design
 and the residual field, and detection scoring over a double loop of
 candidate pairs.  numpy and scipy only, so the production code is
-compared against arithmetic written out independently of it.
+compared against arithmetic written out independently of it.  Besides
+them, ``write_image_csv`` writes the CSV images that ``image_io`` reads.
 """
 
 import math
@@ -17,6 +18,11 @@ from scipy.special import ndtri
 
 #: Same value as ``rayreg.inference.RESIDUAL_CLAMP_EPS``.
 CLAMP_EPS = 1e-15
+
+
+def write_image_csv(image, path):
+    """One image row a line, each value as ``repr`` writes it."""
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in np.asarray(image).tolist()))
 
 
 def write_mask_csv(mask, path):

@@ -47,7 +47,3 @@ def brute_dilate(mask, size):
 
 def brute_opening(mask, size):
     return brute_dilate(brute_erode(mask, size), size)
-
-
-def brute_closing(mask, size):
-    return brute_erode(brute_dilate(mask, size), size)

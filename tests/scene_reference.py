@@ -19,7 +19,11 @@ from rayreg.simulation import rng_for
 def make_scene(rows=200, cols=200, seed=0, mu_low=0.2, mu_high=0.4, blob_amplitude=10.0,
                blob_grid=5, training_rows=50, training_contamination=0.05):
     """``(interest, covariate, truth)`` of the scene ``make_scene`` builds
-    from the same arguments, which must be valid."""
+    from the same arguments, whose sizes and amplitudes must be valid.  A
+    negative ``blob_grid``, or one that puts two target centres under 3
+    pixels apart on an axis, raises ValueError, as ``make_scene`` does."""
+    if blob_grid < 0:
+        raise ValueError("negative blob_grid")
     ramp = np.linspace(0.0, 1.0, cols)
     covariate = np.tile(ramp, (rows, 1))
     beta1 = np.log(mu_high / mu_low)
@@ -32,6 +36,9 @@ def make_scene(rows=200, cols=200, seed=0, mu_low=0.2, mu_high=0.4, blob_amplitu
     free_rows = train_r0 - 10
     row_centers = np.linspace(15, free_rows - 5, blob_grid).round().astype(int)
     col_centers = np.linspace(20, cols - 20, blob_grid).round().astype(int)
+    for centers in (row_centers, col_centers):
+        if any(b - a < 3 for a, b in zip(centers, centers[1:])):
+            raise ValueError("overlapping targets")
     truth = []
     for r in row_centers:
         for c in col_centers:

@@ -59,14 +59,11 @@ from rayreg import (
     dummy_design,
     fit_both,
     fit_mle,
-    fit_wmle,
     ground_type_detect,
-    score,
     wald_test,
-    weighted_loglik,
 )
 from rayreg.cli import main as cli_main
-from rayreg.detection import closing, detect, dilate, erode, opening, threshold_residuals
+from rayreg.detection import DetectorConfig, detect, dilate, erode, postprocess, threshold_residuals
 from rayreg.scenes import make_scene
 from rayreg.simulation import (
     ScenarioConfig,
@@ -76,7 +73,8 @@ from rayreg.simulation import (
     sensitivity_curve,
 )
 
-from morph_oracle import brute_closing, brute_dilate, brute_erode, brute_opening
+from fit_reference import score, weighted_loglik
+from morph_oracle import brute_dilate, brute_erode, brute_opening
 from robust_oracle import (
     band_edge,
     contaminated_root,
@@ -262,13 +260,17 @@ class TestCriterion4EstimatorProperties:
             )
         ok_a = worst <= 1e-6
 
-        # (b) analytic score vs central finite differences at random points
+        # (b) the solver's gradient vs central finite differences of the
+        # reference log-likelihood around the point it evaluated (under the
+        # log link, the random point with its intercept profiled out)
         worst_rel = 0.0
         for _ in range(50):
             spec, beta = self._random_instance(rng)
             point = beta * rng.uniform(0.9, 1.1, beta.shape)
             w = rng.uniform(0.0, 1.0, spec.n_obs)
-            analytic = score(spec, point, w)
+            evaluate, _ = spec.link.objective(spec.design, w, spec.response_terms)
+            _, analytic, point, _ = evaluate(point.tolist())
+            analytic, point = np.array(analytic), np.array(point)
             fd = np.empty_like(analytic)
             for i in range(point.size):
                 h = 1e-6 * (1.0 + abs(point[i]))
@@ -294,7 +296,7 @@ class TestCriterion4EstimatorProperties:
         # (d) zero reweighting rounds reproduce the plain fit bitwise
         spec, _ = self._random_instance(np.random.default_rng(MASTER_SEED + 1))
         cfg = RobustConfig(reweight_iterations=0)
-        mle, wmle = fit_mle(spec, cfg), fit_wmle(spec, cfg)
+        mle, wmle = fit_mle(spec, cfg), fit_both(spec, cfg)[1]
         ok_d = (
             np.array_equal(mle.beta_hat, wmle.beta_hat)
             and np.array_equal(mle.weights, wmle.weights)
@@ -306,7 +308,7 @@ class TestCriterion4EstimatorProperties:
             4,
             [
                 (ok_a, f"(a) max score at optimum {worst:.2e} <= 1e-6"),
-                (ok_b, f"(b) max FD mismatch {worst_rel:.2e} <= 1e-5"),
+                (ok_b, f"(b) max solver-gradient FD mismatch {worst_rel:.2e} <= 1e-5"),
                 (ok_c, f"(c) closed-form gap {worst_c:.2e} <= 1e-8"),
                 (ok_d, "(d) reweight_iterations=0 reproduces MLE bitwise"),
             ],
@@ -364,7 +366,7 @@ class TestCriterion6Inference:
             rep_rng = np.random.default_rng((MASTER_SEED, rep))
             y_null = distribution.quantile(rep_rng.random(900), mu_null)
             spec = ModelSpec(design=design, link="log", response=y_null)
-            wmle = fit_wmle(spec, RobustConfig(delta=0.001))
+            wmle = fit_both(spec, RobustConfig(delta=0.001))[1]
             for report in ground_type_detect(wmle, pfa=0.05):
                 trials += 1
                 rejections += report.reject_null
@@ -419,11 +421,13 @@ class TestCriterion8Detection:
 class TestCriterion9MorphologyOracle:
     def test_bit_exact_against_brute_force(self):
         rng = np.random.default_rng(MASTER_SEED)
+        # postprocess at the default 7x7 dilation: the opening by the size,
+        # then the dilation, as detect cleans its mask.
         pairs = (
             (erode, brute_erode),
             (dilate, brute_dilate),
-            (opening, brute_opening),
-            (closing, brute_closing),
+            (lambda m, s: postprocess(m, DetectorConfig(opening_size=s)),
+             lambda m, s: brute_dilate(brute_opening(m, s), DetectorConfig.dilation_size)),
         )
         mismatches = 0
         for i in range(200):
@@ -433,7 +437,7 @@ class TestCriterion9MorphologyOracle:
                 if not np.array_equal(fast(mask, size), brute(mask, size)):
                     mismatches += 1
         _assert_all(
-            9, [(mismatches == 0, "erode/dilate/open/close bit-exact on 200 random 16x16 masks")]
+            9, [(mismatches == 0, "erode/dilate/postprocess bit-exact on 200 random 16x16 masks")]
         )
 
 

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import detect_reference
 import rayreg
 import rayreg.cli
 import rayreg.estimation
@@ -882,31 +883,6 @@ class TestImageBoundary:
     def test_mutated_csv_detects_or_is_one_error_line(self, tmp_path_factory, data):
         self._detect(tmp_path_factory, "csv", data)
 
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.one_of(
-        st.builds(lambda cut: _PGM[:cut], st.integers(0, 64)),
-        st.builds(lambda at, flip: _PGM[:at] + bytes([_PGM[at] ^ flip]) + _PGM[at + 1:],
-                  st.integers(0, 12), st.integers(1, 255)),
-        st.builds(lambda cols, rows, maxval: f"P5\n{cols} {rows}\n{maxval}\n".encode() + _PGM[13:],
-                  st.sampled_from([0, 1, 40, 10**6, 10**12, 10**400]),
-                  st.sampled_from([0, 1, 40, 10**6, 10**12, 10**400]),
-                  st.sampled_from([255, 1, 65535, 10**400])),
-    ))
-    def test_mutated_pgm_reads_or_refuses(self, tmp_path_factory, data):
-        path = tmp_path_factory.mktemp("pgm") / "mask.pgm"
-        path.write_bytes(data)
-        tracemalloc.start()
-        try:
-            mask = image_io.read_mask_pgm(path)
-        except ValueError as exc:
-            assert str(path) in str(exc)
-        else:
-            assert mask.dtype == bool and mask.ndim == 2
-        finally:
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-        assert peak < 1_000_000 + 4 * len(data)
-
     @pytest.mark.parametrize("rows, cols", [(2**32 - 1, 2**32 - 1), (2**31, 3), (10**6, 10**3)])
     def test_huge_rrm_header_allocates_nothing(self, tmp_path, rows, cols):
         path = tmp_path / "huge.rrm"
@@ -1021,7 +997,6 @@ class TestJsonBoundary:
 
 
 # A valid 40 x 40 mask: the header is the first 13 bytes.
-_PGM = b"P5\n40 40\n255\n" + bytes(range(0, 256, 16)) * 100
 
 
 class TestParseRange:
@@ -1084,7 +1059,7 @@ class TestDetectCommands:
     def test_byte_order_mark_detects_like_plain_csv(self, scene_dir, tmp_path):
         # Spreadsheet exports often start with a UTF-8 byte-order mark.
         plain = tmp_path / "interest.csv"
-        image_io.write_image_csv(image_io.read_image(scene_dir / "interest.rrm"), plain)
+        detect_reference.write_image_csv(image_io.read_image(scene_dir / "interest.rrm"), plain)
         bom = tmp_path / "bom.csv"
         bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         outputs = []
@@ -1096,6 +1071,18 @@ class TestDetectCommands:
             outputs.append([(out / name).read_bytes()
                             for name in ("mask.pgm", "mask.csv", "clusters.json")])
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("grid, message", [
+        ("-2", "blob_grid must be nonnegative, got -2"),
+        ("200", "blob_grid 200 puts target centres 0 px apart; 3x3 targets need 3"),
+        ("42", "blob_grid 42 puts target centres 2 px apart; 3x3 targets need 3"),
+    ], ids=["negative", "coincident", "overlapping"])
+    def test_synth_scene_refuses_a_grid_it_cannot_draw(self, grid, message, tmp_path, capsys):
+        # -2 reached numpy's linspace, and 200 wrote 40 000 targets at 19 481 positions.
+        capsys.readouterr()
+        assert main(["synth-scene", "--blob-grid", grid, "--out-dir", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "x").exists()
 
     def test_tiny_training_rectangle_refused(self, scene_dir, tmp_path, capsys):
         rc = main(
@@ -1122,7 +1109,7 @@ class TestDetectCommands:
         # Four inputs, images in both formats; the manifest's digests are of
         # the bytes the run parsed, so no file is opened a second time.
         second = tmp_path / "second.csv"
-        image_io.write_image_csv(np.random.default_rng(4).random((100, 100)), second)
+        detect_reference.write_image_csv(np.random.default_rng(4).random((100, 100)), second)
         files = [scene_dir / "interest.rrm", scene_dir / "covariate.rrm", second,
                  scene_dir / "truth.json"]
         opened = []
@@ -1278,6 +1265,90 @@ class TestRerun:
         assert self._strip_timestamp(first / "manifest.json") == self._strip_timestamp(
             second / "manifest.json"
         )
+
+    @pytest.mark.parametrize("kind", ["data", "image", "truth", "config"])
+    def test_rerun_refuses_an_input_changed_since_its_run(self, kind, region_csv, scene_dir,
+                                                          sim_config, tmp_path, capsys):
+        # A rerun of an edited input would write other artifacts, and a
+        # manifest with the new digest, as though it reproduced the run.
+        truth = scene_dir / "truth.json"
+        argv, path = {
+            "data": (["fit", "--data", str(region_csv), "--response", "amplitude"], region_csv),
+            "image": (["detect", *_scene_args(scene_dir)], scene_dir / "interest.rrm"),
+            "truth": (["detect", *_scene_args(scene_dir), "--truth", str(truth)], truth),
+            "config": (["simulate", "--config", str(sim_config)], sim_config),
+        }[kind]
+        first = tmp_path / "a"
+        assert main([*argv, "--out-dir", str(first)]) == 0
+        recorded = _read_json(first / "manifest.json")["inputs"][str(path)]
+        data = path.read_bytes()
+        if kind == "data":  # one response cell
+            lines = data.split(b"\n")
+            lines[1] = b"0.5," + lines[1].split(b",", 1)[1]
+            data = b"\n".join(lines)
+        elif kind == "image":  # one pixel
+            data = data[:12] + struct.pack("<d", 0.5) + data[20:]
+        else:  # one target, one replication more
+            doc = json.loads(data)
+            if kind == "truth":
+                doc["targets"][0][0] += 1
+            else:
+                doc["replications"] += 1
+            data = json.dumps(doc).encode()
+        path.write_bytes(data)
+        now = "sha256:" + hashlib.sha256(data).hexdigest()
+        assert now != recorded
+        capsys.readouterr()
+        second = tmp_path / "b"
+        assert main(["rerun", "--manifest", str(first / "manifest.json"),
+                     "--out-dir", str(second)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: changed since the recorded run: the manifest records {recorded}, "
+            f"the file now reads {now}"]
+        assert not second.exists()
+
+    @pytest.mark.parametrize("edit", ["other-path", "no-inputs"])
+    def test_rerun_refuses_an_input_the_manifest_does_not_record(self, edit, region_csv, tmp_path,
+                                                                 capsys):
+        # The same bytes at another path are not the recorded input, and a
+        # manifest without an inputs map records none.
+        first = tmp_path / "a"
+        assert main(["fit", "--data", str(region_csv), "--response", "amplitude",
+                     "--out-dir", str(first)]) == 0
+        manifest = _read_json(first / "manifest.json")
+        copy = region_csv
+        if edit == "other-path":
+            copy = tmp_path / "copy.csv"
+            copy.write_bytes(region_csv.read_bytes())
+            manifest["config"]["data"] = str(copy)
+        else:
+            del manifest["inputs"]
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        second = tmp_path / "b"
+        assert main(["rerun", "--manifest", str(edited), "--out-dir", str(second)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {copy}: not an input of the recorded run"]
+        assert not second.exists()
+
+    @pytest.mark.parametrize("inputs", [None, [], "x", {"data.csv": 5}, {"data.csv": None}],
+                             ids=["null", "list", "string", "number-value", "null-value"])
+    def test_rerun_refuses_inputs_other_than_an_object_of_strings(self, inputs, region_csv,
+                                                                  tmp_path, capsys):
+        first = tmp_path / "a"
+        assert main(["fit", "--data", str(region_csv), "--response", "amplitude",
+                     "--out-dir", str(first)]) == 0
+        manifest = _read_json(first / "manifest.json")
+        manifest["inputs"] = inputs
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        second = tmp_path / "b"
+        assert main(["rerun", "--manifest", str(edited), "--out-dir", str(second)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {edited}: manifest 'inputs' must be an object of strings"]
+        assert not second.exists()
 
     def test_fit_rerun_refuses_an_unknown_format(self, region_csv, tmp_path, capsys):
         first = tmp_path / "a"

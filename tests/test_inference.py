@@ -22,7 +22,6 @@ from rayreg import (
     fisher_information,
     fit_both,
     fit_mle,
-    fit_wmle,
     ground_type_detect,
     quantile_residuals,
     wald_test,
@@ -303,7 +302,7 @@ class TestGroundTypeDetect:
         mu = np.exp(design.X @ np.array([-1.67, 0.4, -0.5]))
         y = distribution.quantile(rng.random(360), mu)
         spec = ModelSpec(design=design, link="log", response=y)
-        fit = fit_wmle(spec)
+        fit = fit_both(spec)[1]
         reports = ground_type_detect(fit, pfa=0.05)
         assert [r.names[0] for r in reports] == ["is_B", "is_C"]
         assert all(r.dof == 1 for r in reports)

@@ -45,3 +45,26 @@ def test_peak_memory_is_the_two_images():
         tracemalloc.stop()
     assert scene.interest.nbytes + scene.covariate.nbytes == 16 * rows * cols
     assert peak < 16 * rows * cols + 8 * 8 * _BLOCK
+
+
+@pytest.mark.parametrize("rows, cols, training_rows", [(200, 200, 50), (100, 100, 25), (300, 120, 60)])
+def test_refuses_exactly_the_grids_it_cannot_draw(rows, cols, training_rows):
+    # Grids from negative up: make_scene refuses a grid where the whole-image
+    # reference does, and every grid it draws puts each 3x3 target on nine
+    # pixels of its own.
+    drawn = refused = 0
+    for grid in range(-2, 50):
+        kwargs = dict(blob_grid=grid, training_rows=training_rows, training_contamination=0.0)
+        try:
+            _, _, truth = scene_reference.make_scene(rows, cols, **kwargs)
+        except ValueError:
+            refused += 1
+            with pytest.raises(ValueError, match=rf"^blob_grid (must be nonnegative, got {grid}$"
+                                                 rf"|{grid} puts target centres [0-2] px apart)"):
+                make_scene(rows, cols, **kwargs)
+            continue
+        drawn += 1
+        scene = make_scene(rows, cols, **kwargs)
+        assert scene.truth == truth and len(set(truth)) == grid * grid
+        assert np.count_nonzero(scene.interest == 10.0) == 9 * grid * grid  # the amplitude
+    assert drawn > 2 and refused > 4

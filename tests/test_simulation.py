@@ -19,7 +19,6 @@ from rayreg.simulation import (
     run_table,
     scenario_design,
     sensitivity_curve,
-    simulate_signal,
 )
 
 BETA = (0.5, 0.15)
@@ -43,30 +42,52 @@ class TestSeeds:
         assert rng_for(7, 1).random(5) == pytest.approx(rng_for(7, 1).random(5))
 
 
+def _signals(monkeypatch, cfg):
+    """The response of each ``fit_both`` call that ``run_table`` makes for one
+    cell, in replication order: the signals ``_contaminated_fits`` draws."""
+    seen = []
+
+    def recording(spec, *args):
+        seen.append(spec.response.copy())
+        return fit_both(spec, *args)
+
+    monkeypatch.setattr(rayreg.simulation, "fit_both", recording)
+    run_table([cfg])
+    assert len(seen) == cfg.replications
+    return seen
+
+
+def _outliers(monkeypatch, cfg, rep):
+    """Replication ``rep``'s signal and the positions where it differs from
+    the same replication's signal without contamination."""
+    y = _signals(monkeypatch, cfg)[rep]
+    clean = _signals(monkeypatch, replace(cfg, epsilon=0.0))[rep]
+    return y, np.flatnonzero(y != clean)
+
+
 class TestSimulateSignal:
-    def test_no_contamination_empty_positions(self):
-        y, pos = simulate_signal(_cfg(), 0)
+    def test_no_contamination_empty_positions(self, monkeypatch):
+        y, pos = _outliers(monkeypatch, _cfg(), 0)
         assert pos.size == 0
         assert np.all(y > 0)
 
-    def test_exact_outlier_count_and_value(self):
+    def test_exact_outlier_count_and_value(self, monkeypatch):
         cfg = _cfg(n_obs=100, epsilon=0.05)
-        y, pos = simulate_signal(cfg, 3)
+        y, pos = _outliers(monkeypatch, cfg, 3)
         assert pos.size == 5
         assert np.all(y[pos] == 10.0)
         assert len(set(pos.tolist())) == 5
 
-    def test_floor_rule(self):
+    def test_floor_rule(self, monkeypatch):
         cfg = _cfg(n_obs=90, epsilon=0.01)  # floor(0.9) = 0 outliers
-        _, pos = simulate_signal(cfg, 0)
+        _, pos = _outliers(monkeypatch, cfg, 0)
         assert pos.size == 0
 
-    def test_deterministic_per_replication(self):
+    def test_deterministic_per_replication(self, monkeypatch):
         cfg = _cfg(epsilon=0.1)
-        y1, p1 = simulate_signal(cfg, 7)
-        y2, p2 = simulate_signal(cfg, 7)
+        (y1, p1), (y2, p2) = (_outliers(monkeypatch, cfg, 7) for _ in range(2))
         assert np.array_equal(y1, y2) and np.array_equal(p1, p2)
-        y3, _ = simulate_signal(cfg, 8)
+        y3, _ = _outliers(monkeypatch, cfg, 8)
         assert not np.array_equal(y1, y3)
 
     def test_covariates_fixed_across_replications(self):
