@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from rayreg import RobustConfig
-from rayreg.detection import DetectorConfig, detect
+from rayreg.detection import DetectorConfig, detect, score_detections
 from rayreg.image_io import write_mask_pgm
 from rayreg.scenes import make_scene
 
@@ -27,6 +27,8 @@ print(f"scene: {scene.interest.shape}, {len(scene.truth)} targets, "
 
 cfg = DetectorConfig(control_limit=3.0, opening_size=3, dilation_size=7,
                      merge_distance=10.0)
+# A target counts as hit by a cluster within the merge distance of it, in meters.
+radius_m = cfg.merge_distance * cfg.pixel_size_m
 
 for method in ("wmle", "mle"):
     result = detect(
@@ -36,15 +38,16 @@ for method in ("wmle", "mle"):
         cfg=cfg,
         robust=RobustConfig(delta=0.001),
         method=method,
-        truth=scene.truth,
     )
+    hits, false_alarms, missed = score_detections(result.clusters, scene.truth, radius_m,
+                                                  cfg.pixel_size_m)
     tag = "robust" if method == "wmle" else "plain "
     print(f"\n{tag} ({method}):")
     print(f"  fitted coefficients: {np.round(result.fit.beta_hat, 3)}")
     print(f"  raw flagged pixels : {result.n_flagged}")
     print(f"  clusters           : {len(result.clusters)}")
     print(f"  hits / false alarms / missed: "
-          f"{result.hits} / {result.false_alarms} / {result.missed}")
+          f"{hits} / {false_alarms} / {missed}")
     write_mask_pgm(result.mask, OUT / f"detections_{method}.pgm")
     print(f"  -> demos/out/detections_{method}.pgm written")
 

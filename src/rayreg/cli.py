@@ -471,8 +471,15 @@ def _parse_range(text, kind=float) -> list:
     """Accept 'a,b,c' lists and 'start:stop[:step]' inclusive ranges.
 
     Ranges step in decimal over the tokens as written, so '0.1:0.7:0.1'
-    gives 0.3 rather than the binary sum 0.30000000000000004.
+    gives 0.3 rather than the binary sum 0.30000000000000004.  Every value,
+    bound and step must be finite as ``kind`` parses it, not only as a decimal.
     """
+    def parse(token, refusal):
+        value = kind(token)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise CliError(refusal)
+        return value
+
     out = []
     for part in str(text).split(","):
         part = part.strip()
@@ -481,19 +488,17 @@ def _parse_range(text, kind=float) -> list:
             if len(bits) not in (2, 3):
                 raise CliError(f"bad range {part!r}; expected start:stop[:step]")
             for bit in bits:
-                kind(bit)
+                parse(bit, f"bad range {part!r}; bounds and step must be finite")
             start, stop = decimal.Decimal(bits[0]), decimal.Decimal(bits[1])
             step = decimal.Decimal(bits[2]) if len(bits) == 3 else decimal.Decimal(1)
-            if not all(d.is_finite() for d in (start, stop, step)):
-                raise CliError(f"bad range {part!r}; bounds and step must be finite")
-            if step <= 0:
+            if kind(step) <= 0:  # '1e-400' is a positive decimal but a zero float
                 raise CliError(f"bad range {part!r}; step must be positive")
             v = start
             while v <= stop:
                 out.append(kind(v))
                 v += step
         elif part:
-            out.append(kind(part))
+            out.append(parse(part, f"bad value {part!r}; values must be finite"))
     if not out:
         raise CliError(f"empty value list {text!r}")
     return out
@@ -501,9 +506,13 @@ def _parse_range(text, kind=float) -> list:
 
 def _cmd_curve(name, flag, kind, config, out_dir: Path, inputs: dict) -> list:
     """``simulation.<name>_curve`` over the ``--<flag>`` sweep of ``kind`` values."""
+    try:
+        sweep = _parse_range(config[flag], kind)
+    except (CliError, ValueError) as exc:
+        raise CliError(f"--{flag}: {exc}") from None
     scenario = _scenarios_from_config(config, inputs, single_n=True)[0]
     curve_fn = getattr(simulation, f"{name}_curve")  # per call, so a replacement on the module runs
-    curve = curve_fn(scenario, _parse_range(config[flag], kind), workers=config["threads"])
+    curve = curve_fn(scenario, sweep, workers=config["threads"])
     return [_write(out_dir, f"{name}.csv", curve.to_csv()),
             _write(out_dir, f"{name}.json", _json_dumps(dataclasses.asdict(curve)))]
 
@@ -534,17 +543,14 @@ def _cmd_detect(config, out_dir: Path, inputs: dict) -> list:
     if config["truth_radius_m"] is not None:  # --truth-radius overrides the file's radius_m
         radius = config["truth_radius_m"]
     try:
-        result = detection.detect(
-            interest,
-            covariates,
-            tuple(config["training"]),
-            cfg=cfg,
-            robust=_robust_from_config(config),
-            method=config["method"],
-            truth=truth,
-            truth_radius_m=radius,
-            link=config["link"],
-        )
+        result = detection.detect(interest, covariates, tuple(config["training"]), cfg=cfg,
+                                  robust=_robust_from_config(config), method=config["method"],
+                                  link=config["link"])
+        if truth is not None:  # unless given, the radius is the merge distance in meters
+            scored = cfg.merge_distance * cfg.pixel_size_m if radius is None else radius
+            counts = detection.score_detections(result.clusters, truth, scored, cfg.pixel_size_m)
+            score = dict(zip(("hits", "false_alarms", "missed"), counts),
+                         n_truth=len(truth), radius_m=radius)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     payload = {
@@ -558,13 +564,6 @@ def _cmd_detect(config, out_dir: Path, inputs: dict) -> list:
                _write(out_dir, "mask.csv", result.mask, image_io.write_mask_csv),
                _write(out_dir, "clusters.json", _json_dumps(payload))]
     if truth is not None:
-        score = {
-            "hits": result.hits,
-            "false_alarms": result.false_alarms,
-            "missed": result.missed,
-            "n_truth": len(truth),
-            "radius_m": radius,
-        }
         outputs.append(_write(out_dir, "score.json", _json_dumps(score)))
     return outputs
 

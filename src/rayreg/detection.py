@@ -62,11 +62,11 @@ _Z_MAX = 1e150
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Control limit, structuring-element sizes, and merge geometry.
+    """Control limit, structuring-element sizes, merge distance and pixel size.
 
     The defaults follow the usual three-sigma chart (limit 3), a 3x3
-    opening, a 7x7 dilation, and a 10-pixel merge distance at one meter
-    per pixel.
+    opening, a 7x7 dilation, and a 10-pixel merge distance.  The pixel size
+    in meters only scales distances when clusters are scored against truth.
     """
 
     control_limit: float = 3.0
@@ -248,10 +248,14 @@ def _square_filter(mask, size: int, op) -> np.ndarray:
     reaching past the buffer should.  Only windows starting in the
     frame's right-hand columns run on into the next buffer row, and no
     pixel of the result reads them.
+
+    From any pixel a square with ``r`` at least the longer side reaches past
+    the image on every side, so ``r``, and with it the frame, is capped there.
     """
     mask = _as_mask(mask)
-    r = _check_size(size) // 2
     rows, cols = mask.shape
+    r = min(_check_size(size) // 2, max(rows, cols))
+    size = 2 * r + 1
     buf = np.zeros((rows + 2 * r, cols + 2 * r), dtype=bool)
     buf[r : r + rows, r : r + cols] = mask
     flat = buf.ravel()
@@ -300,12 +304,12 @@ class Cluster:
     n_components: int = 1
 
 
-def extract_clusters(mask, merge_distance: float = 0.0, pixel_size_m: float = 1.0) -> tuple:
+def extract_clusters(mask, merge_distance: float = 0.0) -> tuple:
     """8-connected components of a mask, merged by centroid proximity.
 
-    Components whose centroids lie within ``merge_distance * pixel_size_m``
-    meters of each other collapse (transitively) into a single cluster
-    whose centroid is the pixel-count weighted mean.
+    Components whose centroids lie within ``merge_distance`` pixels of each
+    other collapse (transitively) into a single cluster whose centroid is
+    the pixel-count weighted mean.
     """
     from scipy import ndimage
     from scipy.sparse import coo_matrix
@@ -340,10 +344,9 @@ def extract_clusters(mask, merge_distance: float = 0.0, pixel_size_m: float = 1.
 
     # Single-linkage merge on centroid distance: the k-d tree proposes pairs
     # within a slightly larger radius, the exact predicate decides.
-    limit_m = merge_distance * pixel_size_m
     pairs = cKDTree(centroids).query_pairs(merge_distance * (1.0 + 1e-9), output_type="ndarray")
     diff = centroids[pairs[:, 0]] - centroids[pairs[:, 1]]
-    pairs = pairs[np.hypot(diff[:, 0], diff[:, 1]) * pixel_size_m <= limit_m]
+    pairs = pairs[np.hypot(diff[:, 0], diff[:, 1]) <= merge_distance]
     graph = coo_matrix(
         (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n_comp, n_comp)
     )
@@ -392,15 +395,12 @@ def score_detections(clusters, truth, radius_m: float, pixel_size_m: float = 1.0
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """Mask, clusters, and (when truth is known) the detection score."""
+    """Cleaned mask, its clusters, the training fit and the raw flag count."""
 
     mask: np.ndarray
     clusters: tuple
     fit: FitResult
     n_flagged: int
-    hits: int | None = None
-    false_alarms: int | None = None
-    missed: int | None = None
 
 
 def _check_image(arr, name: str) -> np.ndarray:
@@ -467,8 +467,6 @@ def detect(
     cfg: DetectorConfig | None = None,
     robust: RobustConfig | None = None,
     method: str = "wmle",
-    truth=None,
-    truth_radius_m: float | None = None,
     link: str = "log",
 ) -> DetectionResult:
     """Run the full control-chart detector on one amplitude image.
@@ -484,8 +482,6 @@ def detect(
         training pixel of ``interest`` must be strictly positive.
     cfg, robust : configuration for the chart and the fit.
     method : 'wmle' (robust, default) or 'mle'.
-    truth : optional sequence of (row, col) target positions; scored with
-        ``truth_radius_m`` (defaults to the merge distance in meters).
 
     Returns a :class:`DetectionResult`; deterministic for fixed inputs.
     """
@@ -511,20 +507,5 @@ def detect(
     n_flagged = int(np.count_nonzero(raw))
     mask = postprocess(raw, cfg)
     del raw
-    clusters = extract_clusters(mask, cfg.merge_distance, cfg.pixel_size_m)
-
-    hits = false_alarms = missed = None
-    if truth is not None:
-        radius = cfg.merge_distance * cfg.pixel_size_m if truth_radius_m is None else truth_radius_m
-        hits, false_alarms, missed = score_detections(
-            clusters, truth, radius, cfg.pixel_size_m
-        )
-    return DetectionResult(
-        mask=mask,
-        clusters=clusters,
-        fit=fit,
-        n_flagged=n_flagged,
-        hits=hits,
-        false_alarms=false_alarms,
-        missed=missed,
-    )
+    clusters = extract_clusters(mask, cfg.merge_distance)
+    return DetectionResult(mask=mask, clusters=clusters, fit=fit, n_flagged=n_flagged)

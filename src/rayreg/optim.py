@@ -138,14 +138,13 @@ def _direction(info, grad, design, w, link, beta):
 
 def _cholesky_solve(a, b) -> list | None:
     """``a^{-1} b`` as a list of floats, for a symmetric positive-definite
-    ``a`` (nested lists or an array) and a vector ``b``, by the Cholesky
-    factorization ``a = L L^T``: in plain Python for the 2 x 2 systems of
-    the Monte Carlo studies, by :func:`spd_solve` (LAPACK) for any other
-    size.  Reads the upper triangle of ``a``.  None where ``a`` is not
-    positive definite or holds a non-finite value, or where the solution is
-    not finite."""
+    float64 array ``a`` and a vector ``b``, by the Cholesky factorization
+    ``a = L L^T``: in plain Python for the 2 x 2 systems of the Monte Carlo
+    studies, by :func:`spd_solve` (LAPACK) for any other size.  Reads the
+    upper triangle of ``a``.  None where ``a`` is not positive definite or
+    holds a non-finite value, or where the solution is not finite."""
     if len(a) == 2:  # every model of the Monte Carlo studies
-        (a00, a01), (_, a11) = a.tolist() if isinstance(a, np.ndarray) else a
+        (a00, a01), (_, a11) = a.tolist()
         if not 0.0 < a00 < math.inf:
             return None
         l00 = math.sqrt(a00)
@@ -159,7 +158,7 @@ def _cholesky_solve(a, b) -> list | None:
         x = [(z0 - l10 * x1) / l00, x1]
         return x if math.isfinite(x[0]) and math.isfinite(x1) else None
     try:
-        x = spd_solve(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)).tolist()
+        x = spd_solve(a, np.asarray(b, dtype=np.float64)).tolist()
     except ValueError:  # a non-finite value, or LinAlgError: not positive definite
         return None
     return x if all(map(math.isfinite, x)) else None

@@ -154,13 +154,6 @@ class LogLink:
         mu = np.asarray(mu, dtype=np.float64)
         return np.full(mu.shape, 4.0)
 
-    def newton_terms(self, eta, quad):
-        """Score factor ``2 quad - 2`` and observed weight ``4 quad`` per
-        observation, from ``quad = pi/4 * (y/mu)^2``: the first and minus the
-        second derivative of ``log f(y; mu)`` in ``eta``, on which they
-        depend only through ``quad``.  The weight is positive wherever y > 0."""
-        return 2.0 * quad - 2.0, 4.0 * quad
-
 
 class IdentityLink:
     """g(mu) = mu; valid only while the linear predictor stays positive."""
@@ -184,8 +177,12 @@ class IdentityLink:
     def objective(self, design, w, terms):
         """The fused evaluation, as for the log link, on ``log mu`` and
         ``quad = pi/4 (y/mu)^2`` with ``mu = eta`` at the point ``beta``: the
-        gradient is ``X^T (w s)`` and the information ``gram(w h)`` from
-        :meth:`newton_terms`.  A nonpositive ``eta`` makes the value -inf or nan."""
+        gradient is ``X^T (w s)`` and the information ``gram(w h)``, with the
+        score factor ``s = (2 quad - 2) / mu`` and the observed weight
+        ``h = (6 quad - 2) / mu^2``, the first and minus the second derivative
+        of ``log f(y; mu)`` in ``eta``.  ``h`` is negative for ``y`` below about
+        0.65 mu, so the information can be indefinite.  A nonpositive ``eta``
+        makes the value -inf or nan."""
         dot = np.dot
         X = design.X
         XT = X.T
@@ -199,7 +196,7 @@ class IdentityLink:
             value = const - 2.0 * float(dot(w, np.log(eta))) - float(dot(w, quad))
             if not math.isfinite(value):
                 return None
-            s, h = self.newton_terms(eta, quad)
+            s, h = (2.0 * quad - 2.0) / eta, (6.0 * quad - 2.0) / (eta * eta)
             grad = dot(XT, s if unit else w * s).tolist()
             if not all(map(math.isfinite, grad)):
                 return None
@@ -213,13 +210,6 @@ class IdentityLink:
     def fisher_weight(self, mu):
         mu = np.asarray(mu, dtype=np.float64)
         return 4.0 / (mu * mu)
-
-    def newton_terms(self, eta, quad):
-        """Score factor ``(2 quad - 2) / mu`` and observed weight
-        ``(6 quad - 2) / mu^2`` with ``mu = eta``, as for the log link.  The
-        weight is negative for ``y`` below about 0.65 mu, so the information
-        it builds can be indefinite."""
-        return (2.0 * quad - 2.0) / eta, (6.0 * quad - 2.0) / (eta * eta)
 
 
 _LINKS = {"log": LogLink(), "identity": IdentityLink()}
@@ -294,10 +284,10 @@ class DesignMatrix(ReadOnlyArrays):
     def n_params(self) -> int:
         return self.X.shape[1]
 
-    def assert_full_rank(self, tol_factor: float = 1e-10) -> None:
-        """Raise if any singular value falls below tol_factor * largest."""
-        s = self.singular_values
-        if s[-1] <= tol_factor * s[0]:
+    def assert_full_rank(self) -> None:
+        """Raise if any singular value falls below 1e-10 times the largest."""
+        s = self._svd[1]
+        if s[-1] <= 1e-10 * s[0]:
             raise ValueError(
                 "design matrix is rank deficient "
                 f"(singular values range {s[-1]:.3e} .. {s[0]:.3e})"
@@ -306,11 +296,6 @@ class DesignMatrix(ReadOnlyArrays):
     @cached_property
     def _svd(self) -> tuple:
         return tuple(readonly_array(a) for a in np.linalg.svd(self.X, full_matrices=False))
-
-    @cached_property
-    def singular_values(self) -> np.ndarray:
-        """Singular values of ``X``, largest first."""
-        return self._svd[1]
 
     @cached_property
     def pinv(self) -> np.ndarray:

@@ -28,6 +28,7 @@ order (or in parallel processes) and still reproduce bit-for-bit.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
@@ -264,12 +265,14 @@ def _chunk(per_rep, cfg: ScenarioConfig, sweep: tuple, lo: int, hi: int) -> np.n
 def _run(per_rep, cfg: ScenarioConfig, sweep: tuple, workers: int) -> np.ndarray:
     """``per_rep`` over every replication, stacked in replication order.
 
-    Replications are split into at most ``workers`` contiguous chunks, run
-    serially or one worker process per chunk.  Each replication draws from
-    its own generator, so the chunking never moves a bit of the result.
+    Replications are split into at most ``workers`` contiguous chunks, and
+    no more than the CPUs this process may run on, run serially or one worker
+    process per chunk.  Each replication draws from its own generator, so the
+    chunking never moves a bit of the result.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = min(workers, len(os.sched_getaffinity(0)))
     total = cfg.replications
     per = max(1, math.ceil(total / workers))
     jobs = [(per_rep, cfg, sweep, lo, min(lo + per, total)) for lo in range(0, total, per)]

@@ -41,7 +41,7 @@ def write_mask_pgm(mask, path):
         fh.write(payload.tobytes())
 
 
-def extract_clusters(mask, merge_distance=0.0, pixel_size_m=1.0):
+def extract_clusters(mask, merge_distance=0.0):
     """Clusters as ``(centroid_row, centroid_col, n_pixels, n_components)``."""
     mask = np.asarray(mask).astype(bool)
     labels, n_comp = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
@@ -59,11 +59,9 @@ def extract_clusters(mask, merge_distance=0.0, pixel_size_m=1.0):
             a = parent[a]
         return a
 
-    limit_m = merge_distance * pixel_size_m
     for i in range(n_comp):
         for j in range(i + 1, n_comp):
-            d = np.hypot(*(centroids[i] - centroids[j])) * pixel_size_m
-            if d <= limit_m:
+            if np.hypot(*(centroids[i] - centroids[j])) <= merge_distance:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[rj] = ri

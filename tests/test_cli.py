@@ -575,6 +575,10 @@ class TestMalformedInputs:
             ["sensitivity", "--config", "{sim}", "--values", "1:2:3:4"],
             ["sensitivity", "--config", "{sim}", "--values", "1:5:0"],
             ["breakdown", "--config", "{sim}", "--counts", ","],
+            ["sensitivity", "--config", "{sim}", "--values", "1:1e400"],
+            ["sensitivity", "--config", "{sim}", "--values", "nan"],
+            ["sensitivity", "--config", "{sim}", "--values", "2,inf"],
+            ["breakdown", "--config", "{sim}", "--counts", "0:4:nan"],
             ["simulate", "--config", "{sim}", "--threads", "0"],
             ["breakdown", "--config", "{sim}", "--counts", "0:2", "--threads", "-3"],
             ["sensitivity", "--config", "{sim}", "--values", "1:2", "--threads", "-1"],
@@ -590,7 +594,8 @@ class TestMalformedInputs:
              "dummy-column-missing", "reference-not-a-label", "no-intercept-no-covariates",
              "wald-unknown-coefficient", "wald-null-length", "sim-config-not-an-object",
              "sim-config-without-n", "breakdown-two-n", "sim-config-missing", "range-four-parts",
-             "range-zero-step", "empty-value-list", "simulate-threads-0",
+             "range-zero-step", "empty-value-list", "range-past-the-float-range", "value-nan",
+             "value-inf", "count-step-nan", "simulate-threads-0",
              "breakdown-threads-negative", "sensitivity-threads-negative", "scene-too-small",
              "scene-contamination-half", "scene-training-rows-half"],
     )
@@ -1017,7 +1022,28 @@ class TestParseRange:
         rc = main(["sensitivity", "--config", str(sim_config), "--values", "1:inf",
                    "--out-dir", str(tmp_path / "x")])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: bad range")
+        assert capsys.readouterr().err.startswith("error: --values: bad range")
+
+    @pytest.mark.parametrize("values, message", [
+        ("1:1e400", "bad range '1:1e400'; bounds and step must be finite"),
+        ("1,1e400", "bad value '1e400'; values must be finite"),
+        ("1:5:1e-400", "bad range '1:5:1e-400'; step must be positive"),
+        ("nan", "bad value 'nan'; values must be finite"),
+        ("1:-inf", "bad range '1:-inf'; bounds and step must be finite"),
+    ])
+    def test_non_finite_sweep_refused_before_the_study(self, values, message, sim_config,
+                                                       tmp_path, capsys, monkeypatch):
+        # '1e400' is a finite decimal but an infinite float.
+        def study(*args, **kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(rayreg.simulation, "sensitivity_curve", study)
+        capsys.readouterr()
+        rc = main(["sensitivity", "--config", str(sim_config), "--values", values,
+                   "--out-dir", str(tmp_path / "x")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: --values: {message}"]
+        assert not (tmp_path / "x").exists()
 
 
 class TestDetectCommands:
@@ -1055,6 +1081,14 @@ class TestDetectCommands:
             assert rc == 0
             masks[method] = (out / "mask.pgm").read_bytes()
         assert masks["wmle"] != masks["mle"]
+
+    def test_structuring_element_larger_than_the_image(self, scene_dir, tmp_path):
+        # The dilation covers the whole 100 x 100 scene from any target.
+        out = tmp_path / "det"
+        assert main(["detect", *_scene_args(scene_dir), "--dilation-se", "1000000001",
+                     "--out-dir", str(out)]) == 0
+        assert _read_json(out / "clusters.json")["clusters"] == [
+            {"centroid_row": 49.5, "centroid_col": 49.5, "n_pixels": 10000, "n_components": 1}]
 
     def test_byte_order_mark_detects_like_plain_csv(self, scene_dir, tmp_path):
         # Spreadsheet exports often start with a UTF-8 byte-order mark.

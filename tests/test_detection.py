@@ -92,6 +92,22 @@ class TestMorphology:
             assert np.array_equal(dilate(mask, size), brute_dilate(mask, size))
             assert np.array_equal(_opening(mask, size), brute_opening(mask, size))
 
+    @given(
+        mask=arrays(bool, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6)),
+        extra=st.integers(-1, 4),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_squares_beyond_the_image_match_brute_force(self, mask, extra):
+        # Half-widths from one below the longer side to past it, where the
+        # frame stops growing: a frame for a square 10^9 + 1 pixels a side
+        # would take an exabyte.
+        size = 2 * (max(mask.shape) + extra) + 1
+        assert np.array_equal(erode(mask, size), brute_erode(mask, size))
+        assert np.array_equal(dilate(mask, size), brute_dilate(mask, size))
+        capped = 2 * max(mask.shape) + 1
+        assert np.array_equal(erode(mask, 10**9 + 1), brute_erode(mask, capped))
+        assert np.array_equal(dilate(mask, 10**9 + 1), brute_dilate(mask, capped))
+
     def test_dilate_empty_stays_empty(self):
         assert not dilate(np.zeros((8, 8), bool), 3).any()
 
@@ -255,19 +271,18 @@ class TestClustersMatchReference:
             st.sampled_from([0.0, 1.0, 2.0, 5.0, 10.0, 13.0, 2.0**0.5]),
             st.floats(0.0, 20.0),
         ),
-        pixel_size_m=st.sampled_from([1.0, 0.1, 0.3, 2.5]),
         block=st.sampled_from([_BLOCK, 1, 7, 64, 200]),
     )
     @settings(deadline=None, max_examples=150)
-    def test_random_masks(self, seed, shape, density, merge_distance, pixel_size_m, block):
+    def test_random_masks(self, seed, shape, density, merge_distance, block):
         # Below the real block size the sums run over blocks of a few rows,
         # or of one row narrower than the mask, so that components span
         # several blocks.
         mask = np.random.default_rng(seed).random(shape) < density
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rayreg.detection, "_BLOCK", block)
-            clusters = _as_tuples(extract_clusters(mask, merge_distance, pixel_size_m))
-        assert clusters == detect_reference.extract_clusters(mask, merge_distance, pixel_size_m)
+            clusters = _as_tuples(extract_clusters(mask, merge_distance))
+        assert clusters == detect_reference.extract_clusters(mask, merge_distance)
 
     def test_components_across_row_block_edges(self):
         # 218 rows a block at this width, so four blocks: bars, crosses and
@@ -291,15 +306,27 @@ class TestClustersMatchReference:
     @pytest.mark.parametrize("scale", [1, 2, 3])
     def test_centroids_exactly_at_merge_distance(self, pixel_size_m, scale):
         # Single pixels on 3-4-5 and 5-12-13 triangles: distances are exact.
+        # The merge distance is in pixels; in meters, at the pixel size, it is
+        # the default match radius, scored here against truths exactly 5
+        # scaled pixels from the pixels.
+        pixels = [(1, 1), (1 + 3 * scale, 1 + 4 * scale), (1, 1 + 13 * scale),
+                  (1 + 5 * scale, 1 + 12 * scale + 13 * scale)]
         mask = np.zeros((80, 80), bool)
-        for r, c in [(1, 1), (1 + 3 * scale, 1 + 4 * scale), (1, 1 + 13 * scale),
-                     (1 + 5 * scale, 1 + 12 * scale + 13 * scale)]:
+        for r, c in pixels:
             mask[r, c] = True
+        truths = [(r + 3 * scale, c - 4 * scale) for r, c in pixels]
+        singles = extract_clusters(mask)
         for md in (5.0 * scale, 13.0 * scale, 4.0 * scale):
-            assert _as_tuples(extract_clusters(mask, md, pixel_size_m)) == (
-                detect_reference.extract_clusters(mask, md, pixel_size_m)
+            assert _as_tuples(extract_clusters(mask, md)) == (
+                detect_reference.extract_clusters(mask, md)
             )
-        assert len(extract_clusters(mask, 5.0 * scale, 1.0)) == 3
+            radius_m = md * pixel_size_m
+            assert score_detections(singles, truths, radius_m, pixel_size_m) == (
+                detect_reference.score_detections(singles, truths, radius_m, pixel_size_m)
+            )
+        assert len(extract_clusters(mask, 5.0 * scale)) == 3
+        for md, hits in ((5.0 * scale, 4), (4.0 * scale, 0)):
+            assert score_detections(singles, truths, md * pixel_size_m, pixel_size_m)[0] == hits
 
     def test_coincident_centroids_merge_at_zero_distance(self):
         # A hollow 5x5 ring and its center pixel: two components, one centroid.
@@ -638,23 +665,18 @@ class TestDetect:
 
     def test_synthetic_scene_end_to_end(self):
         scene = make_scene(rows=100, cols=100, seed=5, blob_grid=2, training_rows=25)
-        res = detect(
-            scene.interest,
-            [scene.covariate],
-            scene.training_region,
-            truth=scene.truth,
-            method="wmle",
-        )
-        assert res.hits == 4 and res.missed == 0
-        assert res.false_alarms <= 1
+        res = detect(scene.interest, [scene.covariate], scene.training_region, method="wmle")
+        hits, false_alarms, missed = score_detections(res.clusters, scene.truth, 10.0)
+        assert hits == 4 and missed == 0
+        assert false_alarms <= 1
 
     def test_method_comparison_directional(self):
         scene = make_scene(rows=100, cols=100, seed=6, blob_grid=2, training_rows=25)
-        wmle = detect(scene.interest, [scene.covariate], scene.training_region,
-                      truth=scene.truth, method="wmle")
-        mle = detect(scene.interest, [scene.covariate], scene.training_region,
-                     truth=scene.truth, method="mle")
-        assert mle.false_alarms >= wmle.false_alarms
+        false_alarms = {}
+        for method in ("wmle", "mle"):
+            res = detect(scene.interest, [scene.covariate], scene.training_region, method=method)
+            false_alarms[method] = score_detections(res.clusters, scene.truth, 10.0)[1]
+        assert false_alarms["mle"] >= false_alarms["wmle"]
 
     def test_deterministic(self):
         scene = make_scene(rows=100, cols=100, seed=7, blob_grid=2, training_rows=25)

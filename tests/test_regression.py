@@ -24,6 +24,23 @@ from rayreg.regression import _LOG_MEAN_BIAS
 EXP_065 = 1.91554082901389607014669819268
 
 
+def _newton_terms(link, mu, y) -> tuple:
+    """Each observation's score factor and observed weight, as the solver's
+    fused evaluation ``link.objective`` gives them: on a design of unit rows,
+    and one more row of weight 0, its gradient is the score factors and its
+    information the diagonal matrix of the observed weights."""
+    n = mu.size
+    spec = ModelSpec.build(np.vstack([np.eye(n), np.eye(n)[:1]]), np.append(y, y[0]), link=link)
+    w = np.append(np.ones(n), 0.0)
+    evaluate, information = spec.link.objective(spec.design, w, spec.response_terms)
+    beta = spec.link.link(mu).tolist()
+    _, grad, point, state = evaluate(beta)
+    assert point == beta  # no column of ones, so no intercept is profiled
+    info = information(state)
+    assert np.array_equal(info, np.diag(np.diag(info)))
+    return np.array(grad), np.diag(info)
+
+
 class TestLinks:
     @pytest.mark.parametrize("name", ["log", "identity"])
     def test_round_trip(self, name):
@@ -36,22 +53,20 @@ class TestLinks:
         link = get_link("log")
         mu = np.array([0.5, 1.0, 4.0])
         y = np.array([0.3, 1.0, 7.0])
-        quad = math.pi / 4 * (y / mu) ** 2
         # d mu / d eta = mu times d log f / d mu.
         v = math.pi * y * y / (2.0 * mu**3) - 2.0 / mu
-        assert np.allclose(link.newton_terms(mu, quad)[0], mu * v)
+        assert np.allclose(_newton_terms("log", mu, y)[0], mu * v)
         assert np.array_equal(link.fisher_weight(mu), np.full(3, 4.0))
 
     def test_identity_derivatives(self):
         link = get_link("identity")
         mu = np.array([0.5, 2.0])
         y = np.array([0.3, 7.0])
-        quad = math.pi / 4 * (y / mu) ** 2
         v = math.pi * y * y / (2.0 * mu**3) - 2.0 / mu
-        score_factor = link.newton_terms(mu, quad)[0]
+        score_factor = _newton_terms("identity", mu, y)[0]
         assert np.allclose(score_factor, v)
         # d mu / d eta is 1 here and mu under the log link.
-        assert np.array_equal(score_factor, get_link("log").newton_terms(mu, quad)[0] / mu)
+        assert np.allclose(score_factor, _newton_terms("log", mu, y)[0] / mu, rtol=1e-14)
         assert np.allclose(link.fisher_weight(mu), 4.0 / mu**2)
 
     @pytest.mark.parametrize("name", ["log", "identity"])
@@ -68,8 +83,7 @@ class TestLinks:
             return distribution.logpdf(y, link.inverse(e))
 
         numeric = -(ll(eta + h) - 2.0 * ll(eta) + ll(eta - h)) / h**2
-        _, observed = link.newton_terms(mu, math.pi / 4 * (y / mu) ** 2)
-        assert np.allclose(observed, numeric, rtol=1e-5)
+        assert np.allclose(_newton_terms(name, mu, y)[1], numeric, rtol=1e-5)
 
     def test_log_mean_bias(self):
         # E[log Y] = log mu - kappa, kappa = gamma/2 - log(2/sqrt(pi)).
@@ -130,12 +144,16 @@ class TestDesignMatrix:
         for _ in range(3):
             d.assert_full_rank()
         assert len(calls) == 1
-        # The kept singular values still answer a stricter tolerance.
-        with pytest.raises(ValueError, match="rank deficient"):
-            d.assert_full_rank(tol_factor=1.0)
         # The least-squares start comes from the same decomposition.
         d.pinv
         assert len(calls) == 1
+        # A design that fails the check keeps its decomposition too.
+        x = np.arange(20.0)
+        bad = DesignMatrix(np.column_stack([np.ones(20), x, 2.0 * x]))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="rank deficient"):
+                bad.assert_full_rank()
+        assert len(calls) == 2
 
     def test_kept_products_match_their_definitions(self):
         rng = np.random.default_rng(7)
@@ -162,16 +180,21 @@ class TestDesignMatrix:
         assert np.array_equal(clone.X, d.X) and not clone.X.flags.writeable
         assert clone.column_names == d.column_names
         clone.assert_full_rank()
+        # A rank-deficient design still fails the check after the round trip.
+        bad = DesignMatrix(np.column_stack([X, 3.0 * X[:, 1]]))
         with pytest.raises(ValueError, match="rank deficient"):
-            clone.assert_full_rank(tol_factor=1.0)
+            bad.assert_full_rank()
+        with pytest.raises(ValueError, match="rank deficient"):
+            pickle.loads(pickle.dumps(bad)).assert_full_rank()
         fits = [fit_mle(ModelSpec(design=dm, link="log", response=y)) for dm in (d, clone)]
         assert fits[0].beta_hat.tobytes() == fits[1].beta_hat.tobytes()
 
     def test_pickled_arrays_stay_read_only(self):
-        # A fit fills the design's kept arrays: X, singular values,
-        # pseudo-inverse, row outer products, the unit weights and the log
-        # link's Fisher information.  The fit holds four arrays, and six
-        # once its covariance and standard errors are read.
+        # A fit fills the design's kept arrays: X, the pseudo-inverse, row
+        # outer products, the unit weights and the log link's Fisher
+        # information (its SVD factors, a tuple, are checked in
+        # test_pickled_svd_factors_stay_read_only).  The fit holds four
+        # arrays, and six once its covariance and standard errors are read.
         rng = np.random.default_rng(4)
         X = np.column_stack([np.ones(40), rng.random(40)])
         spec = ModelSpec.build(X, distribution.quantile(rng.random(40), 1.0))
@@ -186,7 +209,7 @@ class TestDesignMatrix:
                 assert not arr.flags.writeable, (type(obj).__name__, name)
             return clone
 
-        check(spec.design, 6)
+        check(spec.design, 5)
         check(fit, 4)
         fit.std_errors
         check(fit, 6)

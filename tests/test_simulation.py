@@ -2,6 +2,7 @@
 
 import math
 import multiprocessing.process
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -311,6 +312,19 @@ _EXPERIMENTS = {
 }
 
 
+def _count_started_processes(monkeypatch) -> list:
+    """The names of the processes started from here on, as they start."""
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counting_start(process):
+        started.append(process.name)
+        return start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+    return started
+
+
 class TestWorkerInvariance:
     """Seven replications run as one chunk, as 4 + 3 and as 3 + 3 + 1."""
 
@@ -322,22 +336,27 @@ class TestWorkerInvariance:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("experiment", sorted(_EXPERIMENTS))
-    def test_uneven_chunks_do_not_change_results(self, serial, experiment, workers):
+    def test_uneven_chunks_do_not_change_results(self, serial, experiment, workers, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))  # no cap below 3
         assert _EXPERIMENTS[experiment](self.CFG, workers) == serial[experiment]
 
     def test_no_more_worker_processes_than_chunks(self, monkeypatch):
         # Four workers asked for, two replications: two chunks, so at most
         # two processes start.
-        started = []
-        start = multiprocessing.process.BaseProcess.start
-
-        def counting_start(process):
-            started.append(process.name)
-            return start(process)
-
-        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+        started = _count_started_processes(monkeypatch)
         sensitivity_curve(_cfg(n_obs=60, replications=2), [1.0, 10.0], workers=4)
         assert 1 <= len(started) <= 2, started
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_no_more_worker_processes_than_usable_cpus(self, cpus, monkeypatch):
+        # A thousand workers asked for, five replications: without the cap
+        # five processes would start, one a chunk.
+        cfg = _cfg(n_obs=60, replications=5)
+        serial = sensitivity_curve(cfg, [1.0, 10.0], workers=1)
+        started = _count_started_processes(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert sensitivity_curve(cfg, [1.0, 10.0], workers=1000) == serial
+        assert len(started) == (0 if cpus == 1 else cpus), started
 
 
 class TestFormatting:

@@ -21,9 +21,11 @@ manifest is identical.
 The set: ``fit`` in json, text and csv, for both links, once with a covariate
 and once with a three-level dummy; ``wald``; ``residuals``; ``simulate
 --threads 2``; ``breakdown``; ``sensitivity``; ``synth-scene``; ``detect
---truth`` with the robust and the plain fit; ``detect --upper-tail-only``; a
-``synth-scene`` of several row blocks with ``detect --truth`` by both fits;
-and ``rerun`` of a fit, a sensitivity and a detect run.
+--truth`` with the robust and the plain fit; ``detect --upper-tail-only``;
+``detect --truth`` at a pixel size of 0.5 m and a 12-pixel merge distance,
+and against a truth file without ``radius_m``, so that ``score.json`` records
+a null radius; a ``synth-scene`` of several row blocks with ``detect
+--truth`` by both fits; and ``rerun`` of a fit, a sensitivity and a detect run.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ _DIGESTS = "digests.json"
 _DATA = "data.csv"
 _TABLE_CONFIG = "table.json"
 _CURVE_CONFIG = "curve.json"
+_TRUTH_NO_RADIUS = "truth_no_radius.json"
 _SCENE = ["--interest", "scene/interest.rrm", "--covariates", "scene/covariate.rrm",
           "--training", "75,0,100,100"]
 # 94 rows make a block of pixels at this width (rayreg.detection._BLOCK), so
@@ -75,6 +78,9 @@ def _commands() -> list:
         ("detect_wmle", ["detect", *_SCENE, "--truth", "scene/truth.json"]),
         ("detect_mle", ["detect", *_SCENE, "--truth", "scene/truth.json", "--method", "mle"]),
         ("detect_upper", ["detect", *_SCENE, "--upper-tail-only"]),
+        ("detect_pixel_size", ["detect", *_SCENE, "--pixel-size", "0.5", "--merge-distance", "12",
+                               "--truth", "scene/truth.json"]),
+        ("detect_truth_no_radius", ["detect", *_SCENE, "--truth", _TRUTH_NO_RADIUS]),
         ("scene_blocks", ["synth-scene", "--rows", "400", "--cols", "690", "--seed", "4"]),
         ("detect_blocks_wmle", ["detect", *_BLOCKS_SCENE, "--truth", "scene_blocks/truth.json"]),
         ("detect_blocks_mle", ["detect", *_BLOCKS_SCENE, "--truth", "scene_blocks/truth.json",
@@ -86,7 +92,8 @@ def _commands() -> list:
 
 
 def _write_inputs(out: Path) -> None:
-    """A tabular data file and two simulation configs, from numpy alone."""
+    """A tabular data file, two simulation configs and a truth file without
+    a match radius, from numpy alone."""
     rng = np.random.default_rng(20)
     x = rng.random(90)
     mu = np.exp(0.5 + 0.3 * x)
@@ -99,6 +106,8 @@ def _write_inputs(out: Path) -> None:
     (out / _TABLE_CONFIG).write_text(json.dumps(table), encoding="utf-8")
     curve = dict(table, N=60, epsilon=0.0)
     (out / _CURVE_CONFIG).write_text(json.dumps(curve), encoding="utf-8")
+    truth = {"targets": [[18.0, 24.0], [60.0, 88.0], [45.0, 50.0]]}
+    (out / _TRUTH_NO_RADIUS).write_text(json.dumps(truth), encoding="utf-8")
 
 
 def _digest(path: Path) -> str:
